@@ -11,22 +11,35 @@ y = (rho, u, E, B)^ at frequency xi obeys y' = A(xi) y with
     B'   = -i xi x E.
 
 The flow conserves the Gauss functionals i xi . E + rho and i xi . B, so
-the compatible subspace (both zero) is invariant.  On it the spectrum
-splits into a longitudinal acoustic branch with Re(lambda) = -1/2 exactly
-and a transverse electromagnetic branch whose slow root behaves like
--|xi|^2 / (1 + |xi|^2): magnetic energy leaks out only diffusively.  The
-resulting whole-space L2 decay exponents (heat-kernel integrals of the
+the compatible subspace (both zero) is invariant.  Rotation equivariance
+splits A(xi) exactly into blocks that depend on r = |xi| alone:
+
+  longitudinal (rho, u . xi^, E . xi^): the Gauss defect c = rho + i r E_l
+      is conserved, and the rest is a damped oscillator with eigenvalues
+      -1/2 +- i sqrt(3/4 + gamma r^2), solved in closed form;
+  transverse (u_perp, E_perp, xi^ x B): two identical 3x3 blocks with
+      characteristic polynomial lam^3 + lam^2 + (1 + r^2) lam + r^2, whose
+      three roots are always distinct; the slow root behaves like
+      -r^2 / (1 + r^2), so magnetic energy leaks out only diffusively;
+  B . xi^: constant.
+
+The resulting whole-space L2 decay exponents (heat-kernel integrals of the
 slow branch against the initial profile) are what this module measures:
 rho ~ e^{-t/2}, u and E ~ (1+t)^{-5/4}, B ~ (1+t)^{-3/4},
 grad B ~ (1+t)^{-5/4}, for initial data whose B profile is bounded and
-nonvanishing at xi = 0.
+nonvanishing at xi = 0 (Ueda & Kawashima, Methods Appl. Anal. 18 (2011);
+Duan, J. Hyperbolic Differ. Equ. 8 (2011)).
 
 Whole-space norms are evaluated by quadrature over R^3 frequencies and
 reported in the Fourier-side normalization ( integral |f^|^2 dxi )^{1/2};
 physical-space norms differ by the constant (2 pi)^{-3/2}, which is
-immaterial for exponents and ratios.  Accumulations use numpy's pairwise
-summation over fixed-shape arrays, so results are bit-reproducible across
-runs.
+immaterial for exponents and ratios.  Because every block depends on r
+alone, the angular part of each norm reduces to one Gram matrix of the
+initial block coordinates per radius; a time sample then costs O(radii),
+not O(nodes), and no per-node propagator is built.  BatchPropagator
+applies the same block split node by node, for callers that need the
+propagated amplitudes themselves.  All reductions run over fixed-shape
+arrays in a fixed order, so results are bit-reproducible across runs.
 """
 from __future__ import annotations
 
@@ -113,40 +126,122 @@ def constraint_matrix(xi: np.ndarray) -> np.ndarray:
     return c
 
 
-class BatchPropagator:
-    """e^{t A(xi)} for a batch of frequencies, via eigendecomposition.
+# Block coordinates, with xi^ = xi / r (any unit vector at xi = 0, where A
+# is isotropic): the conserved Gauss defect c = rho + i r E_l; the pair
+# (u_l, E_l - E*), E* = -i gamma r c / (1 + gamma r^2), which obeys
+# x'' + x' + (1 + gamma r^2) x = 0; the constant B_l; and the transverse
+# rows (u_perp, E_perp, xi^ x B).  The transverse discriminant
+# -3 + 4 s - 20 s^2 - 4 s^3 (s = r^2) is negative, so its roots never meet
+# and the per-radius eigendecomposition needs no fallback.
 
-    The symbol is diagonalizable away from isolated degeneracies; nodes
-    whose eigenvector matrix is ill-conditioned (> cond_limit) or whose
-    factorization fails fall back to scipy's scaling-and-squaring expm.
+
+def _transverse_generator(r: np.ndarray) -> np.ndarray:
+    """The transverse block on (u_perp, E_perp, xi^ x B), shape r.shape + (3, 3)."""
+    gen = np.zeros(np.shape(r) + (3, 3), dtype=complex)
+    gen[..., 0, 0] = -1.0
+    gen[..., 0, 1] = -1.0
+    gen[..., 1, 0] = 1.0
+    gen[..., 1, 2] = 1j * r
+    gen[..., 2, 1] = 1j * r
+    return gen
+
+
+def _longitudinal_propagator(r: np.ndarray, gamma: float, t: np.ndarray) -> np.ndarray:
+    """Closed-form e^{tA} on the longitudinal block, shape (..., 4, 4).
+
+    Maps (c, u_l, E_l - E*, B_l) at time 0 to (rho, u_l, E_l, B_l) at
+    time t; r and t broadcast against each other.
+    """
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
+    stiff = 1.0 + gamma * r**2
+    omega = np.sqrt(stiff - 0.25)
+    decay = np.exp(-0.5 * t)
+    cos = decay * np.cos(omega * t)
+    sin = decay * np.sin(omega * t) / omega
+    # the oscillator (u_l, e) -> (u_l, e) block of the flow
+    m_uu, m_ue = cos - 0.5 * sin, -stiff * sin
+    m_eu, m_ee = sin, cos + 0.5 * sin
+    out = np.zeros(r.shape + (4, 4), dtype=complex)
+    # rho = c / stiff - i r e and E_l = e + E*
+    out[..., 0, 0] = 1.0 / stiff
+    out[..., 0, 1] = -1j * r * m_eu
+    out[..., 0, 2] = -1j * r * m_ee
+    out[..., 1, 1] = m_uu
+    out[..., 1, 2] = m_ue
+    out[..., 2, 0] = -1j * gamma * r / stiff
+    out[..., 2, 1] = m_eu
+    out[..., 2, 2] = m_ee
+    out[..., 3, 3] = 1.0
+    return out
+
+
+def _split_modes(
+    xi: np.ndarray, y: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Block coordinates of amplitudes y (..., 10) at frequencies xi (..., 3).
+
+    Returns r, xi^, the longitudinal vector (c, u_l, E_l - E*, B_l) of
+    shape (..., 4), and the transverse rows (u_perp, E_perp, xi^ x B) of
+    shape (..., 3, 3).
+    """
+    r = np.sqrt((xi**2).sum(axis=-1))
+    hat = np.divide(xi, r[..., None], out=np.zeros_like(xi), where=r[..., None] > 0)
+    hat[r == 0.0, 2] = 1.0
+    u_l, e_l, b_l = (np.einsum("...i,...i->...", hat, y[..., sl]) for sl in (U, E, B))
+    c = y[..., 0] + 1j * r * e_l
+    e_star = -1j * gamma * r * c / (1.0 + gamma * r**2)
+    lon = np.stack([c, u_l, e_l - e_star, b_l], axis=-1)
+    trans = np.stack(
+        [y[..., U] - u_l[..., None] * hat, y[..., E] - e_l[..., None] * hat, np.cross(hat, y[..., B])],
+        axis=-2,
+    )
+    return r, hat, lon, trans
+
+
+class BatchPropagator:
+    """e^{t A(xi)} for a batch of frequencies, through the block split of A.
+
+    Each node is reduced to its closed-form longitudinal block and its
+    transverse 3x3 block, which is diagonalized once at build time; apply
+    recombines the propagated blocks into the 10 components.  The
+    transverse roots are always distinct, so the eigenvector matrices are
+    well conditioned; nodes whose eigenvector matrix nonetheless exceeds
+    cond_limit (or whose factorization fails) fall back to scipy's
+    scaling-and-squaring expm of the full 10x10 symbol.
     """
 
     def __init__(self, xi: np.ndarray, gamma: float, cond_limit: float = 1e8):
         self.xi = np.asarray(xi, dtype=float).reshape(-1, 3)
         self.gamma = float(gamma)
-        a = symbol_batch(self.xi, gamma)
-        k = a.shape[0]
+        k = self.xi.shape[0]
+        r = np.sqrt((self.xi**2).sum(axis=1))
         try:
-            self.eigvals, self.vecs = np.linalg.eig(a)
-            cond = np.linalg.cond(self.vecs)
+            self._eigvals, vecs = np.linalg.eig(_transverse_generator(r))
+            cond = np.linalg.cond(vecs)
             self.bad = np.nonzero(~np.isfinite(cond) | (cond > cond_limit))[0]
-            self.vinv = np.linalg.inv(
-                np.where(np.isin(np.arange(k), self.bad)[:, None, None], np.eye(10), self.vecs)
-            )
         except np.linalg.LinAlgError:
-            self.eigvals = np.zeros((k, 10), dtype=complex)
-            self.vecs = np.broadcast_to(np.eye(10, dtype=complex), (k, 10, 10)).copy()
-            self.vinv = self.vecs.copy()
+            self._eigvals = np.zeros((k, 3), dtype=complex)
+            vecs = np.broadcast_to(np.eye(3, dtype=complex), (k, 3, 3)).copy()
             self.bad = np.arange(k)
+        vecs[self.bad] = np.eye(3)
+        self._vecs, self._vinv = vecs, np.linalg.inv(vecs)
         # symbol matrices are only needed for the expm fallback nodes
-        self.a_bad = a[self.bad].copy()
+        self.a_bad = symbol_batch(self.xi[self.bad], gamma)
 
     def apply(self, y0: np.ndarray, t: float) -> np.ndarray:
         """Propagate amplitudes y0 of shape (K, 10) to time t >= 0."""
         if t < 0.0:
             raise ValueError(f"propagation time must be >= 0, got {t}")
-        coeff = np.einsum("kij,kj->ki", self.vinv, y0)
-        y = np.einsum("kij,kj->ki", self.vecs, np.exp(self.eigvals * t) * coeff)
+        r, hat, lon, trans = _split_modes(self.xi, y0, self.gamma)
+        lon = np.einsum("kab,kb->ka", _longitudinal_propagator(r, self.gamma, t), lon)
+        tau = self._vecs @ (np.exp(self._eigvals * t)[:, :, None] * self._vinv)
+        trans = tau @ trans
+        y = np.empty((self.xi.shape[0], 10), dtype=complex)
+        y[:, 0] = lon[:, 0]
+        y[:, U] = lon[:, 1, None] * hat + trans[:, 0]
+        y[:, E] = lon[:, 2, None] * hat + trans[:, 1]
+        # xi^ x (xi^ x B) = -B_perp
+        y[:, B] = lon[:, 3, None] * hat - np.cross(hat, trans[:, 2])
         for j, k in enumerate(self.bad):
             y[k] = expm(self.a_bad[j] * t) @ y0[k]
         return y
@@ -170,7 +265,8 @@ class QuadratureScheme:
     r_max * panel_ratio^{-(panels-1) .. 0} (plus 0), refined toward the
     origin so heat-kernel integrands e^{-2 |xi|^2 t} stay resolved out to
     t ~ 1000.  Angular: Gauss-Legendre in cos(theta) times a uniform
-    periodic rule in phi.
+    periodic rule in phi.  Nodes are laid out radius-major, so the
+    directions of one radius form a contiguous run.
     """
 
     r_max: float = 24.0
@@ -234,17 +330,6 @@ class QuadratureScheme:
             self.theta_nodes,
             self.phi_nodes,
         )
-
-
-_PROPAGATOR_CACHE: dict[tuple[QuadratureScheme, float], BatchPropagator] = {}
-
-
-def _cached_propagator(scheme: QuadratureScheme, gamma: float) -> BatchPropagator:
-    key = (scheme, float(gamma))
-    if key not in _PROPAGATOR_CACHE:
-        xi, _ = scheme.nodes()
-        _PROPAGATOR_CACHE[key] = BatchPropagator(xi, gamma)
-    return _PROPAGATOR_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +496,43 @@ _CHANNELS: tuple[tuple[str, str, int], ...] = (
 )
 
 
+def _radial_densities(
+    family: GaussianFamily, gamma: float, times: np.ndarray, scheme: QuadratureScheme
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Radii r_i and, per component, the weighted angular sums of |.|^2.
+
+    densities[component][j, i] is sum over the directions at radius r_i
+    of w |component(e^{t_j A} y0)|^2.  Both blocks of the propagator
+    depend on r alone, so the direction sums collapse to one Gram matrix
+    per radius and block: with G = sum_dirs w v v^H over the initial block
+    coordinates v, the propagated sums are the diagonal of L(r, t) G L^H.
+    """
+    if (times < 0.0).any():
+        raise ValueError(f"propagation time must be >= 0, got {times.min()}")
+    xi, wq = scheme.nodes()
+    r, _ = scheme.radial_rule()
+    _, _, lon, trans = _split_modes(xi, initial_modes(family, xi), gamma)
+    # nodes are radius-major: (radius, direction)
+    w = wq.reshape(r.size, -1)
+    lon = lon.reshape(w.shape + (4,))
+    trans = trans.reshape(w.shape + (3, 3))
+    gram_lon = np.einsum("rd,rda,rdb->rab", w, lon, lon.conj())
+    gram_trans = np.einsum("rd,rdak,rdbk->rab", w, trans, trans.conj())
+
+    lam, vecs = np.linalg.eig(_transverse_generator(r))
+    vinv = np.linalg.inv(vecs)
+    lon_t = _longitudinal_propagator(r[None, :], gamma, times[:, None])
+    trans_t = vecs @ (np.exp(lam * times[:, None, None])[..., None] * vinv)
+    d_lon = np.einsum("trab,rbc,trac->tra", lon_t, gram_lon, lon_t.conj()).real
+    d_trans = np.einsum("trab,rbc,trac->tra", trans_t, gram_trans, trans_t.conj()).real
+    return r, {
+        "rho": d_lon[..., 0],
+        "u": d_lon[..., 1] + d_trans[..., 0],
+        "e": d_lon[..., 2] + d_trans[..., 1],
+        "b": d_lon[..., 3] + d_trans[..., 2],
+    }
+
+
 def decay_trajectory(
     family: GaussianFamily,
     gamma: float,
@@ -420,20 +542,14 @@ def decay_trajectory(
     """Propagate the family and record all standard channel norms.
 
     Channels: rho, u, e, b at derivative order 0 and grad_b (order 1).
-    One eigenfactorization of the node batch is shared across all times.
+    The family is evaluated once on the quadrature nodes and reduced to
+    per-radius Gram matrices, so each time sample costs O(radii).
     """
     times = np.asarray(times, dtype=float)
-    xi, wq = scheme.nodes()
-    y0 = initial_modes(family, xi)
-    prop = _cached_propagator(scheme, gamma)
-    r2 = (xi**2).sum(axis=1)
-    norms = {name: np.empty(times.size) for name, _, _ in _CHANNELS}
-    for j, t in enumerate(times):
-        y = prop.apply(y0, float(t))
-        dens = np.abs(y) ** 2
-        for name, comp, s in _CHANNELS:
-            sel = dens[:, COMPONENTS[comp]].sum(axis=1)
-            norms[name][j] = np.sqrt(np.sum(wq * r2**s * sel))
+    r, dens = _radial_densities(family, gamma, times, scheme)
+    norms = {
+        name: np.sqrt(np.sum(r ** (2 * s) * dens[comp], axis=1)) for name, comp, s in _CHANNELS
+    }
     return DecayTrajectory(
         times, norms, quadrature_tail_bound(family, scheme), family, scheme, gamma
     )
@@ -450,12 +566,8 @@ def whole_space_norm(
     """( integral |xi|^{2s} |component(e^{tA} y0)|^2 dxi )^{1/2}."""
     if component not in COMPONENTS:
         raise ValueError(f"unknown component {component!r}; expected one of {sorted(COMPONENTS)}")
-    xi, wq = scheme.nodes()
-    y0 = initial_modes(family, xi)
-    y = _cached_propagator(scheme, gamma).apply(y0, float(t))
-    dens = (np.abs(y) ** 2)[:, COMPONENTS[component]].sum(axis=1)
-    r2s = (xi**2).sum(axis=1) ** s
-    return float(np.sqrt(np.sum(wq * r2s * dens)))
+    r, dens = _radial_densities(family, gamma, np.array([float(t)]), scheme)
+    return float(np.sqrt(np.sum(r ** (2 * s) * dens[component][0])))
 
 
 # ---------------------------------------------------------------------------

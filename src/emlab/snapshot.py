@@ -62,28 +62,51 @@ def write_snapshot(path: str | os.PathLike, grid: GridSpec, fields: dict[str, np
         raise
 
 
+def _read_exact(fh, size: int, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"truncated EMXF file: {what} needs {size} bytes, got {len(raw)}")
+    return raw
+
+
 def read_snapshot(path: str | os.PathLike) -> tuple[GridSpec, dict[str, np.ndarray]]:
-    """Read an EMXF file back into (grid, ordered name -> field dict)."""
+    """Read an EMXF file back into (grid, ordered name -> field dict).
+
+    Every malformed file, truncated or corrupted anywhere, raises
+    ValueError; header counts are checked against the file size before
+    anything they size is read.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(4)
         if magic != EMXF_MAGIC:
             raise ValueError(f"not an EMXF file: bad magic {magic!r}")
-        version, n, box, count = struct.unpack("<IIdI", fh.read(20))
+        version, n, box, count = struct.unpack("<IIdI", _read_exact(fh, 20, "header"))
         if version != EMXF_VERSION:
             raise ValueError(f"unsupported EMXF version {version}")
-        names = []
-        for _ in range(count):
-            (ln,) = struct.unpack("<I", fh.read(4))
-            names.append(fh.read(ln).decode("utf-8"))
         grid = GridSpec(n=int(n), box=float(box))
         nbytes = n**3 * 8
+        # each field costs at least its 4-byte name length and its payload
+        if count < 1 or 24 + count * (4 + nbytes) > size:
+            raise ValueError(
+                f"truncated or corrupt EMXF file: {count} fields of {n}^3 values"
+                f" do not fit in {size} bytes"
+            )
+        names = []
+        for _ in range(count):
+            (ln,) = struct.unpack("<I", _read_exact(fh, 4, "field name length"))
+            if ln > size - fh.tell():
+                raise ValueError(f"corrupt EMXF header: field name length {ln} exceeds the file")
+            names.append(_read_exact(fh, ln, "field name").decode("utf-8"))
+        if len(set(names)) != len(names):
+            raise ValueError(f"corrupt EMXF header: repeated field names {names}")
+        if fh.tell() + count * nbytes != size:
+            raise ValueError(
+                f"EMXF payload is {size - fh.tell()} bytes, expected {count * nbytes}"
+                f" ({'truncated' if fh.tell() + count * nbytes > size else 'trailing bytes'})"
+            )
         fields: dict[str, np.ndarray] = {}
         for name in names:
-            raw = fh.read(nbytes)
-            if len(raw) != nbytes:
-                raise ValueError(f"truncated EMXF payload while reading field {name!r}")
+            raw = _read_exact(fh, nbytes, f"field {name!r}")
             fields[name] = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
-        trailing = fh.read(1)
-        if trailing:
-            raise ValueError("trailing bytes after EMXF payload")
     return grid, fields

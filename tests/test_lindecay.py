@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 from emlab.dynamics import constraint_residuals
@@ -144,6 +145,46 @@ class TestPropagation:
         for t in [0.5, 3.0]:
             assert np.abs(fast.apply(y0, t) - slow.apply(y0, t)).max() < 1e-9
 
+    def test_block_split_matches_dense_expm(self):
+        # Gauss-incompatible data exercise every block, including the
+        # conserved defect c and the constant B . xi^
+        rng = np.random.default_rng(8)
+        dirs = rng.standard_normal((2, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        xi = np.concatenate([
+            np.zeros((1, 3)),
+            [[0.0, 0.0, 2.5], [0.0, -0.7, 0.0], [30.0, 0.0, 0.0]],
+            30.0 * dirs,
+            rng.standard_normal((6, 3)) * rng.uniform(0.01, 10.0, (6, 1)),
+        ])
+        y0 = rng.standard_normal((len(xi), 10)) + 1j * rng.standard_normal((len(xi), 10))
+        prop = BatchPropagator(xi, GAMMA)
+        assert len(prop.bad) == 0
+        for t in [0.0, 0.3, 5.0, 40.0, 400.0]:
+            y = prop.apply(y0, t)
+            for k in range(len(xi)):
+                ref = expm(symbol_matrix(xi[k], GAMMA) * t) @ y0[k]
+                assert np.linalg.norm(y[k] - ref) <= 1e-10 * np.linalg.norm(ref), (k, t)
+
+    def test_transverse_roots_stay_distinct(self):
+        # at xi = r e_z the block (u_x, E_x, B_y) of the symbol is closed
+        # and is the transverse block up to the sign of its third coordinate
+        idx = [1, 4, 8]
+        for r in np.linspace(0.0, 100.0, 41):
+            a = symbol_matrix(np.array([0.0, 0.0, r]), GAMMA)
+            rest = np.delete(np.arange(10), idx)
+            assert np.abs(a[np.ix_(idx, rest)]).max() == 0.0
+            assert np.abs(a[np.ix_(rest, idx)]).max() == 0.0
+            p0, p1, p2, p3 = np.poly(a[np.ix_(idx, idx)]).real
+            disc = 18 * p0 * p1 * p2 * p3 - 4 * p1**3 * p3 + p1**2 * p2**2 \
+                - 4 * p0 * p2**3 - 27 * p0**2 * p3**2
+            s = r**2
+            closed = -3.0 + 4.0 * s - 20.0 * s**2 - 4.0 * s**3
+            assert abs(disc - closed) <= 1e-9 * abs(closed)
+        s = np.linspace(0.0, 100.0, 100_001) ** 2
+        assert (-3.0 + 4.0 * s - 20.0 * s**2 - 4.0 * s**3 < 0.0).all()
+        assert len(BatchPropagator(QuadratureScheme().nodes()[0], GAMMA).bad) == 0
+
     def test_constraints_invariant_to_late_times(self):
         rng = np.random.default_rng(6)
         fam = GaussianFamily()
@@ -202,6 +243,24 @@ class TestQuadrature:
             a = whole_space_norm(fam, GAMMA, t, "rho", 0, FAST_FINE)
             b = whole_space_norm(fam, GAMMA, t, "rho", 0, dbl)
             assert abs(a - b) < 1e-6 * b, t
+
+    def test_gram_reduction_matches_per_node_sum(self):
+        scheme = QuadratureScheme(panels=3, radial_nodes=6, theta_nodes=4, phi_nodes=8)
+        fam = GaussianFamily(b_profile="solenoidal-curl", width=1.3)
+        times = np.array([0.0, 0.3, 5.0, 40.0, 400.0])
+        traj = decay_trajectory(fam, GAMMA, times, scheme)
+        xi, w = scheme.nodes()
+        y0 = initial_modes(fam, xi)
+        r2 = (xi**2).sum(axis=1)
+        prop = BatchPropagator(xi, GAMMA)
+        for j, t in enumerate(times):
+            dens = np.abs(prop.apply(y0, t)) ** 2
+            for name, sl, s in [
+                ("rho", slice(0, 1), 0), ("u", slice(1, 4), 0), ("e", slice(4, 7), 0),
+                ("b", slice(7, 10), 0), ("grad_b", slice(7, 10), 1),
+            ]:
+                ref = np.sqrt(np.sum(w * r2**s * dens[:, sl].sum(axis=1)))
+                assert abs(traj.norms[name][j] - ref) <= 1e-12 * ref, (name, t)
 
     def test_unknown_component_rejected(self):
         with pytest.raises(ValueError, match="component"):

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emlab.grid import GridSpec
 from emlab.snapshot import EMXF_MAGIC, EMXF_VERSION, read_snapshot, write_snapshot
@@ -77,3 +79,66 @@ def test_shape_mismatch_rejected(tmp_path, grid):
 def test_empty_fields_rejected(tmp_path, grid):
     with pytest.raises(ValueError, match="at least one"):
         write_snapshot(tmp_path / "e.emxf", grid, {})
+
+
+def test_short_files_rejected(tmp_path, grid):
+    path = tmp_path / "short.emxf"
+    write_snapshot(path, grid, {"rho": np.ones(grid.shape)})
+    raw = path.read_bytes()
+    for cut in (6, 24, 26, 30):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError, match="truncated|corrupt"):
+            read_snapshot(path)
+
+
+def test_header_counts_checked_against_file_size(tmp_path, grid):
+    path = tmp_path / "h.emxf"
+    write_snapshot(path, grid, {"rho": np.ones(grid.shape)})
+    raw = bytearray(path.read_bytes())
+    huge = bytearray(raw)
+    huge[20:24] = struct.pack("<I", 0xFFFFFFFF)  # count
+    path.write_bytes(bytes(huge))
+    with pytest.raises(ValueError, match="corrupt"):
+        read_snapshot(path)
+    long_name = bytearray(raw)
+    long_name[24:28] = struct.pack("<I", 0xFFFFFFF0)
+    path.write_bytes(bytes(long_name))
+    with pytest.raises(ValueError, match="name length"):
+        read_snapshot(path)
+
+
+def test_trailing_bytes_rejected(tmp_path, grid):
+    path = tmp_path / "t.emxf"
+    write_snapshot(path, grid, {"rho": np.ones(grid.shape)})
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
+        read_snapshot(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A scratch directory holding one valid two-field snapshot, src.emxf."""
+    path = tmp_path_factory.mktemp("fuzz")
+    grid = GridSpec(n=8, box=5.0)
+    write_snapshot(path / "src.emxf", grid, {"u_x": random_field(grid, seed=6),
+                                             "b": random_field(grid, seed=7)})
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cut=st.integers(0, 2 * 8**3 * 8 + 40),
+    flips=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 255)), max_size=4),
+)
+def test_corrupt_files_raise_only_value_error(fuzz_dir, cut, flips):
+    # the header and both names fill the first 36 bytes; flips reach a little past
+    # them into the payload, then the file is cut at an arbitrary length
+    raw = bytearray((fuzz_dir / "src.emxf").read_bytes())
+    for pos, value in flips:
+        raw[pos] = value
+    path = fuzz_dir / "mutated.emxf"
+    path.write_bytes(bytes(raw[:cut]))
+    try:
+        read_snapshot(path)
+    except ValueError:
+        pass
