@@ -150,10 +150,8 @@ def rhs_symmetric(grid: GridSpec, gamma: float, state: np.ndarray) -> np.ndarray
     # drift the density products produce.)
     n_prime = w_of_sigma(sigma, gamma) ** ((3.0 - gamma) / (gamma - 1.0))
     s_hat = grid.dealias(grid.transform(n_prime * grid.inverse(out[SCALAR])))
-    defect = grid.div(out[ELEC]) + s_hat / sg
-    coef = np.zeros_like(defect)
-    np.divide(defect, grid.k_sq, out=coef, where=grid.k_sq > 0.0)
-    out[ELEC] += 1j * grid.k * coef
+    # the correction's divergence is minus the defect div E~ + s/sqrt(g)
+    out[ELEC] += grid.longitudinal(s_hat / -sg - grid.div(out[ELEC]))
     return grid.inverse(out)
 
 
@@ -184,13 +182,11 @@ def linear_rhs_symmetric(
     gamma: float,
     state: np.ndarray,
     damping: bool = True,
-    coupling: bool = True,
 ) -> np.ndarray:
     """Linearization of the symmetrized system at the constant equilibrium.
 
     With damping off, the remaining terms are antisymmetric and conserve
-    (1/2) sum of squared L^2 norms; with coupling off the velocity/electric
-    exchange terms are removed as well.
+    (1/2) sum of squared L^2 norms.
     """
     sg = np.sqrt(gamma)
     sh = grid.transform(state)
@@ -199,9 +195,8 @@ def linear_rhs_symmetric(
     out[VEL] = -grid.grad(sh[SCALAR])
     out[ELEC] = grid.curl(sh[MAG]) / sg
     out[MAG] = -grid.curl(sh[ELEC]) / sg
-    if coupling:
-        out[VEL] -= sh[ELEC] / sg
-        out[ELEC] += sh[VEL] / sg
+    out[VEL] -= sh[ELEC] / sg
+    out[ELEC] += sh[VEL] / sg
     if damping:
         out[VEL] -= sh[VEL] / sg
     return grid.inverse(out)
@@ -336,6 +331,10 @@ def integrate_fixed(
     yield 0.0, y
     for chunk in range(1, n_chunks + 1):
         cap = dt_max(y) if callable(dt_max) else float(dt_max)
+        if not 0.0 < cap < np.inf:
+            raise ValueError(
+                f"state non-finite at t={(chunk - 1) * cadence:.17g} (step bound {cap})"
+            )
         steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
         h = cadence / steps
         for _ in range(steps):
@@ -343,32 +342,39 @@ def integrate_fixed(
         yield chunk * cadence, y
 
 
-def _band_mask(grid: GridSpec, band: int) -> np.ndarray:
-    idx = np.abs(np.rint(np.fft.fftfreq(grid.n, 1.0 / grid.n)).astype(int))
-    half = np.arange(grid.n // 2 + 1)
-    return (
-        (idx[:, None, None] <= band)
-        & (idx[None, :, None] <= band)
-        & (half[None, None, :] <= band)
-    ).astype(float)
-
-
-def _shaped_noise(grid: GridSpec, rng: np.random.Generator, band: int, env: np.ndarray) -> np.ndarray:
+def _shaped_noise(grid: GridSpec, rng: np.random.Generator, env: np.ndarray) -> np.ndarray:
     """Centered noise under an envelope, band-limited after enveloping so the
-    result is fully resolvable (no content beyond |index| = band)."""
-    keep = _band_mask(grid, band)
+    result is fully resolvable (no content beyond |index| = n // 3 - 1)."""
+    keep = grid.band_mask(grid.n // 3 - 1)
     f = grid.inverse(keep * grid.transform(rng.standard_normal(grid.shape)))
     out = grid.inverse(keep * grid.transform(env * f))
     return out / np.abs(out).max()
 
 
-def compatible_perturbation_primitive(
-    grid: GridSpec,
-    amp: float,
-    seed: int = 0,
-    band: int | None = None,
-    envelope_width: float | None = None,
-) -> np.ndarray:
+def _noise_state(grid: GridSpec, amp: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The noise both perturbation builders share, drawn in one fixed order.
+
+    Returns unit-peak scalar noise and a (10, n, n, n) stack holding
+    amp-peak velocity noise and an amp-peak solenoidal magnetic field (the
+    curl of a noise potential); the scalar and electric slots are left to
+    the caller.  All noise sits under a centered Gaussian envelope of
+    width L/6.
+    """
+    if amp <= 0.0:
+        raise ValueError(f"perturbation amplitude must be positive, got {amp}")
+    rng = np.random.default_rng(seed)
+    env = np.exp(-(grid.radius**2) / (grid.box / 6.0) ** 2)
+    scalar = _shaped_noise(grid, rng, env)
+    pert = np.zeros((10,) + grid.shape)
+    for c in range(3):
+        pert[VEL][c] = amp * _shaped_noise(grid, rng, env)
+    pot = np.stack([_shaped_noise(grid, rng, env) for _ in range(3)])
+    mag = grid.inverse(grid.curl(grid.transform(pot)))
+    pert[MAG] = amp * mag / np.abs(mag).max()
+    return scalar, pert
+
+
+def compatible_perturbation_primitive(grid: GridSpec, amp: float, seed: int = 0) -> np.ndarray:
     """Random primitive perturbation (rho, u, E, B) about the constant state.
 
     rho is mean-zero band-limited noise under a centered Gaussian envelope,
@@ -376,28 +382,10 @@ def compatible_perturbation_primitive(
     and E is purely longitudinal with div E = -rho solved spectrally.  All
     components are fully resolvable (band-limited) on the grid.
     """
-    if amp <= 0.0:
-        raise ValueError(f"perturbation amplitude must be positive, got {amp}")
-    rng = np.random.default_rng(seed)
-    band = band if band is not None else grid.n // 3 - 1
-    width = envelope_width if envelope_width is not None else grid.box / 6.0
-    env = np.exp(-(grid.radius**2) / width**2)
-
-    pert = np.zeros((10,) + grid.shape)
-    rho = _shaped_noise(grid, rng, band, env)
+    rho, pert = _noise_state(grid, amp, seed)
     rho -= rho.mean()
     pert[SCALAR] = amp * rho / np.abs(rho).max()
-    for c in range(3):
-        pert[VEL][c] = amp * _shaped_noise(grid, rng, band, env)
-    pot = np.stack([_shaped_noise(grid, rng, band, env) for _ in range(3)])
-    mag = grid.inverse(grid.curl(grid.transform(pot)))
-    pert[MAG] = amp * mag / np.abs(mag).max()
-
-    src = grid.transform(-pert[SCALAR])
-    live = grid.k_sq > 0.0
-    coef = np.zeros_like(src)
-    np.divide(src, grid.k_sq, out=coef, where=live)
-    pert[ELEC] = grid.inverse(-1j * grid.k * coef)
+    pert[ELEC] = grid.inverse(grid.longitudinal(grid.transform(-pert[SCALAR])))
     return pert
 
 
@@ -407,8 +395,6 @@ def compatible_perturbation(
     sigma_st: np.ndarray,
     amp: float,
     seed: int = 0,
-    band: int | None = None,
-    envelope_width: float | None = None,
 ) -> np.ndarray:
     """Random symmetrized perturbation consistent with both divergence laws.
 
@@ -419,20 +405,8 @@ def compatible_perturbation(
     perturbation).  A constant shift of sigma enforces the solvability
     condition that the induced charge integrates to zero on the box.
     """
-    if amp <= 0.0:
-        raise ValueError(f"perturbation amplitude must be positive, got {amp}")
-    rng = np.random.default_rng(seed)
-    band = band if band is not None else grid.n // 3 - 1
-    width = envelope_width if envelope_width is not None else grid.box / 6.0
-    env = np.exp(-(grid.radius**2) / width**2)
-
-    pert = np.zeros((10,) + grid.shape)
-    pert[SCALAR] = amp * _shaped_noise(grid, rng, band, env)
-    for c in range(3):
-        pert[VEL][c] = amp * _shaped_noise(grid, rng, band, env)
-    pot = np.stack([_shaped_noise(grid, rng, band, env) for _ in range(3)])
-    mag = grid.inverse(grid.curl(grid.transform(pot)))
-    pert[MAG] = amp * mag / np.abs(mag).max()
+    sigma, pert = _noise_state(grid, amp, seed)
+    pert[SCALAR] = amp * sigma
 
     # shift sigma so the induced charge has zero mean (Newton on a scalar)
     c_shift = 0.0
@@ -451,12 +425,6 @@ def compatible_perturbation(
     s_tot = sigma_st + pert[SCALAR]
     charge = phi_of_sigma(s_tot, gamma) - phi_of_sigma(sigma_st, gamma) + pert[SCALAR]
 
-    # longitudinal electric field from div E = -charge/sqrt(gamma); modes whose
-    # derivative symbol vanishes (zero and pure-Nyquist) carry no longitudinal
-    # direction and are left empty
-    src = grid.transform(-charge / np.sqrt(gamma))
-    live = grid.k_sq > 0.0
-    coef = np.zeros_like(src)
-    np.divide(src, grid.k_sq, out=coef, where=live)
-    pert[ELEC] = grid.inverse(-1j * grid.k * coef)
+    # longitudinal electric field from div E = -charge/sqrt(gamma)
+    pert[ELEC] = grid.inverse(grid.longitudinal(grid.transform(-charge / np.sqrt(gamma))))
     return pert

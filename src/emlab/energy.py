@@ -38,13 +38,7 @@ from .grid import GridSpec, multi_indices
 __all__ = [
     "CertificationResult",
     "EnergyWeights",
-    "dissipation_full",
-    "dissipation_high",
-    "energy_full",
-    "energy_high",
     "energy_report",
-    "equivalence_ratio",
-    "interactive_terms",
     "lyapunov_certify",
 ]
 
@@ -164,47 +158,6 @@ def energy_report(
         "int3": int3,
         "sobolev_sq": plain_n,
     }
-
-
-def energy_full(grid, pert, sigma_st, gamma, weights=EnergyWeights()) -> float:
-    return energy_report(grid, pert, sigma_st, gamma, weights)["energy_full"]
-
-
-def energy_high(grid, pert, sigma_st, gamma, weights=EnergyWeights()) -> float:
-    return energy_report(grid, pert, sigma_st, gamma, weights)["energy_high"]
-
-
-def dissipation_full(grid, pert, sigma_st, gamma, weights=EnergyWeights()) -> float:
-    return energy_report(grid, pert, sigma_st, gamma, weights)["dissipation_full"]
-
-
-def dissipation_high(grid, pert, sigma_st, gamma, weights=EnergyWeights()) -> float:
-    return energy_report(grid, pert, sigma_st, gamma, weights)["dissipation_high"]
-
-
-def interactive_terms(
-    grid, pert, weights: EnergyWeights = EnergyWeights()
-) -> tuple[float, float, float]:
-    """(int1, int2, int3) cross terms at orders N-1, N-1, N-2."""
-    n = weights.order
-    ph = grid.transform(pert)
-    grad_sigma_hat = grid.grad(ph[SCALAR])
-    curl_e_hat = grid.curl(ph[ELEC])
-    return (
-        _cross_sum(grid, ph[VEL], grad_sigma_hat, n - 1),
-        _cross_sum(grid, ph[VEL], ph[ELEC], n - 1),
-        -_cross_sum(grid, curl_e_hat, ph[MAG], n - 2),
-    )
-
-
-def equivalence_ratio(
-    grid, pert, sigma_st, gamma, weights: EnergyWeights = EnergyWeights()
-) -> float:
-    """E_N divided by the plain squared H^N norm of the perturbation."""
-    rep = energy_report(grid, pert, sigma_st, gamma, weights)
-    if rep["sobolev_sq"] == 0.0:
-        raise ValueError("zero perturbation has no equivalence ratio")
-    return rep["energy_full"] / rep["sobolev_sq"]
 
 
 @dataclass

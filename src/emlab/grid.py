@@ -114,18 +114,20 @@ class GridSpec:
         w[..., -1] = 1.0
         return w
 
-    @functools.cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Keep modes with all |integer index| <= floor(n/3), zero the rest."""
-        cut = self.n // 3
+    def band_mask(self, band: int) -> np.ndarray:
+        """1.0 on modes with every |integer index| <= band, 0.0 elsewhere."""
         idx_full = np.abs(np.rint(sp_fft.fftfreq(self.n, d=1.0 / self.n)).astype(int))
         idx_half = np.arange(self.n // 2 + 1)
         keep = (
-            (idx_full[:, None, None] <= cut)
-            & (idx_full[None, :, None] <= cut)
-            & (idx_half[None, None, :] <= cut)
+            (idx_full[:, None, None] <= band)
+            & (idx_full[None, :, None] <= band)
+            & (idx_half[None, None, :] <= band)
         )
         return keep.astype(float)
+
+    @functools.cached_property
+    def _two_thirds_mask(self) -> np.ndarray:
+        return self.band_mask(self.n // 3)
 
     # ---- transforms ----------------------------------------------------
 
@@ -163,8 +165,18 @@ class GridSpec:
         return -self.k_sq * fh
 
     def dealias(self, fh: np.ndarray) -> np.ndarray:
-        """Two-thirds-rule projection; idempotent."""
-        return self.dealias_mask * fh
+        """Two-thirds-rule projection onto band n // 3; idempotent."""
+        return self._two_thirds_mask * fh
+
+    def longitudinal(self, src_hat: np.ndarray) -> np.ndarray:
+        """Curl-free field with divergence src: -i k src / |k|^2.
+
+        Modes whose derivative symbol vanishes (zero and pure-Nyquist) carry
+        no longitudinal direction and are left empty.
+        """
+        coef = np.zeros_like(src_hat)
+        np.divide(src_hat, self.k_sq, out=coef, where=self.k_sq > 0.0)
+        return -1j * self.k * coef
 
     def derivative(self, fh: np.ndarray, alpha: tuple[int, int, int]) -> np.ndarray:
         """Spectral coefficients of the mixed partial d^alpha f."""

@@ -64,17 +64,14 @@ __all__ = [
     "fit_decay",
     "initial_modes",
     "initial_norms_analytic",
-    "propagate_mode",
     "spectral_stability_report",
     "symbol_matrix",
-    "whole_space_norm",
 ]
 
 RHO = slice(0, 1)
 U = slice(1, 4)
 E = slice(4, 7)
 B = slice(7, 10)
-COMPONENTS = {"rho": RHO, "u": U, "e": E, "b": B}
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +244,6 @@ class BatchPropagator:
         return y
 
 
-def propagate_mode(xi, y0: np.ndarray, t: float, gamma: float) -> np.ndarray:
-    """Single-frequency convenience wrapper around BatchPropagator."""
-    prop = BatchPropagator(np.asarray(xi, dtype=float).reshape(1, 3), gamma)
-    return prop.apply(np.asarray(y0, dtype=complex).reshape(1, 10), t)[0]
-
-
 # ---------------------------------------------------------------------------
 # frequency quadrature
 
@@ -376,7 +367,7 @@ class GaussianFamily:
             )
 
 
-def initial_modes(family: GaussianFamily, xi: np.ndarray, check: bool = True) -> np.ndarray:
+def initial_modes(family: GaussianFamily, xi: np.ndarray) -> np.ndarray:
     """Evaluate the family at frequencies (K, 3) -> amplitudes (K, 10).
 
     Refuses analytically incompatible descriptors: the magnetic profile
@@ -404,17 +395,16 @@ def initial_modes(family: GaussianFamily, xi: np.ndarray, check: bool = True) ->
         y[:, B] = 1j * np.cross(xi, np.asarray(family.dir_b)[None, :]) * g[:, None]
     else:
         y[:, B] = np.asarray(family.dir_b)[None, :] * g[:, None]
-    if check:
-        scale = max(float(np.abs(y).max()), 1e-300)
-        gauss_b = np.abs(np.einsum("ki,ki->k", 1j * xi, y[:, B])).max()
-        gauss_e = np.abs(
-            np.einsum("ki,ki->k", 1j * xi, y[:, E]) + y[:, 0]
-        ).max()
-        if gauss_b > 1e-10 * scale or gauss_e > 1e-10 * scale:
-            raise ValueError(
-                "initial descriptor violates the Gauss constraints "
-                f"(|i xi.B| = {gauss_b:.2e}, |i xi.E + rho| = {gauss_e:.2e})"
-            )
+    scale = max(float(np.abs(y).max()), 1e-300)
+    gauss_b = np.abs(np.einsum("ki,ki->k", 1j * xi, y[:, B])).max()
+    gauss_e = np.abs(
+        np.einsum("ki,ki->k", 1j * xi, y[:, E]) + y[:, 0]
+    ).max()
+    if gauss_b > 1e-10 * scale or gauss_e > 1e-10 * scale:
+        raise ValueError(
+            "initial descriptor violates the Gauss constraints "
+            f"(|i xi.B| = {gauss_b:.2e}, |i xi.E + rho| = {gauss_e:.2e})"
+        )
     return y
 
 
@@ -553,21 +543,6 @@ def decay_trajectory(
     return DecayTrajectory(
         times, norms, quadrature_tail_bound(family, scheme), family, scheme, gamma
     )
-
-
-def whole_space_norm(
-    family: GaussianFamily,
-    gamma: float,
-    t: float,
-    component: str,
-    s: int = 0,
-    scheme: QuadratureScheme = QuadratureScheme(),
-) -> float:
-    """( integral |xi|^{2s} |component(e^{tA} y0)|^2 dxi )^{1/2}."""
-    if component not in COMPONENTS:
-        raise ValueError(f"unknown component {component!r}; expected one of {sorted(COMPONENTS)}")
-    r, dens = _radial_densities(family, gamma, np.array([float(t)]), scheme)
-    return float(np.sqrt(np.sum(r ** (2 * s) * dens[component][0])))
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,9 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
         missing = [f for f in SYMMETRIC_FIELDS if f not in fields]
         if missing:
             raise ValueError(f"snapshot {cfg.init_snapshot} lacks fields {missing}")
+        bad = [f for f in SYMMETRIC_FIELDS if not np.isfinite(fields[f]).all()]
+        if bad:
+            raise ValueError(f"snapshot {cfg.init_snapshot} holds non-finite values in {bad}")
         y0 = np.stack([fields[f] for f in SYMMETRIC_FIELDS])
 
     # the symmetric system runs in rescaled time; outputs report physical t

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import sigma_of_n
 from .grid import GridSpec
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "StationaryState",
     "background_profile",
     "g_nonlinearity",
-    "kernel_l1_norm",
     "picard_iterate",
     "verify_smallness_bounds",
     "yukawa_convolve",
@@ -62,17 +62,6 @@ def g_nonlinearity(x: np.ndarray | float, gamma: float) -> np.ndarray:
 def density_from_potential(q: np.ndarray, gamma: float) -> np.ndarray:
     """n(Q) = ((gamma-1) Q / gamma + 1)^{1/(gamma-1)}, inverse of the enthalpy."""
     return ((gamma - 1.0) / gamma * np.asarray(q) + 1.0) ** (1.0 / (gamma - 1.0))
-
-
-def kernel_l1_norm(gamma: float) -> float:
-    """Mass of the screened-Poisson kernel.
-
-    |G(x)| = exp(-|x|/sqrt(gamma)) / (4 pi |x|), so
-    integral |G| dx = integral_0^inf r exp(-r/sqrt(gamma)) dr = gamma.
-    """
-    if not gamma > 1.0:
-        raise ValueError(f"adiabatic exponent must exceed 1, got {gamma}")
-    return float(gamma)
 
 
 def yukawa_multiplier(grid: GridSpec, gamma: float) -> np.ndarray:
@@ -191,7 +180,7 @@ def picard_iterate(
 
     q = phi
     n_st = density_from_potential(q, gamma)
-    sigma_st = 2.0 / (gamma - 1.0) * (n_st ** ((gamma - 1.0) / 2.0) - 1.0)
+    sigma_st = sigma_of_n(n_st, gamma)
     qh = grid.transform(q)
     e_hat = -grid.grad(qh)
     e_st = grid.inverse(e_hat)

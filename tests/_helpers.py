@@ -11,15 +11,7 @@ def random_field(grid: GridSpec, seed: int, band: int | None = None, amp: float 
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(grid.shape)
     if band is not None:
-        fh = grid.transform(f)
-        idx = np.abs(np.rint(np.fft.fftfreq(grid.n, 1.0 / grid.n)).astype(int))
-        idx_half = np.arange(grid.n // 2 + 1)
-        keep = (
-            (idx[:, None, None] <= band)
-            & (idx[None, :, None] <= band)
-            & (idx_half[None, None, :] <= band)
-        )
-        f = grid.inverse(fh * keep)
+        f = grid.inverse(grid.transform(f) * grid.band_mask(band))
     scale = np.abs(f).max()
     return amp * f / scale if scale > 0 else f
 

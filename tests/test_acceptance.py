@@ -26,6 +26,7 @@ from emlab.dynamics import (
 from emlab.energy import energy_report, lyapunov_certify
 from emlab.grid import GridSpec
 from emlab.lindecay import (
+    BatchPropagator,
     GaussianFamily,
     QuadratureScheme,
     constraint_matrix,
@@ -33,7 +34,6 @@ from emlab.lindecay import (
     duhamel_crosscheck,
     fit_decay,
     initial_modes,
-    propagate_mode,
     spectral_stability_report,
     symbol_matrix,
 )
@@ -245,8 +245,9 @@ def test_6_symbol_structure():
         xi = rng.standard_normal(3) * rng.uniform(0.1, 5.0)
         y0 = initial_modes(fam, xi.reshape(1, 3))[0]
         cmat = constraint_matrix(xi)
+        prop = BatchPropagator(xi.reshape(1, 3), GAMMA)
         for t in (0.0, 1.0, 10.0, 100.0, 1000.0):
-            yt = propagate_mode(xi, y0, t, GAMMA)
+            yt = prop.apply(y0[None, :], t)[0]
             worst_con = max(worst_con, float(np.abs(cmat @ yt).max()))
 
     scan = spectral_stability_report(GAMMA, n_samples=1000)

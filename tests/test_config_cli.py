@@ -3,19 +3,22 @@ import argparse
 import hashlib
 import json
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from emlab.cli import build_parser, main
 from emlab.config import ExperimentConfig, canonical_text, config_hash, parse_config
+from emlab.grid import GridSpec
 from emlab.pipelines import (
     SERIES_COLUMNS,
+    SYMMETRIC_FIELDS,
     emit_report,
     emit_series,
     run_experiment,
 )
-from emlab.snapshot import read_snapshot
+from emlab.snapshot import read_snapshot, write_snapshot
 
 SMALL = {"grid_n": "16", "box_l": "10", "tol": "1e-11"}
 
@@ -333,6 +336,20 @@ class TestCli:
         assert code == 1
         assert "lyapunov run failed" in capsys.readouterr().err
 
+    def test_non_finite_custom_snapshot_exits_one_naming_field(self, tmp_path, capsys):
+        grid = GridSpec(16, 10.0)
+        snap = {name: np.zeros(grid.shape) for name in SYMMETRIC_FIELDS}
+        snap["sigma"][3, 4, 5] = np.nan
+        write_snapshot(tmp_path / "nan.emxf", grid, snap)
+        code = main(
+            ["evolve", "--init", "custom", "--init-snapshot", str(tmp_path / "nan.emxf"),
+             "--grid-n", "16", "--box-l", "10", "--t-end", "1", "--cadence", "0.5",
+             "--out-dir", str(tmp_path / "ev")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "sigma" in err
+
     def test_config_file_plus_flag_override(self, tmp_path):
         path = tmp_path / "exp.ini"
         path.write_text("[grid]\ngrid_n = 16\nbox_l = 10.0\n[background]\neps = 0.0\n")
@@ -352,6 +369,19 @@ class TestCli:
         text = sub_action.choices["stationary"].format_help()
         assert "--grid-n" in text and "default 48" in text
         assert "--out-dir" in text and "--seed" in text and "--threads" in text
+
+    def test_flags_are_exactly_the_config_keys(self):
+        parser = build_parser()
+        [sub_action] = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        flags = {
+            a.dest
+            for sub in sub_action.choices.values()
+            for a in sub._actions
+            if a.dest not in ("help", "config")
+        }
+        assert flags == {f.name for f in fields(ExperimentConfig)} - {"command"}
 
 
 class TestThreadedAgreement:

@@ -215,6 +215,17 @@ class TestTimeStepping:
         with pytest.raises(ValueError, match="cadence"):
             list(dyn.integrate_fixed(y, lambda z: z, t_end=1.0, dt_max=0.1, cadence=0.3))
 
+    def test_integrate_rejects_non_finite_state(self):
+        grid = GridSpec(n=8, box=5.0)
+        y = np.zeros((10,) + grid.shape)
+        y[0, 1, 2, 3] = np.nan
+        steps = dyn.integrate_fixed(
+            y, lambda z: np.zeros_like(z), t_end=1.0, cadence=0.5,
+            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, z, 0.4),
+        )
+        with pytest.raises(ValueError, match="state non-finite at t=0"):
+            list(steps)
+
     def test_integrate_yields_cadence_points(self):
         y0 = np.array(1.0)
         out = list(dyn.integrate_fixed(y0, lambda y: -y, t_end=1.0, dt_max=0.024, cadence=0.25))

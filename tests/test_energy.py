@@ -22,13 +22,7 @@ from emlab.dynamics import (
 from emlab.energy import (
     CertificationResult,
     EnergyWeights,
-    dissipation_full,
-    dissipation_high,
-    energy_full,
-    energy_high,
     energy_report,
-    equivalence_ratio,
-    interactive_terms,
     lyapunov_certify,
 )
 from emlab.grid import GridSpec
@@ -201,16 +195,6 @@ class TestSingleModeOracles:
             rep0["dissipation_full"] - a**2 * self.half * self.s_factor(3),
             rtol=1e-12,
         )  # sigma H^N block of D_N is unweighted
-
-    def test_wrapper_functions_match_report(self):
-        rng = np.random.default_rng(3)
-        pert = 0.1 * rng.standard_normal((10,) + self.grid.shape)
-        rep = energy_report(self.grid, pert, 0.0, GAMMA)
-        assert energy_full(self.grid, pert, 0.0, GAMMA) == rep["energy_full"]
-        assert energy_high(self.grid, pert, 0.0, GAMMA) == rep["energy_high"]
-        assert dissipation_full(self.grid, pert, 0.0, GAMMA) == rep["dissipation_full"]
-        assert dissipation_high(self.grid, pert, 0.0, GAMMA) == rep["dissipation_high"]
-        assert interactive_terms(self.grid, pert) == (rep["int1"], rep["int2"], rep["int3"])
 
 
 def reference_report(grid, pert, weight, order, kappas):
@@ -389,13 +373,8 @@ class TestEquivalence:
             [random_field(grid, seed=seed * 13 + i, band=3, amp= 0.2) for i in range(10)]
         )
         sigma_st = 0.05 * np.exp(-grid.radius**2)
-        ratio = equivalence_ratio(grid, pert, sigma_st, GAMMA)
-        assert 0.5 <= ratio <= 2.0
-
-    def test_zero_state_has_no_ratio(self):
-        grid = GridSpec(n=8, box=5.0)
-        with pytest.raises(ValueError, match="zero perturbation"):
-            equivalence_ratio(grid, zero_state(grid), 0.0, GAMMA)
+        rep = energy_report(grid, pert, sigma_st, GAMMA)
+        assert 0.5 <= rep["energy_full"] / rep["sobolev_sq"] <= 2.0
 
 
 class TestCertification:

@@ -1,4 +1,6 @@
 """Spectral grid core: transforms, operators, norms, dealiasing."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,15 @@ class TestOperators:
         vh = np.stack([g.transform(random_field(g, seed=s)) for s in (7, 8, 9)])
         assert np.abs(g.div(g.curl(vh))).max() < 1e-12
 
+    def test_longitudinal_field_solves_divergence(self):
+        g = GridSpec(n=12, box=7.0)
+        src = g.transform(random_field(g, seed=17))
+        e = g.longitudinal(src)
+        live = g.k_sq > 0.0
+        assert np.abs(g.div(e) - src)[live].max() <= 1e-12 * np.abs(src).max()
+        assert np.abs(g.curl(e)).max() <= 1e-12 * np.abs(e).max()
+        assert np.abs(e[:, ~live]).max() == 0.0
+
     def test_nyquist_mode_has_zero_derivative(self):
         g = GridSpec(n=16, box=4.0)
         # the alternating-sign mode along each axis is the Nyquist mode
@@ -106,6 +117,20 @@ class TestOperators:
 
 
 class TestDealias:
+    @pytest.mark.parametrize("n,band", [(8, 0), (12, 3), (24, 7), (24, 12)])
+    def test_band_mask_matches_integer_indices(self, n, band):
+        g = GridSpec(n=n, box=9.0)
+        signed = [i if i <= n // 2 else i - n for i in range(n)]
+        ref = np.zeros(g.spectral_shape)
+        for i, j, l in itertools.product(range(n), range(n), range(n // 2 + 1)):
+            ref[i, j, l] = max(abs(signed[i]), abs(signed[j]), l) <= band
+        assert np.array_equal(g.band_mask(band), ref)
+
+    def test_dealias_is_the_two_thirds_band(self):
+        g = GridSpec(n=24, box=9.0)
+        fh = g.transform(random_field(g, seed=18))
+        assert np.array_equal(g.dealias(fh), g.band_mask(g.n // 3) * fh)
+
     def test_idempotent(self):
         g = GridSpec(n=24, box=9.0)
         fh = g.transform(random_field(g, seed=11))

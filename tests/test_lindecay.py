@@ -23,11 +23,9 @@ from emlab.lindecay import (
     fit_decay,
     initial_modes,
     initial_norms_analytic,
-    propagate_mode,
     spectral_stability_report,
     symbol_batch,
     symbol_matrix,
-    whole_space_norm,
 )
 from emlab.stationary import background_profile, picard_iterate
 
@@ -38,6 +36,17 @@ GAMMA = 5.0 / 3.0
 # exactly; radial refinement is what convergence actually needs
 FAST = QuadratureScheme(theta_nodes=8, phi_nodes=16)
 FAST_FINE = QuadratureScheme(radial_nodes=32, theta_nodes=8, phi_nodes=16)
+
+
+def propagate(xi, y0, t):
+    """e^{t A(xi)} y0 at one frequency."""
+    return BatchPropagator(np.reshape(xi, (1, 3)), GAMMA).apply(np.reshape(y0, (1, 10)), t)[0]
+
+
+def channel_norms(fam, t, scheme):
+    """All five whole-space channel norms of the family at one time."""
+    traj = decay_trajectory(fam, GAMMA, [t], scheme)
+    return {name: norm[0] for name, norm in traj.norms.items()}
 
 
 def match_eigs(a, b):
@@ -110,8 +119,8 @@ class TestPropagation:
             xi = rng.standard_normal(3) * 3
             y0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
             s, t = rng.uniform(0.1, 5.0, 2)
-            once = propagate_mode(xi, y0, s + t, GAMMA)
-            twice = propagate_mode(xi, propagate_mode(xi, y0, s, GAMMA), t, GAMMA)
+            once = propagate(xi, y0, s + t)
+            twice = propagate(xi, propagate(xi, y0, s), t)
             assert np.abs(once - twice).max() < 1e-9
 
     def test_small_step_taylor_order(self):
@@ -122,7 +131,7 @@ class TestPropagation:
         hs = np.array([0.1, 0.05, 0.025, 0.0125])
         errs = [
             np.linalg.norm(
-                propagate_mode(xi, y0, h, GAMMA) - (y0 + h * (a @ y0) + 0.5 * h**2 * (a @ (a @ y0)))
+                propagate(xi, y0, h) - (y0 + h * (a @ y0) + 0.5 * h**2 * (a @ (a @ y0)))
             )
             for h in hs
         ]
@@ -193,7 +202,7 @@ class TestPropagation:
             y0 = initial_modes(fam, xi.reshape(1, 3))[0]
             c = constraint_matrix(xi)
             for t in [1.0, 10.0, 100.0, 1000.0]:
-                yt = propagate_mode(xi, y0, t, GAMMA)
+                yt = propagate(xi, y0, t)
                 assert np.abs(c @ yt).max() < 1e-10
 
 
@@ -215,24 +224,17 @@ class TestQuadrature:
         for profile in ("transverse", "solenoidal-curl"):
             fam = GaussianFamily(b_profile=profile)
             ana = initial_norms_analytic(fam)
-            for comp, s, key in [
-                ("rho", 0, "rho"),
-                ("u", 0, "u"),
-                ("e", 0, "e"),
-                ("b", 0, "b"),
-                ("b", 1, "grad_b"),
-            ]:
-                q = whole_space_norm(fam, GAMMA, 0.0, comp, s, FAST)
-                assert abs(q - ana[key]) < 1e-8 * ana[key], (profile, key)
+            quad = channel_norms(fam, 0.0, FAST)
+            for key in ("rho", "u", "e", "b", "grad_b"):
+                assert abs(quad[key] - ana[key]) < 1e-8 * ana[key], (profile, key)
 
     def test_radial_doubling_stability_fields(self):
         fam = GaussianFamily()
         dbl = FAST.doubled_radial()
-        for comp, s in [("u", 0), ("e", 0), ("b", 0), ("b", 1)]:
-            for t in [1.0, 1000.0]:
-                a = whole_space_norm(fam, GAMMA, t, comp, s, FAST)
-                b = whole_space_norm(fam, GAMMA, t, comp, s, dbl)
-                assert abs(a - b) < 1e-6 * b, (comp, s, t)
+        for t in [1.0, 1000.0]:
+            a, b = channel_norms(fam, t, FAST), channel_norms(fam, t, dbl)
+            for key in ("u", "e", "b", "grad_b"):
+                assert abs(a[key] - b[key]) < 1e-6 * b[key], (key, t)
 
     def test_radial_doubling_stability_rho_early_times(self):
         # the rho integrand oscillates in |xi| with phase growing in t;
@@ -240,8 +242,8 @@ class TestQuadrature:
         fam = GaussianFamily()
         dbl = FAST_FINE.doubled_radial()
         for t in [1.0, 5.0, 10.0]:
-            a = whole_space_norm(fam, GAMMA, t, "rho", 0, FAST_FINE)
-            b = whole_space_norm(fam, GAMMA, t, "rho", 0, dbl)
+            a = channel_norms(fam, t, FAST_FINE)["rho"]
+            b = channel_norms(fam, t, dbl)["rho"]
             assert abs(a - b) < 1e-6 * b, t
 
     def test_gram_reduction_matches_per_node_sum(self):
@@ -261,10 +263,6 @@ class TestQuadrature:
             ]:
                 ref = np.sqrt(np.sum(w * r2**s * dens[:, sl].sum(axis=1)))
                 assert abs(traj.norms[name][j] - ref) <= 1e-12 * ref, (name, t)
-
-    def test_unknown_component_rejected(self):
-        with pytest.raises(ValueError, match="component"):
-            whole_space_norm(GaussianFamily(), GAMMA, 0.0, "vorticity", 0, FAST)
 
 
 class TestFamily:

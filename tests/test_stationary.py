@@ -11,7 +11,6 @@ from emlab.stationary import (
     DivergenceError,
     background_profile,
     g_nonlinearity,
-    kernel_l1_norm,
     picard_iterate,
     verify_smallness_bounds,
     yukawa_convolve,
@@ -49,8 +48,11 @@ class TestNonlinearity:
 
 class TestKernel:
     def test_l1_norm_closed_form(self):
+        # the kernel is negative, so its mass is minus its symbol at xi = 0
+        g = GridSpec(n=8, box=5.0)
         for gamma in (1.4, 5.0 / 3.0, 2.0, 3.0):
-            assert kernel_l1_norm(gamma) == gamma
+            mass = -stationary.yukawa_multiplier(g, gamma)[0, 0, 0]
+            assert mass == pytest.approx(gamma, rel=1e-15)
 
     def test_l1_norm_against_radial_quadrature(self):
         # integral |G| dx = int_0^inf r exp(-r/sqrt(gamma)) dr
@@ -58,7 +60,7 @@ class TestKernel:
             val, _ = integrate.quad(
                 lambda r: r * np.exp(-r / np.sqrt(gamma)), 0, np.inf
             )
-            assert kernel_l1_norm(gamma) == pytest.approx(val, rel=1e-9)
+            assert val == pytest.approx(gamma, rel=1e-9)
 
     def test_constant_field_maps_to_minus_gamma(self):
         g = GridSpec(n=16, box=9.0)
