@@ -21,15 +21,21 @@ B~ = B/sqrt(g), and w(sigma) = (g-1)/2 sigma + 1:
 where Phi(sigma) = w(sigma)^{2/(g-1)} - sigma - 1 so that the density is
 n = Phi(sigma) + sigma + 1.
 
-Discretization notes.  States are real arrays of shape (10, n, n, n) holding
-[scalar, vector, vector, vector].  Tendencies are assembled in spectral
-space and the complete right-hand side is projected by the two-thirds
-dealias mask (a Galerkin truncation), so pointwise cancellations --- in
-particular the stationary balance grad h(n_st) = -E_st --- are projected as
-a unit and exact equilibria stay exact.  The acoustic gradient terms are
-written in gradient form, grad h(n) and w grad sigma = grad W(sigma) with
-W(sigma) = (w^2 - 1)/(g - 1), which is what makes that balance hold to
-roundoff on the grid.
+Discretization notes.  The symmetrized system evolves spectrally: its state
+is the stack of rfft coefficients of [scalar, vector, vector, vector], a
+complex array of shape (10, n, n, n//2+1) in the grid's "forward"
+normalization, and rhs_symmetric, cfl_dt, constraint_residuals and
+energy.energy_report all take that stack.  The state keeps every rfft mode;
+only the tendency is truncated.  Tendencies are assembled in spectral space
+and the complete right-hand side is projected by the two-thirds dealias mask
+(a Galerkin truncation), so the modes beyond the band never move and
+pointwise cancellations --- in particular the stationary balance
+grad h(n_st) = -E_st, whose out-of-band tail the state carries --- are
+projected as a unit and exact equilibria stay exact.  The acoustic gradient
+terms are written in gradient form, grad h(n) and w grad sigma = grad W(sigma)
+with W(sigma) = (w^2 - 1)/(g - 1), which is what makes that balance hold to
+roundoff on the grid.  The primitive system (rhs_primitive,
+nonlinear_sources) works on real arrays of shape (10, n, n, n).
 """
 from __future__ import annotations
 
@@ -40,6 +46,7 @@ import numpy as np
 from .grid import GridSpec
 
 __all__ = [
+    "NonFiniteStateError",
     "cfl_dt",
     "compatible_perturbation",
     "constraint_residuals",
@@ -112,33 +119,46 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def rhs_symmetric(grid: GridSpec, gamma: float, state: np.ndarray) -> np.ndarray:
-    """Tendency of the symmetrized system on the tau clock."""
+def rhs_symmetric(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.ndarray:
+    """Dealiased tendency of the symmetrized system on the tau clock.
+
+    Spectral in and out: takes the (10, n, n, n//2+1) coefficient stack and
+    returns the tendency's coefficients, zero outside the two-thirds band.
+    """
     sg = np.sqrt(gamma)
-    sigma = state[SCALAR]
-    v = state[VEL]
-    sh = grid.transform(state)
-    grad_sigma = grid.inverse(grid.grad(sh[SCALAR]))
-    div_v_hat = grid.div(sh[VEL])
-    div_v = grid.inverse(div_v_hat)
-    omega = grid.inverse(grid.curl(sh[VEL]))
+    div_v_hat = grid.div(state_hat[VEL])
+
+    # sigma, v, B and the derivatives the products need, in one batched call;
+    # E~ enters only linearly and never leaves spectral space
+    spec = np.empty((14,) + grid.spectral_shape, dtype=complex)
+    spec[0:4] = state_hat[0:4]
+    spec[4:7] = state_hat[MAG]
+    spec[7:10] = grid.grad(state_hat[SCALAR])
+    spec[10] = div_v_hat
+    spec[11:14] = grid.curl(state_hat[VEL])
+    phys = grid.inverse(spec)
+    sigma, v, mag = phys[SCALAR], phys[VEL], phys[4:7]
+    grad_sigma, div_v, omega = phys[7:10], phys[10], phys[11:14]
 
     # pointwise products, then one batched forward transform
-    ke_pot = 0.5 * (v * v).sum(axis=0) + (w_of_sigma(sigma, gamma) ** 2 - 1.0) / (gamma - 1.0)
     prods = np.empty((9,) + grid.shape)
     prods[0] = (v * grad_sigma).sum(axis=0)               # v . grad sigma
     prods[1] = sigma * div_v                              # closes w(sigma) div v
-    prods[2] = ke_pot                                     # |v|^2/2 + W(sigma)
-    prods[3:6] = _cross(v, omega - state[MAG])            # v x (curl v - B~)
-    prods[6:9] = (phi_of_sigma(sigma, gamma) + sigma + 1.0) * v   # current n(sigma) v
-    ph = grid.transform(prods)
+    prods[2] = 0.5 * (v * v).sum(axis=0) + (w_of_sigma(sigma, gamma) ** 2 - 1.0) / (gamma - 1.0)
+    prods[3:6] = _cross(v, omega - mag)                   # v x (curl v - B~)
+    prods[6:9] = n_of_sigma(sigma, gamma) * v             # current n(sigma) v
 
-    out = np.empty_like(sh)
-    out[SCALAR] = -ph[0] - 0.5 * (gamma - 1.0) * ph[1] - div_v_hat
-    out[VEL] = -grid.grad(ph[2]) + ph[3:6] - (sh[ELEC] + sh[VEL]) / sg
-    out[ELEC] = grid.curl(sh[MAG]) / sg + ph[6:9] / sg
-    out[MAG] = -grid.curl(sh[ELEC]) / sg
-    out = grid.dealias(out)
+    # The complete tendency is projected onto the two-thirds band (a
+    # Galerkin truncation), so it is assembled on that sub-lattice alone
+    # and embedded with zeros beyond.
+    band = grid.two_thirds
+    ph = band.take(grid.transform(prods))
+    sb = band.take(state_hat)
+    out = np.empty_like(sb)
+    out[SCALAR] = -ph[0] - 0.5 * (gamma - 1.0) * ph[1] - band.take(div_v_hat)
+    out[VEL] = -band.grad(ph[2]) + ph[3:6] - (sb[ELEC] + sb[VEL]) / sg
+    out[ELEC] = band.curl(sb[MAG]) / sg + ph[6:9] / sg
+    out[MAG] = -band.curl(sb[ELEC]) / sg
 
     # The density advances through nonconservative products while the
     # current above is a separate dealiased product, so beyond quadratic
@@ -149,10 +169,10 @@ def rhs_symmetric(grid: GridSpec, gamma: float, state: np.ndarray) -> np.ndarray
     # has no current to adjust, so total charge keeps whatever truncation
     # drift the density products produce.)
     n_prime = w_of_sigma(sigma, gamma) ** ((3.0 - gamma) / (gamma - 1.0))
-    s_hat = grid.dealias(grid.transform(n_prime * grid.inverse(out[SCALAR])))
+    s_hat = band.take(grid.transform(n_prime * grid.inverse(band.embed(out[SCALAR]))))
     # the correction's divergence is minus the defect div E~ + s/sqrt(g)
-    out[ELEC] += grid.longitudinal(s_hat / -sg - grid.div(out[ELEC]))
-    return grid.inverse(out)
+    out[ELEC] += band.longitudinal(s_hat / -sg - band.div(out[ELEC]))
+    return band.embed(out)
 
 
 def rhs_primitive(grid: GridSpec, gamma: float, state: np.ndarray) -> np.ndarray:
@@ -252,59 +272,75 @@ def nonlinear_sources(
 def constraint_residuals(
     grid: GridSpec,
     gamma: float,
-    state: np.ndarray,
+    state_hat: np.ndarray,
     n_b: np.ndarray | float = 1.0,
     form: str = "symmetric",
-    band_limited: bool = False,
 ) -> dict[str, float]:
-    """L^2 and max norms of the divergence constraints.
+    """L^2 and max norms of the divergence constraints, from spectral input.
 
     form "symmetric":  div E~ - (n_b - 1 - Phi(sigma) - sigma)/sqrt(g),  div B~
     form "primitive":  div E - (n_b - n),                                div B
 
-    With band_limited the defect is projected onto the dealiased band the
-    flow can represent; the excluded tail measures spectral truncation of
+    Keys gauss_{e,b}_{l2,max} measure the whole spectrum; the same keys with
+    suffix _band measure the defect projected onto the dealiased band the
+    flow can represent.  The excluded tail measures spectral truncation of
     the pointwise nonlinearity, not failure of transport.
     """
-    sh = grid.transform(state)
+    scalar = grid.inverse(state_hat[SCALAR])
     if form == "symmetric":
-        sigma = state[SCALAR]
-        target = (np.asarray(n_b) - 1.0 - phi_of_sigma(sigma, gamma) - sigma) / np.sqrt(gamma)
+        target = (np.asarray(n_b) - 1.0 - phi_of_sigma(scalar, gamma) - scalar) / np.sqrt(gamma)
     elif form == "primitive":
-        target = np.asarray(n_b) - state[SCALAR]
+        target = np.asarray(n_b) - scalar
     else:
         raise ValueError(f"unknown form {form!r}; use 'symmetric' or 'primitive'")
-    res_hat = grid.div(sh[ELEC]) - grid.transform(target)
-    div_b_hat = grid.div(sh[MAG])
-    if band_limited:
-        res_hat = grid.dealias(res_hat)
-        div_b_hat = grid.dealias(div_b_hat)
-    res = grid.inverse(res_hat)
-    div_b = grid.inverse(div_b_hat)
-    return {
-        "gauss_e_l2": grid.l2_norm(res),
-        "gauss_e_max": float(np.abs(res).max()),
-        "gauss_b_l2": grid.l2_norm(div_b),
-        "gauss_b_max": float(np.abs(div_b).max()),
-    }
+    res_hat = grid.div(state_hat[ELEC]) - grid.transform(target)
+    div_b_hat = grid.div(state_hat[MAG])
+    defects = grid.inverse(
+        np.stack([res_hat, div_b_hat, grid.dealias(res_hat), grid.dealias(div_b_hat)])
+    )
+    out = {}
+    for suffix, (res, div_b) in (("", defects[0:2]), ("_band", defects[2:4])):
+        out["gauss_e_l2" + suffix] = grid.l2_norm(res)
+        out["gauss_e_max" + suffix] = float(np.abs(res).max())
+        out["gauss_b_l2" + suffix] = grid.l2_norm(div_b)
+        out["gauss_b_max" + suffix] = float(np.abs(div_b).max())
+    return out
 
 
-def cfl_dt(grid: GridSpec, gamma: float, state: np.ndarray, cfl: float) -> float:
-    """Largest admissible step: cfl * dx / (1 + max|v| + max w(sigma))."""
+def cfl_dt(grid: GridSpec, gamma: float, state_hat: np.ndarray, cfl: float) -> float:
+    """Largest admissible step: cfl * dx / (1 + max|v| + max w(sigma)).
+
+    Takes the spectral state; only sigma and v are transformed back.
+    """
     if not 0.0 < cfl < 1.0:
         raise ValueError(f"CFL number must lie in (0, 1), got {cfl}")
-    speed = np.sqrt((state[VEL] ** 2).sum(axis=0)).max()
-    c_max = 1.0 + speed + w_of_sigma(state[SCALAR], gamma).max()
+    sigma_v = grid.inverse(state_hat[0:4])
+    speed = np.sqrt((sigma_v[VEL] ** 2).sum(axis=0)).max()
+    c_max = 1.0 + speed + w_of_sigma(sigma_v[SCALAR], gamma).max()
     return float(cfl * grid.dx / c_max)
 
 
 def step_rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float) -> np.ndarray:
-    """One classical Runge-Kutta step."""
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical Runge-Kutta step.
+
+    The stages are summed into one running accumulator as they are made,
+    so no more than one stage tendency is held at a time.
+    """
+    k = rhs(y)
+    acc = y + (h / 6.0) * k
+    for to_stage, weight in ((0.5 * h, h / 3.0), (0.5 * h, h / 3.0), (h, h / 6.0)):
+        k = rhs(y + to_stage * k)
+        acc += weight * k
+    return acc
+
+
+class NonFiniteStateError(ValueError):
+    """The state stopped being finite; t is the last cadence time reached."""
+
+    def __init__(self, t: float, bound: float) -> None:
+        super().__init__(f"state non-finite at t={t:.12g} (step bound {bound})")
+        self.t = t
+        self.bound = bound
 
 
 def integrate_fixed(
@@ -319,6 +355,8 @@ def integrate_fixed(
     dt_max may be a constant or a callable recomputed from the state at each
     cadence chunk (e.g. a CFL bound); within a chunk the step is uniform and
     chosen to land exactly on the boundary.  Yields the initial state first.
+    A step bound that is not finite and positive raises NonFiniteStateError
+    at the time on this function's own clock.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -332,9 +370,7 @@ def integrate_fixed(
     for chunk in range(1, n_chunks + 1):
         cap = dt_max(y) if callable(dt_max) else float(dt_max)
         if not 0.0 < cap < np.inf:
-            raise ValueError(
-                f"state non-finite at t={(chunk - 1) * cadence:.17g} (step bound {cap})"
-            )
+            raise NonFiniteStateError((chunk - 1) * cadence, cap)
         steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
         h = cadence / steps
         for _ in range(steps):

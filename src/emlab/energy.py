@@ -100,20 +100,23 @@ def _stationary_weight(sigma_st: np.ndarray | float, gamma: float) -> np.ndarray
 
 def energy_report(
     grid: GridSpec,
-    pert: np.ndarray,
+    pert_hat: np.ndarray,
     sigma_st: np.ndarray | float,
     gamma: float,
     weights: EnergyWeights = EnergyWeights(),
 ) -> dict[str, float]:
-    """All energy/dissipation functionals and cross terms of one snapshot."""
+    """All energy/dissipation functionals and cross terms of one snapshot.
+
+    pert_hat is the perturbation's rfft coefficient stack, shape
+    (10, n, n, n//2+1), as the spectral integrator carries it.
+    """
     n = weights.order
     w_st = _stationary_weight(sigma_st, gamma) * np.ones(grid.shape)
-    ph = grid.transform(pert)
-    e_hat = ph[ELEC]
-    b_hat = ph[MAG]
-    eb_hat = ph[4:10]
+    e_hat = pert_hat[ELEC]
+    b_hat = pert_hat[MAG]
+    eb_hat = pert_hat[4:10]
 
-    s_full, v_full, s_zero, v_zero = _weighted_alpha_sums(grid, w_st, ph[0:4], n)
+    s_full, v_full, s_zero, v_zero = _weighted_alpha_sums(grid, w_st, pert_hat[0:4], n)
     sv_full = s_full + v_full
     sv_zero = s_zero + v_zero
 
@@ -125,19 +128,19 @@ def energy_report(
     grad_eb_nm1 = sq(eb_hat, wm(n - 1) * ksq)
     grad_eb_nm2 = sq(eb_hat, wm(n - 2) * ksq)
     grad2_eb_nm3 = sq(eb_hat, wm(n - 3) * ksq**2)
-    sigma_n = sq(ph[SCALAR], wm(n))
-    grad_sigma_nm1 = sq(ph[SCALAR], wm(n - 1) * ksq)
+    sigma_n = sq(pert_hat[SCALAR], wm(n))
+    grad_sigma_nm1 = sq(pert_hat[SCALAR], wm(n - 1) * ksq)
     e_zero = sq(e_hat, grid.mult)
     grad_e_zero = sq(e_hat, grid.mult * ksq)
 
-    grad_sigma_hat = grid.grad(ph[SCALAR])
+    grad_sigma_hat = grid.grad(pert_hat[SCALAR])
     curl_e_hat = grid.curl(e_hat)
-    int1 = _cross_sum(grid, ph[VEL], grad_sigma_hat, n - 1)
-    int2 = _cross_sum(grid, ph[VEL], e_hat, n - 1)
+    int1 = _cross_sum(grid, pert_hat[VEL], grad_sigma_hat, n - 1)
+    int2 = _cross_sum(grid, pert_hat[VEL], e_hat, n - 1)
     int3 = -_cross_sum(grid, curl_e_hat, b_hat, n - 2)
     # the |alpha| = 0 contributions, to subtract for the high-order variants
-    int1_zero = _cross_sum(grid, ph[VEL], grad_sigma_hat, 0)
-    int2_zero = _cross_sum(grid, ph[VEL], e_hat, 0)
+    int1_zero = _cross_sum(grid, pert_hat[VEL], grad_sigma_hat, 0)
+    int2_zero = _cross_sum(grid, pert_hat[VEL], e_hat, 0)
     int3_zero = -_cross_sum(grid, curl_e_hat, b_hat, 0)
 
     k1, k2, k3 = weights.kappa1, weights.kappa2, weights.kappa3
@@ -146,7 +149,7 @@ def energy_report(
         k1 * (int1 - int1_zero) + k2 * (int2 - int2_zero) + k3 * (int3 - int3_zero)
     )
 
-    plain_n = sq(ph, wm(n))
+    plain_n = sq(pert_hat, wm(n))
 
     return {
         "energy_full": sv_full + eb_n + cross_full,

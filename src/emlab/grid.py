@@ -10,6 +10,10 @@ Derivatives are diagonal multipliers i*xi.  The Nyquist wavenumber carries
 no sign information for real data, so it is zeroed in every derivative
 multiplier, including the Laplacian symbol; as a consequence div(grad(f))
 equals laplacian(f) and curl(grad(f)) vanishes exactly on the grid.
+
+The two-thirds dealias band is also available as a dense sub-lattice
+(GridSpec.two_thirds, a SpectralBand) on which the same operators act, for
+work whose result is projected onto the band anyway.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-__all__ = ["GridSpec", "multi_indices"]
+__all__ = ["GridSpec", "SpectralBand", "multi_indices"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -35,8 +39,49 @@ def multi_indices(order: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
+class _Derivatives:
+    """Derivative multipliers i*xi on a spectral layout.
+
+    Subclasses provide k, the wavenumbers of shape (3, ...), and k_sq, their
+    squared magnitudes; coefficient arrays have the layout's trailing shape.
+    """
+
+    def grad(self, fh: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar: (...) -> (3, ...)."""
+        return 1j * self.k * fh
+
+    def div(self, vh: np.ndarray) -> np.ndarray:
+        """Divergence of a vector: (3, ...) -> (...)."""
+        return 1j * (self.k[0] * vh[0] + self.k[1] * vh[1] + self.k[2] * vh[2])
+
+    def curl(self, vh: np.ndarray) -> np.ndarray:
+        """Curl of a vector, (3, ...) -> same shape."""
+        k1, k2, k3 = self.k
+        return np.stack(
+            [
+                1j * (k2 * vh[2] - k3 * vh[1]),
+                1j * (k3 * vh[0] - k1 * vh[2]),
+                1j * (k1 * vh[1] - k2 * vh[0]),
+            ]
+        )
+
+    def laplacian(self, fh: np.ndarray) -> np.ndarray:
+        """Laplacian multiplier; broadcasts over leading axes."""
+        return -self.k_sq * fh
+
+    def longitudinal(self, src_hat: np.ndarray) -> np.ndarray:
+        """Curl-free field with divergence src: -i k src / |k|^2.
+
+        Modes whose derivative symbol vanishes (zero and pure-Nyquist) carry
+        no longitudinal direction and are left empty.
+        """
+        coef = np.zeros_like(src_hat)
+        np.divide(src_hat, self.k_sq, out=coef, where=self.k_sq > 0.0)
+        return -1j * self.k * coef
+
+
 @dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Derivatives):
     """Uniform periodic grid: N points per axis on a box of side L.
 
     N must be even and at least 8 so the real FFT layout and the dealias
@@ -114,20 +159,30 @@ class GridSpec:
         w[..., -1] = 1.0
         return w
 
-    def band_mask(self, band: int) -> np.ndarray:
-        """1.0 on modes with every |integer index| <= band, 0.0 elsewhere."""
+    def _band_axes(self, band: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis flags (full axis, half axis): |integer index| <= band."""
         idx_full = np.abs(np.rint(sp_fft.fftfreq(self.n, d=1.0 / self.n)).astype(int))
         idx_half = np.arange(self.n // 2 + 1)
-        keep = (
-            (idx_full[:, None, None] <= band)
-            & (idx_full[None, :, None] <= band)
-            & (idx_half[None, None, :] <= band)
-        )
+        return idx_full <= band, idx_half <= band
+
+    def band_mask(self, band: int) -> np.ndarray:
+        """1.0 on modes with every |integer index| <= band, 0.0 elsewhere."""
+        full, half = self._band_axes(band)
+        keep = full[:, None, None] & full[None, :, None] & half[None, None, :]
         return keep.astype(float)
 
     @functools.cached_property
     def _two_thirds_mask(self) -> np.ndarray:
         return self.band_mask(self.n // 3)
+
+    def dealias(self, fh: np.ndarray) -> np.ndarray:
+        """Two-thirds-rule projection onto band n // 3; idempotent."""
+        return self._two_thirds_mask * fh
+
+    @functools.cached_property
+    def two_thirds(self) -> "SpectralBand":
+        """The modes dealias keeps, as a dense sub-lattice (see SpectralBand)."""
+        return SpectralBand(self, self.n // 3)
 
     # ---- transforms ----------------------------------------------------
 
@@ -140,43 +195,7 @@ class GridSpec:
         return sp_fft.irfftn(fh, s=self.shape, norm="forward", axes=(-3, -2, -1))
 
     # ---- differential operators (spectral in, spectral out) -------------
-
-    def grad(self, fh: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar: (n,n,n//2+1) -> (3,n,n,n//2+1)."""
-        return 1j * self.k * fh
-
-    def div(self, vh: np.ndarray) -> np.ndarray:
-        """Divergence of a vector: (3,n,n,n//2+1) -> (n,n,n//2+1)."""
-        return 1j * (self.k[0] * vh[0] + self.k[1] * vh[1] + self.k[2] * vh[2])
-
-    def curl(self, vh: np.ndarray) -> np.ndarray:
-        """Curl of a vector, (3,n,n,n//2+1) -> same shape."""
-        k1, k2, k3 = self.k
-        return np.stack(
-            [
-                1j * (k2 * vh[2] - k3 * vh[1]),
-                1j * (k3 * vh[0] - k1 * vh[2]),
-                1j * (k1 * vh[1] - k2 * vh[0]),
-            ]
-        )
-
-    def laplacian(self, fh: np.ndarray) -> np.ndarray:
-        """Laplacian multiplier; broadcasts over leading axes."""
-        return -self.k_sq * fh
-
-    def dealias(self, fh: np.ndarray) -> np.ndarray:
-        """Two-thirds-rule projection onto band n // 3; idempotent."""
-        return self._two_thirds_mask * fh
-
-    def longitudinal(self, src_hat: np.ndarray) -> np.ndarray:
-        """Curl-free field with divergence src: -i k src / |k|^2.
-
-        Modes whose derivative symbol vanishes (zero and pure-Nyquist) carry
-        no longitudinal direction and are left empty.
-        """
-        coef = np.zeros_like(src_hat)
-        np.divide(src_hat, self.k_sq, out=coef, where=self.k_sq > 0.0)
-        return -1j * self.k * coef
+    # grad, div, curl, laplacian and longitudinal come from _Derivatives
 
     def derivative(self, fh: np.ndarray, alpha: tuple[int, int, int]) -> np.ndarray:
         """Spectral coefficients of the mixed partial d^alpha f."""
@@ -257,3 +276,32 @@ class GridSpec:
                 g = self.inverse(self.derivative(fh, alpha))
             total += self.integral(w * g * g)
         return float(np.sqrt(total))
+
+
+class SpectralBand(_Derivatives):
+    """The rfft modes of a grid with every |integer index| <= band, gathered
+    into a dense sub-lattice of shape (2 band + 1, 2 band + 1, band + 1).
+
+    take() restricts coefficient arrays to it, embed() returns them to the
+    full layout with zeros elsewhere, and the derivative operators act on
+    restricted arrays directly, so work whose result is projected onto the
+    band anyway (a dealiased tendency) touches only these modes.  Values on
+    the band are the ones the full-layout operators give there.
+    """
+
+    def __init__(self, grid: GridSpec, band: int) -> None:
+        full, half = grid._band_axes(band)
+        self.index = np.ix_(np.flatnonzero(full), np.flatnonzero(full), np.flatnonzero(half))
+        self.spectral_shape = grid.spectral_shape
+        self.k = grid.k[(slice(None),) + self.index]
+        self.k_sq = grid.k_sq[self.index]
+
+    def take(self, fh: np.ndarray) -> np.ndarray:
+        """Restrict coefficients (any leading axes) to the band."""
+        return fh[(Ellipsis,) + self.index]
+
+    def embed(self, fb: np.ndarray) -> np.ndarray:
+        """Band coefficients -> full layout, zero off the band."""
+        out = np.zeros(fb.shape[:-3] + self.spectral_shape, dtype=complex)
+        out[(Ellipsis,) + self.index] = fb
+        return out

@@ -23,11 +23,13 @@ from .dynamics import (
     MAG,
     SCALAR,
     VEL,
+    NonFiniteStateError,
     cfl_dt,
     compatible_perturbation,
     constraint_residuals,
     integrate_fixed,
     rhs_symmetric,
+    w_of_sigma,
 )
 from .energy import energy_report, lyapunov_certify
 from .grid import GridSpec
@@ -75,7 +77,11 @@ DECAY_TARGETS = {
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written at the end of every run."""
+    """Reproducibility record written at the end of every run.
+
+    status is "ok" for a run that finished (its checks may still fail) and
+    "failed" for one that raised; error then holds the exception text.
+    """
 
     command: str
     config_hash: str
@@ -84,10 +90,12 @@ class RunManifest:
     checks: dict[str, bool] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
     notes: dict[str, object] = field(default_factory=dict)
+    status: str = "ok"
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
-        return all(self.checks.values())
+        return self.status == "ok" and all(self.checks.values())
 
     def write(self, path: str | os.PathLike) -> None:
         payload = asdict(self)
@@ -142,10 +150,6 @@ def _prepare_out_dir(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write_text(os.path.join(cfg.out_dir, "config.resolved.ini"), canonical_text(cfg))
     return cfg.out_dir
-
-
-def _vector_norm(grid: GridSpec, vec: np.ndarray) -> float:
-    return float(np.sqrt(sum(grid.l2_norm(vec[c]) ** 2 for c in range(3))))
 
 
 def _solve_background(cfg: ExperimentConfig) -> tuple[GridSpec, np.ndarray, StationaryState]:
@@ -214,70 +218,84 @@ def run_stationary(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
+def _custom_init(cfg: ExperimentConfig, grid: GridSpec) -> np.ndarray:
+    """The symmetrized state a custom init snapshot holds, checked at load."""
+    snap_grid, fields = read_snapshot(cfg.init_snapshot)
+    if (snap_grid.n, snap_grid.box) != (grid.n, grid.box):
+        raise ValueError(
+            f"snapshot grid {snap_grid.n}/{snap_grid.box} does not match "
+            f"configured grid {grid.n}/{grid.box}"
+        )
+    missing = [f for f in SYMMETRIC_FIELDS if f not in fields]
+    if missing:
+        raise ValueError(f"snapshot {cfg.init_snapshot} lacks fields {missing}")
+    bad = [f for f in SYMMETRIC_FIELDS if not np.isfinite(fields[f]).all()]
+    if bad:
+        raise ValueError(f"snapshot {cfg.init_snapshot} holds non-finite values in {bad}")
+    w_min = float(w_of_sigma(fields["sigma"], cfg.gamma).min())
+    if w_min <= 0.0:
+        raise ValueError(
+            f"snapshot {cfg.init_snapshot} holds sigma outside the admissible range: "
+            f"w(sigma) = (gamma-1)/2 sigma + 1 must be positive, min is {w_min:.6g}"
+        )
+    return np.stack([fields[f] for f in SYMMETRIC_FIELDS])
+
+
 def run_evolve(cfg: ExperimentConfig) -> RunManifest:
     out_dir = _prepare_out_dir(cfg)
     manifest = RunManifest("evolve", config_hash(cfg), __version__)
     grid, n_b, state = _solve_background(cfg)
-    base = _base_symmetric(state, cfg.gamma)
+    # the integrator carries rfft coefficients; see emlab.dynamics
+    base_hat = grid.transform(_base_symmetric(state, cfg.gamma))
 
     if cfg.init == "stationary-exact":
-        y0 = base.copy()
+        y0_hat = base_hat.copy()
     elif cfg.init == "stationary+noise":
-        y0 = base + compatible_perturbation(
+        y0_hat = base_hat + grid.transform(compatible_perturbation(
             grid, cfg.gamma, state.sigma_st, cfg.amp, seed=cfg.seed
-        )
+        ))
     else:
-        snap_grid, fields = read_snapshot(cfg.init_snapshot)
-        if (snap_grid.n, snap_grid.box) != (grid.n, grid.box):
-            raise ValueError(
-                f"snapshot grid {snap_grid.n}/{snap_grid.box} does not match "
-                f"configured grid {grid.n}/{grid.box}"
-            )
-        missing = [f for f in SYMMETRIC_FIELDS if f not in fields]
-        if missing:
-            raise ValueError(f"snapshot {cfg.init_snapshot} lacks fields {missing}")
-        bad = [f for f in SYMMETRIC_FIELDS if not np.isfinite(fields[f]).all()]
-        if bad:
-            raise ValueError(f"snapshot {cfg.init_snapshot} holds non-finite values in {bad}")
-        y0 = np.stack([fields[f] for f in SYMMETRIC_FIELDS])
+        y0_hat = grid.transform(_custom_init(cfg, grid))
 
     # the symmetric system runs in rescaled time; outputs report physical t
     root_g = np.sqrt(cfg.gamma)
     rhs = lambda y: rhs_symmetric(grid, cfg.gamma, y)
     dt_cap = lambda y: cfl_dt(grid, cfg.gamma, y, cfg.cfl)
     weights = cfg.energy_weights()
+    norm = lambda f_hat: np.sqrt(grid.spectral_l2_sq(f_hat))
 
     rows = []
     max_v_norm = 0.0
     max_gauss = 0.0
     max_gauss_full = 0.0
-    y_final = y0
-    for tau, y in integrate_fixed(y0, rhs, cfg.t_end * root_g, dt_cap, cfg.cadence * root_g):
-        pert = y - base
-        rep = energy_report(grid, pert, state.sigma_st, cfg.gamma, weights)
-        res = constraint_residuals(
-            grid, cfg.gamma, y, n_b=n_b, form="symmetric", band_limited=True
-        )
-        full = constraint_residuals(grid, cfg.gamma, y, n_b=n_b, form="symmetric")
-        norm_v = _vector_norm(grid, pert[VEL])
-        rows.append((
-            tau / root_g,
-            rep["energy_full"], rep["dissipation_full"],
-            rep["energy_high"], rep["dissipation_high"],
-            rep["int1"], rep["int2"], rep["int3"],
-            res["gauss_e_l2"], res["gauss_b_l2"],
-            grid.l2_norm(pert[SCALAR]), norm_v,
-            _vector_norm(grid, pert[ELEC]), _vector_norm(grid, pert[MAG]),
-        ))
-        max_v_norm = max(max_v_norm, norm_v)
-        max_gauss = max(max_gauss, res["gauss_e_l2"], res["gauss_b_l2"])
-        max_gauss_full = max(max_gauss_full, full["gauss_e_l2"], full["gauss_b_l2"])
-        y_final = y
+    y_final = y0_hat
+    trajectory = integrate_fixed(y0_hat, rhs, cfg.t_end * root_g, dt_cap, cfg.cadence * root_g)
+    try:
+        for tau, y_hat in trajectory:
+            pert_hat = y_hat - base_hat
+            rep = energy_report(grid, pert_hat, state.sigma_st, cfg.gamma, weights)
+            res = constraint_residuals(grid, cfg.gamma, y_hat, n_b=n_b, form="symmetric")
+            norm_v = norm(pert_hat[VEL])
+            rows.append((
+                tau / root_g,
+                rep["energy_full"], rep["dissipation_full"],
+                rep["energy_high"], rep["dissipation_high"],
+                rep["int1"], rep["int2"], rep["int3"],
+                res["gauss_e_l2_band"], res["gauss_b_l2_band"],
+                norm(pert_hat[SCALAR]), norm_v,
+                norm(pert_hat[ELEC]), norm(pert_hat[MAG]),
+            ))
+            max_v_norm = max(max_v_norm, norm_v)
+            max_gauss = max(max_gauss, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
+            max_gauss_full = max(max_gauss_full, res["gauss_e_l2"], res["gauss_b_l2"])
+            y_final = y_hat
+    except NonFiniteStateError as err:
+        raise NonFiniteStateError(err.t / root_g, err.bound / root_g) from None
 
     series_path = os.path.join(out_dir, "series.csv")
     final_path = os.path.join(out_dir, "state_final.emxf")
     emit_series(series_path, SERIES_COLUMNS, rows)
-    write_snapshot(final_path, grid, _state_fields(y_final))
+    write_snapshot(final_path, grid, _state_fields(grid.inverse(y_final)))
 
     finite = all(np.isfinite(row).all() for row in np.asarray(rows))
     manifest.checks = {
@@ -380,10 +398,28 @@ _PIPELINES = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
-    """Dispatch to the configured subcommand and write the manifest."""
+    """Dispatch to the configured subcommand and write the manifest.
+
+    A run that raises still leaves a manifest with status "failed", the
+    error text and the elapsed wall time; the exception then propagates.
+    """
     start = time.perf_counter()
-    with sp_fft.set_workers(cfg.threads):
-        manifest = _PIPELINES[cfg.command](cfg)
+    manifest_path = os.path.join(cfg.out_dir, "manifest.json")
+    try:
+        with sp_fft.set_workers(cfg.threads):
+            manifest = _PIPELINES[cfg.command](cfg)
+    except Exception as err:
+        failed = RunManifest(
+            cfg.command, config_hash(cfg), __version__,
+            wall_clock_s=time.perf_counter() - start,
+            status="failed", error=f"{type(err).__name__}: {err}",
+        )
+        try:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            failed.write(manifest_path)
+        except OSError:
+            pass  # the run's own error is the one to report
+        raise
     manifest.wall_clock_s = time.perf_counter() - start
-    manifest.write(os.path.join(cfg.out_dir, "manifest.json"))
+    manifest.write(manifest_path)
     return manifest

@@ -146,8 +146,8 @@ def test_3_equilibrium_fixedness(equilibrium):
     cap = lambda y: cfl_dt(grid, GAMMA, y, 0.4)
     sup_u = 0.0
     sup_gauss = 0.0
-    for _, y in integrate_fixed(base.copy(), rhs, 10.0 * ROOT_G, cap, ROOT_G):
-        sup_u = max(sup_u, ROOT_G * vec_norm(grid, y[VEL]))
+    for _, y in integrate_fixed(grid.transform(base), rhs, 10.0 * ROOT_G, cap, ROOT_G):
+        sup_u = max(sup_u, ROOT_G * vec_norm(grid, grid.inverse(y[VEL])))
         res = constraint_residuals(grid, GAMMA, y, n_b=n_b, form="symmetric")
         sup_gauss = max(sup_gauss, res["gauss_e_l2"], res["gauss_b_l2"])
 
@@ -163,14 +163,15 @@ def test_3_equilibrium_fixedness(equilibrium):
 def test_4_lyapunov_certification(equilibrium):
     start = time.perf_counter()
     grid, n_b, state, base = equilibrium
-    y0 = base + compatible_perturbation(grid, GAMMA, state.sigma_st, 1e-3, seed=0)
+    y0 = grid.transform(base + compatible_perturbation(grid, GAMMA, state.sigma_st, 1e-3, seed=0))
+    base_hat = grid.transform(base)
     rhs = lambda y: rhs_symmetric(grid, GAMMA, y)
     cap = lambda y: cfl_dt(grid, GAMMA, y, 0.4)
 
     taus, rows = [], []
     ratio_lo, ratio_hi = np.inf, -np.inf
     for tau, y in integrate_fixed(y0, rhs, 40.0 * ROOT_G, cap, 0.5 * ROOT_G):
-        rep = energy_report(grid, y - base, state.sigma_st, GAMMA)
+        rep = energy_report(grid, y - base_hat, state.sigma_st, GAMMA)
         taus.append(tau)
         rows.append((
             rep["energy_full"], rep["dissipation_full"],
@@ -300,13 +301,14 @@ def test_8_nonlinear_decay_trend():
     base = np.zeros((10,) + grid.shape)
     base[SCALAR] = state.sigma_st
     base[ELEC] = state.e_st / ROOT_G
-    y0 = base + compatible_perturbation(grid, GAMMA, state.sigma_st, 1e-3, seed=0)
+    y0 = grid.transform(base + compatible_perturbation(grid, GAMMA, state.sigma_st, 1e-3, seed=0))
+    base_hat = grid.transform(base)
     rhs = lambda y: rhs_symmetric(grid, GAMMA, y)
     cap = lambda y: cfl_dt(grid, GAMMA, y, 0.4)
 
     ts, fluid, bmag = [], [], []
     for tau, y in integrate_fixed(y0, rhs, 40.0 * ROOT_G, cap, 0.5 * ROOT_G):
-        p = y - base
+        p = grid.inverse(y - base_hat)
         ts.append(tau / ROOT_G)
         fluid.append(np.sqrt(grid.l2_norm(p[SCALAR]) ** 2 + vec_norm(grid, p[VEL]) ** 2))
         bmag.append(vec_norm(grid, p[MAG]))

@@ -225,6 +225,8 @@ class TestEvolvePipeline:
         assert data.size == 5
         assert np.isfinite(data["energy_full"]).all()
         assert data["t"][-1] == pytest.approx(1.0)
+        manifest = json.loads((tmp_path / "ev" / "manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["error"] is None
 
     def test_custom_init_resumes_from_snapshot(self, tmp_path):
         first = small_cfg(tmp_path, "leg", command="evolve", t_end=1, cadence=0.5)
@@ -349,6 +351,44 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert "non-finite" in err and "sigma" in err
+        # a run that raises still explains itself from its out-dir
+        manifest = json.loads((tmp_path / "ev" / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and not manifest["passed"]
+        assert "non-finite" in manifest["error"] and "sigma" in manifest["error"]
+        assert manifest["wall_clock_s"] > 0.0
+
+    def test_inadmissible_custom_sigma_exits_one_naming_field(self, tmp_path, capsys):
+        # w(sigma) = (gamma - 1)/2 sigma + 1 <= 0 has no density
+        grid = GridSpec(16, 10.0)
+        snap = {name: np.zeros(grid.shape) for name in SYMMETRIC_FIELDS}
+        snap["sigma"][3, 4, 5] = -10.0
+        write_snapshot(tmp_path / "low.emxf", grid, snap)
+        code = main(
+            ["evolve", "--init", "custom", "--init-snapshot", str(tmp_path / "low.emxf"),
+             "--grid-n", "16", "--box-l", "10", "--t-end", "1", "--cadence", "0.5",
+             "--out-dir", str(tmp_path / "ev")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "sigma" in err and "admissible" in err
+
+    def test_non_finite_state_names_physical_time(self, tmp_path, capsys):
+        # a huge sheared magnetic field overflows within the first chunk, so
+        # the step bound of the second chunk is the first non-finite one
+        grid = GridSpec(16, 10.0)
+        snap = {name: np.zeros(grid.shape) for name in SYMMETRIC_FIELDS}
+        snap["b_z"][:] = 1e100 * np.sin(2.0 * np.pi * grid.x1d / grid.box)[:, None, None]
+        write_snapshot(tmp_path / "big.emxf", grid, snap)
+        with np.errstate(all="ignore"):
+            code = main(
+                ["evolve", "--init", "custom", "--init-snapshot", str(tmp_path / "big.emxf"),
+                 "--grid-n", "16", "--box-l", "10", "--t-end", "1", "--cadence", "0.5",
+                 "--out-dir", str(tmp_path / "ev")]
+            )
+        assert code == 1
+        err = capsys.readouterr().err
+        # the physical time series.csv would use, not tau = sqrt(gamma) t
+        assert "state non-finite at t=0.5 " in err
 
     def test_config_file_plus_flag_override(self, tmp_path):
         path = tmp_path / "exp.ini"

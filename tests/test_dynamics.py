@@ -87,22 +87,24 @@ class TestEquilibriumPreservation:
     def test_symmetric_tendency_vanishes(self, equilibrium):
         grid, _, _, prim = equilibrium
         sym = dyn.to_symmetric(prim, GAMMA)
-        assert np.abs(dyn.rhs_symmetric(grid, GAMMA, sym)).max() <= 1e-8
+        f_hat = dyn.rhs_symmetric(grid, GAMMA, grid.transform(sym))
+        assert np.abs(grid.inverse(f_hat)).max() <= 1e-8
 
     def test_short_run_keeps_velocity_at_zero(self, equilibrium):
         grid, n_b, _, prim = equilibrium
         sym = dyn.to_symmetric(prim, GAMMA)
         rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y)
         sup_u = 0.0
-        for t, y in dyn.integrate_fixed(sym, rhs, t_end=2.0, dt_max=0.1, cadence=1.0):
-            sup_u = max(sup_u, np.sqrt(GAMMA) * np.abs(y[1:4]).max())
+        y0 = grid.transform(sym)
+        for t, y in dyn.integrate_fixed(y0, rhs, t_end=2.0, dt_max=0.1, cadence=1.0):
+            sup_u = max(sup_u, np.sqrt(GAMMA) * np.abs(grid.inverse(y[1:4])).max())
         assert sup_u <= 1e-10
         res = dyn.constraint_residuals(grid, GAMMA, y, n_b, "symmetric")
         assert res["gauss_e_l2"] <= 1e-8
 
     def test_gauss_residuals_at_equilibrium(self, equilibrium):
         grid, n_b, _, prim = equilibrium
-        res = dyn.constraint_residuals(grid, GAMMA, prim, n_b, "primitive")
+        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(prim), n_b, "primitive")
         assert res["gauss_e_l2"] <= 1e-8
         assert res["gauss_b_l2"] == 0.0
 
@@ -173,7 +175,9 @@ class TestTimeStepping:
         sym0 = dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-4, seed=2)
         prim0 = dyn.from_symmetric(sym0, GAMMA)
         h = 1e-2
-        sym1 = dyn.step_rk4(sym0, lambda y: dyn.rhs_symmetric(grid, GAMMA, y), h)
+        sym1 = grid.inverse(
+            dyn.step_rk4(grid.transform(sym0), lambda y: dyn.rhs_symmetric(grid, GAMMA, y), h)
+        )
         prim1 = dyn.step_rk4(
             prim0, lambda y: dyn.rhs_primitive(grid, GAMMA, y), h / np.sqrt(GAMMA)
         )
@@ -205,9 +209,10 @@ class TestTimeStepping:
         state[0] = 0.2
         state[1] = 0.3
         expect = 0.4 * grid.dx / (1.0 + 0.3 + (0.5 * (GAMMA - 1.0) * 0.2 + 1.0))
-        assert dyn.cfl_dt(grid, GAMMA, state, 0.4) == pytest.approx(expect, rel=1e-12)
+        state_hat = grid.transform(state)
+        assert dyn.cfl_dt(grid, GAMMA, state_hat, 0.4) == pytest.approx(expect, rel=1e-12)
         with pytest.raises(ValueError, match="CFL"):
-            dyn.cfl_dt(grid, GAMMA, state, 1.5)
+            dyn.cfl_dt(grid, GAMMA, state_hat, 1.5)
 
     def test_integrate_cadence_must_divide_horizon(self):
         grid = GridSpec(n=8, box=5.0)
@@ -221,7 +226,7 @@ class TestTimeStepping:
         y[0, 1, 2, 3] = np.nan
         steps = dyn.integrate_fixed(
             y, lambda z: np.zeros_like(z), t_end=1.0, cadence=0.5,
-            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, z, 0.4),
+            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, grid.transform(z), 0.4),
         )
         with pytest.raises(ValueError, match="state non-finite at t=0"):
             list(steps)
@@ -239,7 +244,7 @@ class TestPerturbationBuilders:
         grid, n_b, state, prim = equilibrium
         pert = dyn.compatible_perturbation(grid, GAMMA, state.sigma_st, amp=1e-3, seed=1)
         total = dyn.to_symmetric(prim, GAMMA) + pert
-        res = dyn.constraint_residuals(grid, GAMMA, total, n_b, "symmetric")
+        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(total), n_b, "symmetric")
         assert res["gauss_e_l2"] <= 1e-7
         assert res["gauss_b_l2"] <= 1e-12
 
@@ -248,7 +253,7 @@ class TestPerturbationBuilders:
         pert = dyn.compatible_perturbation_primitive(grid, amp=1e-3, seed=7)
         total = pert.copy()
         total[0] += 1.0
-        res = dyn.constraint_residuals(grid, GAMMA, total, 1.0, "primitive")
+        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(total), 1.0, "primitive")
         assert res["gauss_e_l2"] <= 1e-12
         assert res["gauss_b_l2"] <= 1e-12
 
@@ -274,8 +279,8 @@ class TestConstraintTransport:
         y = dyn.to_symmetric(prim, GAMMA) + dyn.compatible_perturbation(
             grid, GAMMA, state.sigma_st, amp=1e-2, seed=9
         )
-        f = dyn.rhs_symmetric(grid, GAMMA, y)
-        fh = grid.transform(f)
+        fh = dyn.rhs_symmetric(grid, GAMMA, grid.transform(y))
+        f = grid.inverse(fh)
         n_prime = dyn.w_of_sigma(y[0], GAMMA) ** ((3.0 - GAMMA) / (GAMMA - 1.0))
         rate_e = grid.div(fh[4:7]) + grid.dealias(
             grid.transform(n_prime * f[0])
@@ -306,16 +311,95 @@ class TestConstraintTransport:
         base = np.zeros((10,) + grid.shape)
         base[0] = state.sigma_st
         base[4:7] = state.e_st / np.sqrt(GAMMA)
-        y0 = base + dyn.compatible_perturbation(grid, GAMMA, state.sigma_st, amp=1e-3, seed=3)
+        y0 = grid.transform(
+            base + dyn.compatible_perturbation(grid, GAMMA, state.sigma_st, amp=1e-3, seed=3)
+        )
         rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y)
         cap = lambda y: dyn.cfl_dt(grid, GAMMA, y, 0.4)
         tau_end = 2.5 * np.sqrt(GAMMA)
         worst_band = 0.0
         worst_full = 0.0
         for _, y in dyn.integrate_fixed(y0, rhs, tau_end, cap, tau_end / 4):
-            band = dyn.constraint_residuals(grid, GAMMA, y, n_b, "symmetric", band_limited=True)
-            full = dyn.constraint_residuals(grid, GAMMA, y, n_b, "symmetric")
-            worst_band = max(worst_band, band["gauss_e_l2"], band["gauss_b_l2"])
-            worst_full = max(worst_full, full["gauss_e_l2"], full["gauss_b_l2"])
+            res = dyn.constraint_residuals(grid, GAMMA, y, n_b, "symmetric")
+            worst_band = max(worst_band, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
+            worst_full = max(worst_full, res["gauss_e_l2"], res["gauss_b_l2"])
         assert worst_band <= 5e-9
         assert worst_band <= worst_full
+
+
+def _old_residuals(grid, y, n_b, band_limited):
+    """The two-pass Gauss defect norms, from the physical state."""
+    sh = grid.transform(y)
+    target = (n_b - 1.0 - dyn.phi_of_sigma(y[0], GAMMA) - y[0]) / np.sqrt(GAMMA)
+    res_hat = grid.div(sh[4:7]) - grid.transform(target)
+    div_b_hat = grid.div(sh[7:10])
+    if band_limited:
+        res_hat, div_b_hat = grid.dealias(res_hat), grid.dealias(div_b_hat)
+    res, div_b = grid.inverse(res_hat), grid.inverse(div_b_hat)
+    return {
+        "gauss_e_l2": grid.l2_norm(res),
+        "gauss_e_max": np.abs(res).max(),
+        "gauss_b_l2": grid.l2_norm(div_b),
+        "gauss_b_max": np.abs(div_b).max(),
+    }
+
+
+class TestSpectralState:
+    # the evolved state is the full rfft stack; only the tendency is truncated
+
+    @pytest.fixture(scope="class")
+    def rough_state(self, equilibrium):
+        """Stationary state plus a compatible perturbation plus full-spectrum
+        noise in E and B, so every mode is occupied and both defects are
+        far above roundoff."""
+        grid, _, state, prim = equilibrium
+        y = dyn.to_symmetric(prim, GAMMA) + dyn.compatible_perturbation(
+            grid, GAMMA, state.sigma_st, amp=1e-2, seed=12
+        )
+        for c in range(4, 10):
+            y[c] += 1e-3 * random_field(grid, seed=40 + c)
+        return y
+
+    def test_tendency_vanishes_outside_the_band(self, equilibrium, rough_state):
+        grid = equilibrium[0]
+        f_hat = dyn.rhs_symmetric(grid, GAMMA, grid.transform(rough_state))
+        outside = grid.band_mask(grid.n // 3) == 0.0
+        assert np.all(f_hat[:, outside] == 0.0)
+        assert np.abs(f_hat[:, ~outside]).max() > 0.0
+
+    def test_out_of_band_tail_carried_unchanged(self, equilibrium, rough_state):
+        grid = equilibrium[0]
+        y0 = grid.transform(rough_state)
+        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y)
+        cap = lambda y: dyn.cfl_dt(grid, GAMMA, y, 0.4)
+        *_, (_, y_end) = dyn.integrate_fixed(y0, rhs, 0.5, cap, 0.25)
+        outside = grid.band_mask(grid.n // 3) == 0.0
+        # the noise occupies every E and B mode; sigma_st has its own tail
+        assert np.abs(y0[4:10][:, outside]).min() > 0.0
+        assert np.abs(y0[0][outside]).max() > 0.0
+        assert np.array_equal(y_end[:, outside], y0[:, outside])
+        assert not np.array_equal(y_end[:, ~outside], y0[:, ~outside])
+
+    def test_rk4_accumulator_matches_classical_formula(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((6, 6))
+        y = rng.standard_normal(6)
+        rhs = lambda z: a @ z
+        for h in (0.01, 0.1, 0.3):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            classical = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            out = dyn.step_rk4(y, rhs, h)
+            assert np.abs(out - classical).max() <= 1e-15 * np.abs(classical).max()
+
+    def test_one_residual_call_reproduces_both_passes(self, equilibrium, rough_state):
+        grid, n_b = equilibrium[0], equilibrium[1]
+        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(rough_state), n_b, "symmetric")
+        for suffix, band_limited in (("", False), ("_band", True)):
+            old = _old_residuals(grid, rough_state, n_b, band_limited)
+            for key, value in old.items():
+                assert value > 1e-6, key + suffix
+                assert res[key + suffix] == pytest.approx(value, rel=1e-12), key + suffix
+        assert res["gauss_e_l2_band"] < res["gauss_e_l2"]

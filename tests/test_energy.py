@@ -84,7 +84,7 @@ class TestSingleModeOracles:
         a = 0.37
         pert = zero_state(self.grid)
         pert[0] = a * np.sin(self.k1 * self.x(0))
-        rep = energy_report(self.grid, pert, 0.0, GAMMA)
+        rep = energy_report(self.grid, self.grid.transform(pert), 0.0, GAMMA)
         base = a**2 * self.half
         assert np.isclose(rep["energy_full"], base * self.s_factor(3), rtol=1e-12)
         assert np.isclose(rep["energy_high"], base * (self.s_factor(3) - 1.0), rtol=1e-12)
@@ -98,7 +98,7 @@ class TestSingleModeOracles:
         b = 0.81
         pert = zero_state(self.grid)
         pert[1] = b * np.cos(self.k1 * self.x(1))
-        rep = energy_report(self.grid, pert, 0.0, GAMMA)
+        rep = energy_report(self.grid, self.grid.transform(pert), 0.0, GAMMA)
         base = b**2 * self.half
         assert np.isclose(rep["energy_full"], base * self.s_factor(3), rtol=1e-12)
         assert np.isclose(rep["dissipation_full"], base * self.s_factor(3), rtol=1e-12)
@@ -113,7 +113,7 @@ class TestSingleModeOracles:
         c = 0.59
         pert = zero_state(self.grid)
         pert[5] = c * np.sin(self.k1 * self.x(0))
-        rep = energy_report(self.grid, pert, 0.0, GAMMA)
+        rep = energy_report(self.grid, self.grid.transform(pert), 0.0, GAMMA)
         base = c**2 * self.half
         k2 = self.k1**2
         assert np.isclose(rep["energy_full"], base * self.s_factor(3), rtol=1e-12)
@@ -130,7 +130,7 @@ class TestSingleModeOracles:
         d = 1.13
         pert = zero_state(self.grid)
         pert[9] = d * np.cos(self.k1 * self.x(0))
-        rep = energy_report(self.grid, pert, 0.0, GAMMA)
+        rep = energy_report(self.grid, self.grid.transform(pert), 0.0, GAMMA)
         base = d**2 * self.half
         k2 = self.k1**2
         assert np.isclose(rep["energy_full"], base * self.s_factor(3), rtol=1e-12)
@@ -146,7 +146,7 @@ class TestSingleModeOracles:
         pert = zero_state(self.grid)
         pert[0] = a * np.sin(self.k1 * self.x(0))
         pert[1] = b * np.cos(self.k1 * self.x(0))
-        rep = energy_report(self.grid, pert, 0.0, GAMMA)
+        rep = energy_report(self.grid, self.grid.transform(pert), 0.0, GAMMA)
         int1_exact = a * b * self.k1 * self.half * self.s_factor(2)
         assert np.isclose(rep["int1"], int1_exact, rtol=1e-12)
         assert rep["int2"] == 0.0 and rep["int3"] == 0.0
@@ -159,7 +159,7 @@ class TestSingleModeOracles:
         pert = zero_state(self.grid)
         pert[1] = b * np.cos(self.k1 * self.x(0))
         pert[4] = c * np.cos(self.k1 * self.x(0))
-        rep = energy_report(self.grid, pert, 0.0, GAMMA)
+        rep = energy_report(self.grid, self.grid.transform(pert), 0.0, GAMMA)
         int2_exact = b * c * self.half * self.s_factor(2)
         assert np.isclose(rep["int2"], int2_exact, rtol=1e-12)
         w = EnergyWeights()
@@ -171,7 +171,7 @@ class TestSingleModeOracles:
         pert = zero_state(self.grid)
         pert[5] = c * np.sin(self.k1 * self.x(0))   # E_2(x_1)
         pert[9] = d * np.cos(self.k1 * self.x(0))   # B_3(x_1)
-        rep = energy_report(self.grid, pert, 0.0, GAMMA)
+        rep = energy_report(self.grid, self.grid.transform(pert), 0.0, GAMMA)
         # curl E = (0, 0, c k1 cos(k1 x1)), aligned with B_3
         int3_exact = -c * d * self.k1 * self.half * self.s_factor(1)
         assert np.isclose(rep["int3"], int3_exact, rtol=1e-12)
@@ -185,8 +185,8 @@ class TestSingleModeOracles:
         gamma = 2.0
         pert = zero_state(self.grid)
         pert[0] = a * np.sin(self.k1 * self.x(0))
-        rep0 = energy_report(self.grid, pert, 0.0, gamma)
-        reps = energy_report(self.grid, pert, s, gamma)
+        rep0 = energy_report(self.grid, self.grid.transform(pert), 0.0, gamma)
+        reps = energy_report(self.grid, self.grid.transform(pert), s, gamma)
         # weight for gamma = 2 is 1 + s + s^2/4 = (1 + s/2)^2
         factor = (1.0 + s / 2.0) ** 2
         assert np.isclose(reps["energy_full"], factor * rep0["energy_full"], rtol=1e-12)
@@ -334,7 +334,7 @@ class TestIndependentReference:
             [random_field(grid, seed=100 + i, band=3, amp=0.5) for i in range(10)]
         )
         w = EnergyWeights()
-        rep = energy_report(grid, pert, 0.0, GAMMA, w)
+        rep = energy_report(grid, grid.transform(pert), 0.0, GAMMA, w)
         ref = reference_report(
             grid, pert, np.ones(grid.shape), w.order, (w.kappa1, w.kappa2, w.kappa3)
         )
@@ -350,7 +350,7 @@ class TestIndependentReference:
         sigma_st = 0.1 * np.exp(-grid.radius**2)
         weight = 1.0 + sigma_st + phi_of_sigma(sigma_st, gamma)
         w = EnergyWeights(kappa1=0.2, kappa2=0.01, kappa3=0.004, order=3)
-        rep = energy_report(grid, pert, sigma_st, gamma, w)
+        rep = energy_report(grid, grid.transform(pert), sigma_st, gamma, w)
         ref = reference_report(grid, pert, weight, w.order, (0.2, 0.01, 0.004))
         for key, val in ref.items():
             assert np.isclose(rep[key], val, rtol=1e-10, atol=1e-13), key
@@ -373,7 +373,7 @@ class TestEquivalence:
             [random_field(grid, seed=seed * 13 + i, band=3, amp= 0.2) for i in range(10)]
         )
         sigma_st = 0.05 * np.exp(-grid.radius**2)
-        rep = energy_report(grid, pert, sigma_st, GAMMA)
+        rep = energy_report(grid, grid.transform(pert), sigma_st, GAMMA)
         assert 0.5 <= rep["energy_full"] / rep["sobolev_sq"] <= 2.0
 
 
@@ -439,12 +439,13 @@ class TestTrajectorySmoke:
         base[4:7] = st_state.e_st / np.sqrt(GAMMA)
 
         pert0 = compatible_perturbation(grid, GAMMA, sigma_st, amp=1e-3, seed=7)
-        y0 = base + pert0
+        y0 = grid.transform(base + pert0)
+        base_hat = grid.transform(base)
         rhs = lambda y: rhs_symmetric(grid, GAMMA, y)
 
         times, e_f, d_f, e_h, d_h = [], [], [], [], []
         for tau, y in integrate_fixed(y0, rhs, t_end=2.0, dt_max=0.05, cadence=0.25):
-            rep = energy_report(grid, y - base, sigma_st, GAMMA)
+            rep = energy_report(grid, y - base_hat, sigma_st, GAMMA)
             times.append(tau)
             e_f.append(rep["energy_full"])
             d_f.append(rep["dissipation_full"])

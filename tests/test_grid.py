@@ -131,6 +131,30 @@ class TestDealias:
         fh = g.transform(random_field(g, seed=18))
         assert np.array_equal(g.dealias(fh), g.band_mask(g.n // 3) * fh)
 
+    @pytest.mark.parametrize("n", [8, 12, 24])
+    def test_band_sublattice_round_trip_is_dealias(self, n):
+        g = GridSpec(n=n, box=9.0)
+        band = g.two_thirds
+        fh = g.transform(np.stack([random_field(g, seed=s) for s in (19, 20)]))
+        restricted = band.take(fh)
+        b = n // 3
+        assert restricted.shape == (2, 2 * b + 1, 2 * b + 1, b + 1)
+        assert np.array_equal(band.embed(restricted), g.dealias(fh))
+        assert np.count_nonzero(g.band_mask(b)) == restricted[0].size
+
+    def test_band_operators_are_the_restricted_grid_operators(self):
+        g = GridSpec(n=24, box=9.0)
+        band = g.two_thirds
+        fh = g.transform(random_field(g, seed=21))
+        vh = g.transform(np.stack([random_field(g, seed=s) for s in (22, 23, 24)]))
+        assert np.array_equal(band.grad(band.take(fh)), band.take(g.grad(fh)))
+        assert np.array_equal(band.div(band.take(vh)), band.take(g.div(vh)))
+        assert np.array_equal(band.curl(band.take(vh)), band.take(g.curl(vh)))
+        assert np.array_equal(band.laplacian(band.take(fh)), band.take(g.laplacian(fh)))
+        assert np.array_equal(
+            band.longitudinal(band.take(fh)), band.take(g.longitudinal(fh))
+        )
+
     def test_idempotent(self):
         g = GridSpec(n=24, box=9.0)
         fh = g.transform(random_field(g, seed=11))
