@@ -274,25 +274,19 @@ def constraint_residuals(
     gamma: float,
     state_hat: np.ndarray,
     n_b: np.ndarray | float = 1.0,
-    form: str = "symmetric",
 ) -> dict[str, float]:
     """L^2 and max norms of the divergence constraints, from spectral input.
 
-    form "symmetric":  div E~ - (n_b - 1 - Phi(sigma) - sigma)/sqrt(g),  div B~
-    form "primitive":  div E - (n_b - n),                                div B
-
-    Keys gauss_{e,b}_{l2,max} measure the whole spectrum; the same keys with
-    suffix _band measure the defect projected onto the dealiased band the
-    flow can represent.  The excluded tail measures spectral truncation of
-    the pointwise nonlinearity, not failure of transport.
+    The defects of the symmetrized state, div E~ - (n_b - 1 - Phi(sigma) -
+    sigma)/sqrt(g) and div B~, are the primitive div E - (n_b - n) and
+    div B divided by sqrt(g).  Keys gauss_{e,b}_{l2,max} measure the whole
+    spectrum; the same keys with suffix _band measure the defect projected
+    onto the dealiased band the flow can represent.  The excluded tail
+    measures spectral truncation of the pointwise nonlinearity, not
+    failure of transport.
     """
     scalar = grid.inverse(state_hat[SCALAR])
-    if form == "symmetric":
-        target = (np.asarray(n_b) - 1.0 - phi_of_sigma(scalar, gamma) - scalar) / np.sqrt(gamma)
-    elif form == "primitive":
-        target = np.asarray(n_b) - scalar
-    else:
-        raise ValueError(f"unknown form {form!r}; use 'symmetric' or 'primitive'")
+    target = (np.asarray(n_b) - 1.0 - phi_of_sigma(scalar, gamma) - scalar) / np.sqrt(gamma)
     res_hat = grid.div(state_hat[ELEC]) - grid.transform(target)
     div_b_hat = grid.div(state_hat[MAG])
     defects = grid.inverse(

@@ -36,17 +36,18 @@ physical-space norms differ by the constant (2 pi)^{-3/2}, which is
 immaterial for exponents and ratios.  Because every block depends on r
 alone, the angular part of each norm reduces to one Gram matrix of the
 initial block coordinates per radius; a time sample then costs O(radii),
-not O(nodes), and no per-node propagator is built.  BatchPropagator
-applies the same block split node by node, for callers that need the
-propagated amplitudes themselves.  All reductions run over fixed-shape
-arrays in a fixed order, so results are bit-reproducible across runs.
+not O(nodes), and no per-node propagator is built.  propagate applies
+the same per-radius block flows to amplitudes, for callers that need the
+propagated amplitudes themselves; it evaluates each flow once per distinct
+|xi|, so the shells of a grid's frequencies share one.  All reductions run
+over fixed-shape arrays in a fixed order, so results are bit-reproducible
+across runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
@@ -54,7 +55,6 @@ from .dynamics import compatible_perturbation_primitive, integrate_fixed, rhs_pr
 from .grid import GridSpec
 
 __all__ = [
-    "BatchPropagator",
     "DecayFit",
     "DecayTrajectory",
     "GaussianFamily",
@@ -64,6 +64,7 @@ __all__ = [
     "fit_decay",
     "initial_modes",
     "initial_norms_analytic",
+    "propagate",
     "spectral_stability_report",
     "symbol_matrix",
 ]
@@ -92,8 +93,8 @@ def _cross_matrix(xi: np.ndarray) -> np.ndarray:
     )
 
 
-def symbol_batch(xi: np.ndarray, gamma: float) -> np.ndarray:
-    """Generator matrices A(xi), shape (..., 10, 10) complex."""
+def symbol_matrix(xi: np.ndarray, gamma: float) -> np.ndarray:
+    """Generator matrices A(xi), shape (..., 10, 10) complex; one for xi (3,)."""
     xi = np.asarray(xi, dtype=float)
     a = np.zeros(xi.shape[:-1] + (10, 10), dtype=complex)
     ix = 1j * xi
@@ -106,11 +107,6 @@ def symbol_batch(xi: np.ndarray, gamma: float) -> np.ndarray:
     a[..., 4:7, 7:10] = 1j * cross
     a[..., 7:10, 4:7] = -1j * cross
     return a
-
-
-def symbol_matrix(xi, gamma: float) -> np.ndarray:
-    """The 10x10 generator at a single frequency."""
-    return symbol_batch(np.asarray(xi, dtype=float).reshape(3), gamma)
 
 
 def constraint_matrix(xi: np.ndarray) -> np.ndarray:
@@ -129,7 +125,8 @@ def constraint_matrix(xi: np.ndarray) -> np.ndarray:
 # x'' + x' + (1 + gamma r^2) x = 0; the constant B_l; and the transverse
 # rows (u_perp, E_perp, xi^ x B).  The transverse discriminant
 # -3 + 4 s - 20 s^2 - 4 s^3 (s = r^2) is negative, so its roots never meet
-# and the per-radius eigendecomposition needs no fallback.
+# and the per-radius eigendecomposition needs no fallback: its eigenvector
+# matrix has condition number below 2.6 at r = 0 and on r in [1e-8, 1e8].
 
 
 def _transverse_generator(r: np.ndarray) -> np.ndarray:
@@ -141,35 +138,6 @@ def _transverse_generator(r: np.ndarray) -> np.ndarray:
     gen[..., 1, 2] = 1j * r
     gen[..., 2, 1] = 1j * r
     return gen
-
-
-def _longitudinal_propagator(r: np.ndarray, gamma: float, t: np.ndarray) -> np.ndarray:
-    """Closed-form e^{tA} on the longitudinal block, shape (..., 4, 4).
-
-    Maps (c, u_l, E_l - E*, B_l) at time 0 to (rho, u_l, E_l, B_l) at
-    time t; r and t broadcast against each other.
-    """
-    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    stiff = 1.0 + gamma * r**2
-    omega = np.sqrt(stiff - 0.25)
-    decay = np.exp(-0.5 * t)
-    cos = decay * np.cos(omega * t)
-    sin = decay * np.sin(omega * t) / omega
-    # the oscillator (u_l, e) -> (u_l, e) block of the flow
-    m_uu, m_ue = cos - 0.5 * sin, -stiff * sin
-    m_eu, m_ee = sin, cos + 0.5 * sin
-    out = np.zeros(r.shape + (4, 4), dtype=complex)
-    # rho = c / stiff - i r e and E_l = e + E*
-    out[..., 0, 0] = 1.0 / stiff
-    out[..., 0, 1] = -1j * r * m_eu
-    out[..., 0, 2] = -1j * r * m_ee
-    out[..., 1, 1] = m_uu
-    out[..., 1, 2] = m_ue
-    out[..., 2, 0] = -1j * gamma * r / stiff
-    out[..., 2, 1] = m_eu
-    out[..., 2, 2] = m_ee
-    out[..., 3, 3] = 1.0
-    return out
 
 
 def _split_modes(
@@ -195,53 +163,64 @@ def _split_modes(
     return r, hat, lon, trans
 
 
-class BatchPropagator:
-    """e^{t A(xi)} for a batch of frequencies, through the block split of A.
+def _block_flow(r: np.ndarray, gamma: float, t) -> tuple[np.ndarray, np.ndarray]:
+    """e^{tA} on the longitudinal and the transverse block, at radii r and times t >= 0.
 
-    Each node is reduced to its closed-form longitudinal block and its
-    transverse 3x3 block, which is diagonalized once at build time; apply
-    recombines the propagated blocks into the 10 components.  The
-    transverse roots are always distinct, so the eigenvector matrices are
-    well conditioned; nodes whose eigenvector matrix nonetheless exceeds
-    cond_limit (or whose factorization fails) fall back to scipy's
-    scaling-and-squaring expm of the full 10x10 symbol.
+    The longitudinal flow, shape t.shape + r.shape + (4, 4), is closed-form
+    and maps (c, u_l, E_l - E*, B_l) at time 0 to (rho, u_l, E_l, B_l) at
+    time t.  The transverse flow, shape t.shape + r.shape + (3, 3), comes
+    from the eigendecomposition of the transverse generator at each radius.
     """
+    t = np.asarray(t, dtype=float)
+    if (t < 0.0).any():
+        raise ValueError(f"propagation time must be >= 0, got {t.min()}")
+    lam, vecs = np.linalg.eig(_transverse_generator(r))
+    trans = vecs @ (np.exp(lam * t[..., None, None])[..., None] * np.linalg.inv(vecs))
 
-    def __init__(self, xi: np.ndarray, gamma: float, cond_limit: float = 1e8):
-        self.xi = np.asarray(xi, dtype=float).reshape(-1, 3)
-        self.gamma = float(gamma)
-        k = self.xi.shape[0]
-        r = np.sqrt((self.xi**2).sum(axis=1))
-        try:
-            self._eigvals, vecs = np.linalg.eig(_transverse_generator(r))
-            cond = np.linalg.cond(vecs)
-            self.bad = np.nonzero(~np.isfinite(cond) | (cond > cond_limit))[0]
-        except np.linalg.LinAlgError:
-            self._eigvals = np.zeros((k, 3), dtype=complex)
-            vecs = np.broadcast_to(np.eye(3, dtype=complex), (k, 3, 3)).copy()
-            self.bad = np.arange(k)
-        vecs[self.bad] = np.eye(3)
-        self._vecs, self._vinv = vecs, np.linalg.inv(vecs)
-        # symbol matrices are only needed for the expm fallback nodes
-        self.a_bad = symbol_batch(self.xi[self.bad], gamma)
+    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), t[..., None])
+    stiff = 1.0 + gamma * r**2
+    omega = np.sqrt(stiff - 0.25)
+    decay = np.exp(-0.5 * t)
+    cos = decay * np.cos(omega * t)
+    sin = decay * np.sin(omega * t) / omega
+    # the oscillator (u_l, e) -> (u_l, e) block of the flow
+    m_uu, m_ue = cos - 0.5 * sin, -stiff * sin
+    m_eu, m_ee = sin, cos + 0.5 * sin
+    lon = np.zeros(r.shape + (4, 4), dtype=complex)
+    # rho = c / stiff - i r e and E_l = e + E*
+    lon[..., 0, 0] = 1.0 / stiff
+    lon[..., 0, 1] = -1j * r * m_eu
+    lon[..., 0, 2] = -1j * r * m_ee
+    lon[..., 1, 1] = m_uu
+    lon[..., 1, 2] = m_ue
+    lon[..., 2, 0] = -1j * gamma * r / stiff
+    lon[..., 2, 1] = m_eu
+    lon[..., 2, 2] = m_ee
+    lon[..., 3, 3] = 1.0
+    return lon, trans
 
-    def apply(self, y0: np.ndarray, t: float) -> np.ndarray:
-        """Propagate amplitudes y0 of shape (K, 10) to time t >= 0."""
-        if t < 0.0:
-            raise ValueError(f"propagation time must be >= 0, got {t}")
-        r, hat, lon, trans = _split_modes(self.xi, y0, self.gamma)
-        lon = np.einsum("kab,kb->ka", _longitudinal_propagator(r, self.gamma, t), lon)
-        tau = self._vecs @ (np.exp(self._eigvals * t)[:, :, None] * self._vinv)
-        trans = tau @ trans
-        y = np.empty((self.xi.shape[0], 10), dtype=complex)
-        y[:, 0] = lon[:, 0]
-        y[:, U] = lon[:, 1, None] * hat + trans[:, 0]
-        y[:, E] = lon[:, 2, None] * hat + trans[:, 1]
-        # xi^ x (xi^ x B) = -B_perp
-        y[:, B] = lon[:, 3, None] * hat - np.cross(hat, trans[:, 2])
-        for j, k in enumerate(self.bad):
-            y[k] = expm(self.a_bad[j] * t) @ y0[k]
-        return y
+
+def propagate(xi: np.ndarray, y0: np.ndarray, gamma: float, t: float) -> np.ndarray:
+    """e^{t A(xi)} y0 for amplitudes y0 (..., 10) at frequencies xi (..., 3).
+
+    The block flows are evaluated once per distinct |xi| and gathered to
+    the nodes, then recombined with each node's direction.
+    """
+    shape = np.shape(y0)
+    xi = np.asarray(xi, dtype=float).reshape(-1, 3)
+    y0 = np.reshape(y0, (-1, 10))
+    r, hat, lon, trans = _split_modes(xi, y0, gamma)
+    radii, node_radius = np.unique(r, return_inverse=True)
+    lon_flow, trans_flow = _block_flow(radii, gamma, t)
+    lon = np.einsum("kab,kb->ka", lon_flow[node_radius], lon)
+    trans = trans_flow[node_radius] @ trans
+    y = np.empty(y0.shape, dtype=complex)
+    y[:, 0] = lon[:, 0]
+    y[:, U] = lon[:, 1, None] * hat + trans[:, 0]
+    y[:, E] = lon[:, 2, None] * hat + trans[:, 1]
+    # xi^ x (xi^ x B) = -B_perp
+    y[:, B] = lon[:, 3, None] * hat - np.cross(hat, trans[:, 2])
+    return y.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +290,6 @@ class QuadratureScheme:
         return xi.reshape(-1, 3), np.broadcast_to(
             w, (r.size, mu.size, phi.size)
         ).reshape(-1).copy()
-
-    def doubled_radial(self) -> "QuadratureScheme":
-        return QuadratureScheme(
-            self.r_max,
-            self.panels,
-            self.panel_ratio,
-            2 * self.radial_nodes,
-            self.theta_nodes,
-            self.phi_nodes,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +466,6 @@ def _radial_densities(
     per radius and block: with G = sum_dirs w v v^H over the initial block
     coordinates v, the propagated sums are the diagonal of L(r, t) G L^H.
     """
-    if (times < 0.0).any():
-        raise ValueError(f"propagation time must be >= 0, got {times.min()}")
     xi, wq = scheme.nodes()
     r, _ = scheme.radial_rule()
     _, _, lon, trans = _split_modes(xi, initial_modes(family, xi), gamma)
@@ -509,10 +476,7 @@ def _radial_densities(
     gram_lon = np.einsum("rd,rda,rdb->rab", w, lon, lon.conj())
     gram_trans = np.einsum("rd,rdak,rdbk->rab", w, trans, trans.conj())
 
-    lam, vecs = np.linalg.eig(_transverse_generator(r))
-    vinv = np.linalg.inv(vecs)
-    lon_t = _longitudinal_propagator(r[None, :], gamma, times[:, None])
-    trans_t = vecs @ (np.exp(lam * times[:, None, None])[..., None] * vinv)
+    lon_t, trans_t = _block_flow(r, gamma, times)
     d_lon = np.einsum("trab,rbc,trac->tra", lon_t, gram_lon, lon_t.conj()).real
     d_trans = np.einsum("trab,rbc,trac->tra", trans_t, gram_trans, trans_t.conj()).real
     return r, {
@@ -628,7 +592,7 @@ def spectral_stability_report(
         ]
     )
     xi = dirs * radii[:, None]
-    a = symbol_batch(xi, gamma)
+    a = symbol_matrix(xi, gamma)
     eigs = np.linalg.eigvals(a)
     max_re_all = float(eigs.real.max())
 
@@ -655,15 +619,6 @@ def spectral_stability_report(
 # Duhamel cross-check against the nonlinear box integrator
 
 
-def _linear_box_solution(
-    grid: GridSpec, prop: BatchPropagator, pert0: np.ndarray, t: float
-) -> np.ndarray:
-    """Mode-wise e^{tA} on the grid's (Nyquist-zeroed) frequencies."""
-    y0 = grid.transform(pert0).reshape(10, -1).T
-    yt = prop.apply(y0, t).T.reshape((10,) + grid.spectral_shape)
-    return grid.inverse(yt)
-
-
 def duhamel_crosscheck(
     amp: float = 1e-4,
     t_end: float = 5.0,
@@ -687,14 +642,16 @@ def duhamel_crosscheck(
         base_state[0] = 1.0
 
     shape = compatible_perturbation_primitive(grid, amp=1.0, seed=seed)
-    prop = BatchPropagator(np.moveaxis(grid.k, 0, -1).reshape(-1, 3), gamma)
+    xi = np.moveaxis(grid.k, 0, -1).reshape(-1, 3)
 
     def gap(a: float) -> float:
         pert0 = a * shape
         y = base_state + pert0
         for _, y in integrate_fixed(y, lambda s: rhs_primitive(grid, gamma, s), t_end, dt):
             pass
-        lin = _linear_box_solution(grid, prop, pert0, t_end)
+        # mode-wise e^{tA} on the grid's (Nyquist-zeroed) frequencies
+        y0 = grid.transform(pert0).reshape(10, -1).T
+        lin = grid.inverse(propagate(xi, y0, gamma, t_end).T.reshape((10,) + grid.spectral_shape))
         diff = (y - base_state) - lin
         return float(np.sqrt(sum(grid.l2_norm(diff[i]) ** 2 for i in range(10))))
 

@@ -264,6 +264,7 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
     weights = cfg.energy_weights()
     norm = lambda f_hat: np.sqrt(grid.spectral_l2_sq(f_hat))
 
+    series_path = os.path.join(out_dir, "series.csv")
     rows = []
     max_v_norm = 0.0
     max_gauss = 0.0
@@ -274,7 +275,7 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
         for tau, y_hat in trajectory:
             pert_hat = y_hat - base_hat
             rep = energy_report(grid, pert_hat, state.sigma_st, cfg.gamma, weights)
-            res = constraint_residuals(grid, cfg.gamma, y_hat, n_b=n_b, form="symmetric")
+            res = constraint_residuals(grid, cfg.gamma, y_hat, n_b=n_b)
             norm_v = norm(pert_hat[VEL])
             rows.append((
                 tau / root_g,
@@ -290,9 +291,10 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
             max_gauss_full = max(max_gauss_full, res["gauss_e_l2"], res["gauss_b_l2"])
             y_final = y_hat
     except NonFiniteStateError as err:
+        # the samples up to the failure explain the run from its out-dir
+        emit_series(series_path, SERIES_COLUMNS, rows)
         raise NonFiniteStateError(err.t / root_g, err.bound / root_g) from None
 
-    series_path = os.path.join(out_dir, "series.csv")
     final_path = os.path.join(out_dir, "state_final.emxf")
     emit_series(series_path, SERIES_COLUMNS, rows)
     write_snapshot(final_path, grid, _state_fields(grid.inverse(y_final)))

@@ -26,7 +26,6 @@ from emlab.dynamics import (
 from emlab.energy import energy_report, lyapunov_certify
 from emlab.grid import GridSpec
 from emlab.lindecay import (
-    BatchPropagator,
     GaussianFamily,
     QuadratureScheme,
     constraint_matrix,
@@ -34,6 +33,7 @@ from emlab.lindecay import (
     duhamel_crosscheck,
     fit_decay,
     initial_modes,
+    propagate,
     spectral_stability_report,
     symbol_matrix,
 )
@@ -148,7 +148,7 @@ def test_3_equilibrium_fixedness(equilibrium):
     sup_gauss = 0.0
     for _, y in integrate_fixed(grid.transform(base), rhs, 10.0 * ROOT_G, cap, ROOT_G):
         sup_u = max(sup_u, ROOT_G * vec_norm(grid, grid.inverse(y[VEL])))
-        res = constraint_residuals(grid, GAMMA, y, n_b=n_b, form="symmetric")
+        res = constraint_residuals(grid, GAMMA, y, n_b=n_b)
         sup_gauss = max(sup_gauss, res["gauss_e_l2"], res["gauss_b_l2"])
 
     ok = sup_u <= 1e-8 and sup_gauss <= 1e-8
@@ -246,9 +246,8 @@ def test_6_symbol_structure():
         xi = rng.standard_normal(3) * rng.uniform(0.1, 5.0)
         y0 = initial_modes(fam, xi.reshape(1, 3))[0]
         cmat = constraint_matrix(xi)
-        prop = BatchPropagator(xi.reshape(1, 3), GAMMA)
         for t in (0.0, 1.0, 10.0, 100.0, 1000.0):
-            yt = prop.apply(y0[None, :], t)[0]
+            yt = propagate(xi, y0, GAMMA, t)
             worst_con = max(worst_con, float(np.abs(cmat @ yt).max()))
 
     scan = spectral_stability_report(GAMMA, n_samples=1000)

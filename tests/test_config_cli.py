@@ -389,6 +389,12 @@ class TestCli:
         err = capsys.readouterr().err
         # the physical time series.csv would use, not tau = sqrt(gamma) t
         assert "state non-finite at t=0.5 " in err
+        # the samples gathered before the failure are written, t = 0 first
+        with open(tmp_path / "ev" / "series.csv") as fh:
+            header = fh.readline().strip().split(",")
+            first = [float(v) for v in fh.readline().split(",")]
+        assert header == list(SERIES_COLUMNS)
+        assert first[0] == 0.0 and np.isfinite(first).all()
 
     def test_config_file_plus_flag_override(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -99,13 +99,15 @@ class TestEquilibriumPreservation:
         for t, y in dyn.integrate_fixed(y0, rhs, t_end=2.0, dt_max=0.1, cadence=1.0):
             sup_u = max(sup_u, np.sqrt(GAMMA) * np.abs(grid.inverse(y[1:4])).max())
         assert sup_u <= 1e-10
-        res = dyn.constraint_residuals(grid, GAMMA, y, n_b, "symmetric")
+        res = dyn.constraint_residuals(grid, GAMMA, y, n_b)
         assert res["gauss_e_l2"] <= 1e-8
 
     def test_gauss_residuals_at_equilibrium(self, equilibrium):
         grid, n_b, _, prim = equilibrium
-        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(prim), n_b, "primitive")
-        assert res["gauss_e_l2"] <= 1e-8
+        sym = dyn.to_symmetric(prim, GAMMA)
+        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(sym), n_b)
+        # the symmetrized defect is the primitive one divided by sqrt(gamma)
+        assert np.sqrt(GAMMA) * res["gauss_e_l2"] <= 1e-8
         assert res["gauss_b_l2"] == 0.0
 
 
@@ -244,7 +246,7 @@ class TestPerturbationBuilders:
         grid, n_b, state, prim = equilibrium
         pert = dyn.compatible_perturbation(grid, GAMMA, state.sigma_st, amp=1e-3, seed=1)
         total = dyn.to_symmetric(prim, GAMMA) + pert
-        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(total), n_b, "symmetric")
+        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(total), n_b)
         assert res["gauss_e_l2"] <= 1e-7
         assert res["gauss_b_l2"] <= 1e-12
 
@@ -253,9 +255,11 @@ class TestPerturbationBuilders:
         pert = dyn.compatible_perturbation_primitive(grid, amp=1e-3, seed=7)
         total = pert.copy()
         total[0] += 1.0
-        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(total), 1.0, "primitive")
-        assert res["gauss_e_l2"] <= 1e-12
-        assert res["gauss_b_l2"] <= 1e-12
+        sym = dyn.to_symmetric(total, GAMMA)
+        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(sym), 1.0)
+        # the symmetrized defect is the primitive one divided by sqrt(gamma)
+        assert np.sqrt(GAMMA) * res["gauss_e_l2"] <= 1e-12
+        assert np.sqrt(GAMMA) * res["gauss_b_l2"] <= 1e-12
 
     def test_builder_amplitude_validation(self):
         grid = GridSpec(n=8, box=5.0)
@@ -320,7 +324,7 @@ class TestConstraintTransport:
         worst_band = 0.0
         worst_full = 0.0
         for _, y in dyn.integrate_fixed(y0, rhs, tau_end, cap, tau_end / 4):
-            res = dyn.constraint_residuals(grid, GAMMA, y, n_b, "symmetric")
+            res = dyn.constraint_residuals(grid, GAMMA, y, n_b)
             worst_band = max(worst_band, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
             worst_full = max(worst_full, res["gauss_e_l2"], res["gauss_b_l2"])
         assert worst_band <= 5e-9
@@ -396,7 +400,7 @@ class TestSpectralState:
 
     def test_one_residual_call_reproduces_both_passes(self, equilibrium, rough_state):
         grid, n_b = equilibrium[0], equilibrium[1]
-        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(rough_state), n_b, "symmetric")
+        res = dyn.constraint_residuals(grid, GAMMA, grid.transform(rough_state), n_b)
         for suffix, band_limited in (("", False), ("_band", True)):
             old = _old_residuals(grid, rough_state, n_b, band_limited)
             for key, value in old.items():

@@ -4,6 +4,8 @@ Eigenstructure oracles are closed-form (block characteristic polynomials
 of the symbol); whole-space norms are checked against Gaussian moment
 integrals; decay exponents against the slow-branch analysis.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,8 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from emlab.dynamics import constraint_residuals
 from emlab.grid import GridSpec
 from emlab.lindecay import (
-    BatchPropagator,
     GaussianFamily,
     QuadratureScheme,
     constraint_matrix,
@@ -23,10 +23,11 @@ from emlab.lindecay import (
     fit_decay,
     initial_modes,
     initial_norms_analytic,
+    propagate,
     spectral_stability_report,
-    symbol_batch,
     symbol_matrix,
 )
+from emlab.lindecay import _transverse_generator
 from emlab.stationary import background_profile, picard_iterate
 
 GAMMA = 5.0 / 3.0
@@ -36,11 +37,6 @@ GAMMA = 5.0 / 3.0
 # exactly; radial refinement is what convergence actually needs
 FAST = QuadratureScheme(theta_nodes=8, phi_nodes=16)
 FAST_FINE = QuadratureScheme(radial_nodes=32, theta_nodes=8, phi_nodes=16)
-
-
-def propagate(xi, y0, t):
-    """e^{t A(xi)} y0 at one frequency."""
-    return BatchPropagator(np.reshape(xi, (1, 3)), GAMMA).apply(np.reshape(y0, (1, 10)), t)[0]
 
 
 def channel_norms(fam, t, scheme):
@@ -110,8 +106,7 @@ class TestPropagation:
         rng = np.random.default_rng(2)
         xi = rng.standard_normal((5, 3))
         y0 = rng.standard_normal((5, 10)) + 1j * rng.standard_normal((5, 10))
-        prop = BatchPropagator(xi, GAMMA)
-        assert np.abs(prop.apply(y0, 0.0) - y0).max() < 1e-12
+        assert np.abs(propagate(xi, y0, GAMMA, 0.0) - y0).max() < 1e-12
 
     def test_semigroup_property(self):
         rng = np.random.default_rng(3)
@@ -119,8 +114,8 @@ class TestPropagation:
             xi = rng.standard_normal(3) * 3
             y0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
             s, t = rng.uniform(0.1, 5.0, 2)
-            once = propagate(xi, y0, s + t)
-            twice = propagate(xi, propagate(xi, y0, s), t)
+            once = propagate(xi, y0, GAMMA, s + t)
+            twice = propagate(xi, propagate(xi, y0, GAMMA, s), GAMMA, t)
             assert np.abs(once - twice).max() < 1e-9
 
     def test_small_step_taylor_order(self):
@@ -131,7 +126,7 @@ class TestPropagation:
         hs = np.array([0.1, 0.05, 0.025, 0.0125])
         errs = [
             np.linalg.norm(
-                propagate(xi, y0, h) - (y0 + h * (a @ y0) + 0.5 * h**2 * (a @ (a @ y0)))
+                propagate(xi, y0, GAMMA, h) - (y0 + h * (a @ y0) + 0.5 * h**2 * (a @ (a @ y0)))
             )
             for h in hs
         ]
@@ -139,20 +134,8 @@ class TestPropagation:
         assert abs(slopes[-1] - 3.0) < 0.1
 
     def test_rejects_negative_time(self):
-        prop = BatchPropagator(np.ones((1, 3)), GAMMA)
         with pytest.raises(ValueError, match=">= 0"):
-            prop.apply(np.ones((1, 10), dtype=complex), -1.0)
-
-    def test_expm_fallback_agrees_with_eigenpath(self):
-        rng = np.random.default_rng(5)
-        xi = rng.standard_normal((8, 3)) * 2
-        y0 = rng.standard_normal((8, 10)) + 1j * rng.standard_normal((8, 10))
-        fast = BatchPropagator(xi, GAMMA)
-        # force every node down the scaling-and-squaring path
-        slow = BatchPropagator(xi, GAMMA, cond_limit=0.0)
-        assert len(slow.bad) == 8 and len(fast.bad) == 0
-        for t in [0.5, 3.0]:
-            assert np.abs(fast.apply(y0, t) - slow.apply(y0, t)).max() < 1e-9
+            propagate(np.ones((1, 3)), np.ones((1, 10), dtype=complex), GAMMA, -1.0)
 
     def test_block_split_matches_dense_expm(self):
         # Gauss-incompatible data exercise every block, including the
@@ -167,10 +150,8 @@ class TestPropagation:
             rng.standard_normal((6, 3)) * rng.uniform(0.01, 10.0, (6, 1)),
         ])
         y0 = rng.standard_normal((len(xi), 10)) + 1j * rng.standard_normal((len(xi), 10))
-        prop = BatchPropagator(xi, GAMMA)
-        assert len(prop.bad) == 0
         for t in [0.0, 0.3, 5.0, 40.0, 400.0]:
-            y = prop.apply(y0, t)
+            y = propagate(xi, y0, GAMMA, t)
             for k in range(len(xi)):
                 ref = expm(symbol_matrix(xi[k], GAMMA) * t) @ y0[k]
                 assert np.linalg.norm(y[k] - ref) <= 1e-10 * np.linalg.norm(ref), (k, t)
@@ -192,7 +173,29 @@ class TestPropagation:
             assert abs(disc - closed) <= 1e-9 * abs(closed)
         s = np.linspace(0.0, 100.0, 100_001) ** 2
         assert (-3.0 + 4.0 * s - 20.0 * s**2 - 4.0 * s**3 < 0.0).all()
-        assert len(BatchPropagator(QuadratureScheme().nodes()[0], GAMMA).bad) == 0
+        # distinct roots keep the eigenvector matrices well conditioned
+        r = np.concatenate([[0.0], np.logspace(-8.0, 8.0, 20_001)])
+        _, vecs = np.linalg.eig(_transverse_generator(r))
+        assert np.linalg.cond(vecs).max() <= 10.0
+
+    def test_grid_shells_match_dense_expm(self):
+        # many grid frequencies share a radius and so share one block flow;
+        # the samples include xi = 0 and a mode whose Nyquist component is
+        # zeroed, which shares its radius with unzeroed modes
+        grid = GridSpec(16, 20.0)
+        xi = np.moveaxis(grid.k, 0, -1).reshape(-1, 3)
+        rng = np.random.default_rng(9)
+        y0 = rng.standard_normal((len(xi), 10)) + 1j * rng.standard_normal((len(xi), 10))
+        nyquist = np.ravel_multi_index((8, 3, 2), grid.spectral_shape)
+        assert xi[nyquist, 0] == 0.0 and xi[nyquist, 1] != 0.0
+        assert np.abs(xi[0]).max() == 0.0
+        sample = np.concatenate([[0, nyquist], rng.choice(len(xi), 30, replace=False)])
+        for t in [0.0, 0.7, 5.0, 60.0]:
+            y = propagate(xi, y0, GAMMA, t)
+            for k in sample:
+                ref = expm(symbol_matrix(xi[k], GAMMA) * t) @ y0[k]
+                assert np.linalg.norm(y[k] - ref) <= 1e-10 * np.linalg.norm(ref), (k, t)
+                assert np.array_equal(propagate(xi[k], y0[k], GAMMA, t), y[k]), (k, t)
 
     def test_constraints_invariant_to_late_times(self):
         rng = np.random.default_rng(6)
@@ -202,7 +205,7 @@ class TestPropagation:
             y0 = initial_modes(fam, xi.reshape(1, 3))[0]
             c = constraint_matrix(xi)
             for t in [1.0, 10.0, 100.0, 1000.0]:
-                yt = propagate(xi, y0, t)
+                yt = propagate(xi, y0, GAMMA, t)
                 assert np.abs(c @ yt).max() < 1e-10
 
 
@@ -230,7 +233,7 @@ class TestQuadrature:
 
     def test_radial_doubling_stability_fields(self):
         fam = GaussianFamily()
-        dbl = FAST.doubled_radial()
+        dbl = dataclasses.replace(FAST, radial_nodes=2 * FAST.radial_nodes)
         for t in [1.0, 1000.0]:
             a, b = channel_norms(fam, t, FAST), channel_norms(fam, t, dbl)
             for key in ("u", "e", "b", "grad_b"):
@@ -240,7 +243,7 @@ class TestQuadrature:
         # the rho integrand oscillates in |xi| with phase growing in t;
         # the refined radial rule certifies t <= 10
         fam = GaussianFamily()
-        dbl = FAST_FINE.doubled_radial()
+        dbl = dataclasses.replace(FAST_FINE, radial_nodes=2 * FAST_FINE.radial_nodes)
         for t in [1.0, 5.0, 10.0]:
             a = channel_norms(fam, t, FAST_FINE)["rho"]
             b = channel_norms(fam, t, dbl)["rho"]
@@ -254,9 +257,8 @@ class TestQuadrature:
         xi, w = scheme.nodes()
         y0 = initial_modes(fam, xi)
         r2 = (xi**2).sum(axis=1)
-        prop = BatchPropagator(xi, GAMMA)
         for j, t in enumerate(times):
-            dens = np.abs(prop.apply(y0, t)) ** 2
+            dens = np.abs(propagate(xi, y0, GAMMA, t)) ** 2
             for name, sl, s in [
                 ("rho", slice(0, 1), 0), ("u", slice(1, 4), 0), ("e", slice(4, 7), 0),
                 ("b", slice(7, 10), 0), ("grad_b", slice(7, 10), 1),
