@@ -46,7 +46,9 @@ import numpy as np
 from .grid import GridSpec
 
 __all__ = [
+    "MAX_CHUNK_STEPS",
     "NonFiniteStateError",
+    "StepCollapseError",
     "cfl_dt",
     "compatible_perturbation",
     "constraint_residuals",
@@ -337,6 +339,29 @@ class NonFiniteStateError(ValueError):
         self.bound = bound
 
 
+# A cadence chunk that needs more RK4 steps than this has a collapsed step
+# size (a runaway CFL bound): no run of this laboratory gets near it.
+MAX_CHUNK_STEPS = 1_000_000
+
+
+class StepCollapseError(ValueError):
+    """A cadence chunk needs more than MAX_CHUNK_STEPS steps of size h.
+
+    t is the chunk's start time; max_speed, when the caller supplies it, is
+    the largest |v| of the state there, the usual cause.
+    """
+
+    def __init__(self, t: float, h: float, max_speed: float | None = None) -> None:
+        speed = "" if max_speed is None else f", max |v| = {max_speed:.6g}"
+        super().__init__(
+            f"step size collapsed at t={t:.12g}: h = {h:.6g}{speed} needs more "
+            f"than {MAX_CHUNK_STEPS} RK4 steps per cadence chunk"
+        )
+        self.t = t
+        self.h = h
+        self.max_speed = max_speed
+
+
 def integrate_fixed(
     y0: np.ndarray,
     rhs: Callable[[np.ndarray], np.ndarray],
@@ -349,8 +374,10 @@ def integrate_fixed(
     dt_max may be a constant or a callable recomputed from the state at each
     cadence chunk (e.g. a CFL bound); within a chunk the step is uniform and
     chosen to land exactly on the boundary.  Yields the initial state first.
-    A step bound that is not finite and positive raises NonFiniteStateError
-    at the time on this function's own clock.
+    A step bound that is not finite and positive raises NonFiniteStateError,
+    and one that would need more than MAX_CHUNK_STEPS steps in a chunk
+    raises StepCollapseError before any of them is taken; both carry the
+    time on this function's own clock.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -365,6 +392,8 @@ def integrate_fixed(
         cap = dt_max(y) if callable(dt_max) else float(dt_max)
         if not 0.0 < cap < np.inf:
             raise NonFiniteStateError((chunk - 1) * cadence, cap)
+        if cadence / cap > MAX_CHUNK_STEPS:
+            raise StepCollapseError((chunk - 1) * cadence, cap)
         steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
         h = cadence / steps
         for _ in range(steps):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ELEC, MAG, SCALAR, VEL, phi_of_sigma
-from .grid import GridSpec, multi_indices
+from .grid import GridSpec
 
 __all__ = [
     "CertificationResult",
@@ -82,16 +82,13 @@ def _weighted_alpha_sums(
     Returns (sigma total, v total, sigma |alpha|=0 part, v |alpha|=0 part)
     of sum_{|alpha| <= m} int weight * |d^alpha .|^2 dx.
     """
-    s_tot = v_tot = s_zero = v_zero = 0.0
-    for alpha in multi_indices(m):
-        d = grid.inverse(grid.derivative(sv_hat, alpha))
-        s_part = grid.integral(weight * d[0] * d[0])
-        v_part = grid.integral(weight * (d[1:] * d[1:]).sum(axis=0))
-        s_tot += s_part
-        v_tot += v_part
-        if alpha == (0, 0, 0):
-            s_zero, v_zero = s_part, v_part
-    return s_tot, v_tot, s_zero, v_zero
+    total, zero = grid.derivative_square_sum(sv_hat, m)
+    return (
+        grid.integral(weight * total[0]),
+        grid.integral(weight * total[1:].sum(axis=0)),
+        grid.integral(weight * zero[0]),
+        grid.integral(weight * zero[1:].sum(axis=0)),
+    )
 
 
 def _stationary_weight(sigma_st: np.ndarray | float, gamma: float) -> np.ndarray:

@@ -194,22 +194,46 @@ class GridSpec(_Derivatives):
         """Spectral coefficients -> real field(s) over the last three axes."""
         return sp_fft.irfftn(fh, s=self.shape, norm="forward", axes=(-3, -2, -1))
 
+    def derivative_square_sum(self, fh: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Pointwise sum_{|alpha| <= m} (d^alpha f)^2 per field, and f^2.
+
+        fh holds rfft coefficients with any leading axes; both results are
+        real arrays of shape fh.shape[:-3] + (n, n, n).  The symbol of
+        d^alpha factors as (i k1)^a1 (i k2)^a2 (i k3)^a3 (Nyquist entries
+        zeroed), so the inverse is taken one axis at a time and each partial
+        pass is shared by every alpha that extends it (sum factorization):
+        an ifft over axis -3 per a1, over axis -2 per (a1, a2), and an irfft
+        over axis -1 per alpha.
+        """
+        if m < 0:
+            raise ValueError(f"derivative order must be >= 0, got {m}")
+        kfull, khalf = self._k1d
+        d1 = (1j * kfull)[:, None, None]
+        d2 = (1j * kfull)[:, None]
+        d3 = 1j * khalf
+        total = np.zeros(fh.shape[:-3] + self.shape)
+        zero = None
+        g1 = np.array(fh, dtype=complex)  # multiplied in place below
+        for a1 in range(m + 1):
+            if a1:
+                g1 *= d1
+            g2 = sp_fft.ifft(g1, axis=-3, norm="forward")
+            for a2 in range(m - a1 + 1):
+                if a2:
+                    g2 *= d2
+                g3 = sp_fft.ifft(g2, axis=-2, norm="forward")
+                for a3 in range(m - a1 - a2 + 1):
+                    if a3:
+                        g3 *= d3
+                    f = sp_fft.irfft(g3, n=self.n, axis=-1, norm="forward")
+                    f *= f
+                    total += f
+                    if zero is None:
+                        zero = f
+        return total, zero
+
     # ---- differential operators (spectral in, spectral out) -------------
     # grad, div, curl, laplacian and longitudinal come from _Derivatives
-
-    def derivative(self, fh: np.ndarray, alpha: tuple[int, int, int]) -> np.ndarray:
-        """Spectral coefficients of the mixed partial d^alpha f."""
-        sym = self._alpha_symbol(alpha)
-        return sym * fh
-
-    @functools.lru_cache(maxsize=None)
-    def _alpha_symbol(self, alpha: tuple[int, int, int]) -> np.ndarray:
-        a1, a2, a3 = alpha
-        kfull, khalf = self._k1d
-        sx = (1j * kfull[:, None, None]) ** a1 if a1 else 1.0
-        sy = (1j * kfull[None, :, None]) ** a2 if a2 else 1.0
-        sz = (1j * khalf[None, None, :]) ** a3 if a3 else 1.0
-        return np.asarray(sx * sy * sz + np.zeros(self.spectral_shape, complex))
 
     # ---- integrals, inner products, norms -------------------------------
 
@@ -266,16 +290,8 @@ class GridSpec(_Derivatives):
         """
         if m < 0 or k < 0:
             raise ValueError(f"orders must be >= 0, got m={m}, k={k}")
-        w = self._radial_weight(k)
-        fh = self.transform(f) if m > 0 else None
-        total = 0.0
-        for alpha in multi_indices(m):
-            if alpha == (0, 0, 0):
-                g = f
-            else:
-                g = self.inverse(self.derivative(fh, alpha))
-            total += self.integral(w * g * g)
-        return float(np.sqrt(total))
+        total, _ = self.derivative_square_sum(self.transform(f), m)
+        return float(np.sqrt(self.integral(self._radial_weight(k) * total)))
 
 
 class SpectralBand(_Derivatives):

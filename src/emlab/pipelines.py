@@ -24,6 +24,7 @@ from .dynamics import (
     SCALAR,
     VEL,
     NonFiniteStateError,
+    StepCollapseError,
     cfl_dt,
     compatible_perturbation,
     constraint_residuals,
@@ -137,9 +138,23 @@ def _json_default(value):
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
+def _finite_or_none(value: float) -> float | None:
+    """A float for a report, or None (JSON null) where it is not finite."""
+    return float(value) if np.isfinite(value) else None
+
+
 def emit_report(path: str | os.PathLike, payload: dict) -> None:
-    """JSON report with stable key order."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
+    """Strict JSON report with stable key order.
+
+    NaN and infinities have no JSON spelling and raise ValueError; values
+    that are legitimately not finite go in as None (null).
+    """
+    try:
+        text = json.dumps(
+            payload, indent=2, sort_keys=True, default=_json_default, allow_nan=False
+        )
+    except ValueError as err:
+        raise ValueError(f"cannot write report {path}: {err}") from None
     try:
         _atomic_write_text(path, text + "\n")
     except OSError as err:
@@ -290,10 +305,13 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
             max_gauss = max(max_gauss, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
             max_gauss_full = max(max_gauss_full, res["gauss_e_l2"], res["gauss_b_l2"])
             y_final = y_hat
-    except NonFiniteStateError as err:
+    except (NonFiniteStateError, StepCollapseError) as err:
         # the samples up to the failure explain the run from its out-dir
         emit_series(series_path, SERIES_COLUMNS, rows)
-        raise NonFiniteStateError(err.t / root_g, err.bound / root_g) from None
+        if isinstance(err, NonFiniteStateError):
+            raise NonFiniteStateError(err.t / root_g, err.bound / root_g) from None
+        speed = np.sqrt((grid.inverse(y_final[VEL]) ** 2).sum(axis=0)).max()
+        raise StepCollapseError(err.t / root_g, err.h / root_g, float(speed)) from None
 
     final_path = os.path.join(out_dir, "state_final.emxf")
     emit_series(series_path, SERIES_COLUMNS, rows)
@@ -327,6 +345,14 @@ def run_lyapunov(cfg: ExperimentConfig) -> RunManifest:
         raise ValueError(f"cannot read series {cfg.series}: {err}") from None
     if data.shape == () or data.size < 2:
         raise ValueError(f"series {cfg.series} holds fewer than two samples")
+    finite = np.isfinite(np.column_stack([data[name] for name in data.dtype.names]))
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        name = data.dtype.names[col]
+        raise ValueError(
+            f"series {cfg.series} holds a non-finite {name} = {data[name][row]} "
+            f"in data row {row + 1}"
+        )
 
     results = {}
     for label, e_col, d_col in (
@@ -334,9 +360,10 @@ def run_lyapunov(cfg: ExperimentConfig) -> RunManifest:
         ("high", "energy_high", "dissipation_high"),
     ):
         cert = lyapunov_certify(data["t"], data[e_col], data[d_col])
+        # lambda is +inf (-inf) when no step dissipates: null in the report
         results[label] = {
-            "lambda_best": cert.lambda_best,
-            "lambda_strict": cert.lambda_strict,
+            "lambda_best": _finite_or_none(cert.lambda_best),
+            "lambda_strict": _finite_or_none(cert.lambda_strict),
             "tol_disc": cert.tol_disc,
             "violations": list(cert.violations),
             "certified": cert.certified,

@@ -23,6 +23,15 @@ from emlab.snapshot import read_snapshot, write_snapshot
 SMALL = {"grid_n": "16", "box_l": "10", "tol": "1e-11"}
 
 
+def _no_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def strict_json(path):
+    """Parse a report the way a strict JSON parser does: no NaN or Infinity."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 def small_cfg(tmp_path, name, **extra):
     overrides = dict(SMALL)
     overrides["out_dir"] = str(tmp_path / name)
@@ -146,6 +155,13 @@ class TestEmitters:
         emit_report(p1, {"beta": 1, "alpha": {"z": 0.5, "a": np.float64(2.0)}})
         emit_report(p2, {"alpha": {"a": np.float64(2.0), "z": 0.5}, "beta": 1})
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64(-np.inf)])
+    def test_report_rejects_non_finite_values(self, tmp_path, value):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="cannot write report"):
+            emit_report(path, {"notes": {"x": value}})
+        assert not path.exists()
 
     def test_report_rejects_unknown_payload_types(self, tmp_path):
         with pytest.raises(TypeError, match="serialize"):
@@ -279,6 +295,19 @@ class TestLyapunovPipeline:
         manifest = run_experiment(cfg)
         assert not manifest.passed
 
+    def test_vacuous_certification_reports_null_lambda(self, tmp_path):
+        # no step dissipates: lambda is +inf, which JSON spells null
+        series = tmp_path / "flat.csv"
+        rows = [(0.1 * k,) + (1.0, 0.0) * 2 + (0.0,) * 9 for k in range(5)]
+        emit_series(series, SERIES_COLUMNS, rows)
+        manifest = run_experiment(small_cfg(tmp_path, "ly", command="lyapunov", series=series))
+        assert manifest.passed
+        report = strict_json(tmp_path / "ly" / "lyapunov.json")
+        for pair in ("full", "high"):
+            assert report[pair]["lambda_best"] is None
+            assert report[pair]["lambda_strict"] is None
+            assert report[pair]["certified"] is True
+
     def test_header_only_series_rejected(self, tmp_path):
         series = tmp_path / "empty.csv"
         emit_series(series, SERIES_COLUMNS, [])
@@ -395,6 +424,52 @@ class TestCli:
             first = [float(v) for v in fh.readline().split(",")]
         assert header == list(SERIES_COLUMNS)
         assert first[0] == 0.0 and np.isfinite(first).all()
+
+    def test_non_finite_series_exits_one_naming_row_and_column(self, tmp_path, capsys):
+        series = tmp_path / "nan.csv"
+        rows = [(0.1 * k,) + (1.0 - 0.01 * k, 1.0) * 2 + (0.0,) * 9 for k in range(6)]
+        rows[2] = (0.2, np.nan) + rows[2][2:]
+        emit_series(series, SERIES_COLUMNS, rows)
+        code = main(["lyapunov", "--series", str(series), "--out-dir", str(tmp_path / "ly")])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("emlab: ")
+        assert "Traceback" not in captured.err + captured.out
+        assert "non-finite energy_full" in lines[0] and "data row 3" in lines[0]
+        assert not (tmp_path / "ly" / "lyapunov.json").exists()
+        manifest = strict_json(tmp_path / "ly" / "manifest.json")
+        assert manifest["status"] == "failed" and "data row 3" in manifest["error"]
+
+    def test_step_collapse_exits_one_naming_t_h_and_speed(self, tmp_path, capsys, monkeypatch):
+        grid = GridSpec(16, 20.0)
+        snap = {name: np.zeros(grid.shape) for name in SYMMETRIC_FIELDS}
+        snap["v_x"][:] = 1e12
+        write_snapshot(tmp_path / "fast.emxf", grid, snap)
+
+        def no_step(*args):
+            raise AssertionError("an RK4 step ran")
+
+        monkeypatch.setattr("emlab.dynamics.step_rk4", no_step)
+        code = main(
+            ["evolve", "--init", "custom", "--init-snapshot", str(tmp_path / "fast.emxf"),
+             "--grid-n", "16", "--box-l", "20", "--cfl", "0.9", "--t-end", "1",
+             "--cadence", "0.5", "--out-dir", str(tmp_path / "ev")]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("emlab: ")
+        assert "Traceback" not in captured.err + captured.out
+        assert "step size collapsed at t=0:" in lines[0]
+        assert "max |v| = 1e+12" in lines[0]
+        h = float(lines[0].split("h = ")[1].split(",")[0])
+        gamma = parse_config().gamma
+        assert h == pytest.approx(0.9 * grid.dx / (2.0 + 1e12) / np.sqrt(gamma), rel=1e-5)
+        manifest = strict_json(tmp_path / "ev" / "manifest.json")
+        assert manifest["status"] == "failed" and "collapsed" in manifest["error"]
+        # the t = 0 sample was taken before the failure and is kept
+        assert len((tmp_path / "ev" / "series.csv").read_text().splitlines()) == 2
 
     def test_config_file_plus_flag_override(self, tmp_path):
         path = tmp_path / "exp.ini"

@@ -233,6 +233,36 @@ class TestTimeStepping:
         with pytest.raises(ValueError, match="state non-finite at t=0"):
             list(steps)
 
+    def test_step_collapse_raised_from_the_plan(self):
+        # a finite, admissible state with |v| = 1e12 gives a CFL step of
+        # about 1e-12: the plan for one chunk is refused before any step
+        grid = GridSpec(n=16, box=20.0)
+        y = np.zeros((10,) + grid.shape)
+        y[1] = 1e12
+        calls = []
+
+        def rhs(z):
+            calls.append(z)
+            return z
+
+        steps = dyn.integrate_fixed(
+            grid.transform(y), rhs, t_end=1.0, cadence=0.5,
+            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, z, 0.9),
+        )
+        assert next(steps)[0] == 0.0
+        with pytest.raises(dyn.StepCollapseError, match="collapsed at t=0:") as info:
+            next(steps)
+        assert isinstance(info.value, ValueError)
+        assert info.value.t == 0.0
+        assert info.value.h == pytest.approx(0.9 * grid.dx / (2.0 + 1e12), rel=1e-12)
+        assert calls == []
+
+    def test_step_bound_is_per_chunk(self):
+        y0 = np.array(1.0)
+        cap = 0.5 / (dyn.MAX_CHUNK_STEPS * 1.01)
+        with pytest.raises(dyn.StepCollapseError, match="RK4 steps per cadence chunk"):
+            list(dyn.integrate_fixed(y0, lambda y: -y, t_end=1.0, dt_max=cap, cadence=0.5))
+
     def test_integrate_yields_cadence_points(self):
         y0 = np.array(1.0)
         out = list(dyn.integrate_fixed(y0, lambda y: -y, t_end=1.0, dt_max=0.024, cadence=0.25))

@@ -355,6 +355,20 @@ class TestIndependentReference:
         for key, val in ref.items():
             assert np.isclose(rep[key], val, rtol=1e-10, atol=1e-13), key
 
+    def test_random_state_varying_background_order5(self):
+        grid = GridSpec(n=10, box=6.0)
+        pert = np.stack(
+            [random_field(grid, seed=300 + i, band=4, amp=0.3) for i in range(10)]
+        )
+        gamma = 1.4
+        sigma_st = 0.2 * np.exp(-grid.radius**2 / 2.0)
+        weight = 1.0 + sigma_st + phi_of_sigma(sigma_st, gamma)
+        w = EnergyWeights(kappa1=0.2, kappa2=0.01, kappa3=0.004, order=5)
+        rep = energy_report(grid, grid.transform(pert), sigma_st, gamma, w)
+        ref = reference_report(grid, pert, weight, w.order, (0.2, 0.01, 0.004))
+        for key, val in ref.items():
+            assert np.isclose(rep[key], val, rtol=1e-10, atol=1e-13), key
+
     def test_weight_equals_stationary_density(self):
         grid = GridSpec(n=16, box=10.0)
         n_b = background_profile(grid, "gaussian", eps=0.05, width=1.5)

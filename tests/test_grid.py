@@ -110,10 +110,46 @@ class TestOperators:
     def test_mixed_derivative_multiplier(self):
         g = GridSpec(n=16, box=9.0)
         fh = g.transform(random_field(g, seed=10))
-        # d^(1,1,0) equals d1 applied after d2
-        direct = g.derivative(fh, (1, 1, 0))
-        chained = g.grad(g.grad(fh)[1])[0]
-        assert np.abs(direct - chained).max() < 1e-13
+        # the order-2 terms of the square sum are the chained partials
+        # d_i d_j, one per multi-index (i <= j), mixed ones included
+        second = g.derivative_square_sum(fh, 2)[0] - g.derivative_square_sum(fh, 1)[0]
+        grad = g.grad(fh)
+        chained = sum(
+            g.inverse(g.grad(grad[j])[i]) ** 2 for i in range(3) for j in range(i, 3)
+        )
+        assert np.abs(second - chained).max() < 1e-13 * chained.max()
+
+
+class TestDerivativeSquareSum:
+    @given(
+        n=st.sampled_from([8, 10, 12, 16]),
+        m=st.integers(0, 5),
+        lead=st.sampled_from([(), (1,), (4,), (2, 3)]),
+        box=st.sampled_from([3.0, 9.0, 40.0]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_alpha_full_inverses(self, n, m, lead, box, seed):
+        # full-spectrum input: Nyquist planes and non-Hermitian edges included
+        g = GridSpec(n=n, box=box)
+        rng = np.random.default_rng(seed)
+        shape = lead + g.spectral_shape
+        fh = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        total, zero = g.derivative_square_sum(fh, m)
+        ref = np.zeros(lead + g.shape)
+        for a1, a2, a3 in multi_indices(m):
+            sym = (1j * g.k[0]) ** a1 * (1j * g.k[1]) ** a2 * (1j * g.k[2]) ** a3
+            d = g.inverse(sym * fh)
+            ref += d * d
+        f0_sq = g.inverse(fh) ** 2
+        assert total.shape == zero.shape == ref.shape
+        assert np.abs(total - ref).max() <= 1e-13 * ref.max()
+        assert np.abs(zero - f0_sq).max() <= 1e-13 * f0_sq.max()
+
+    def test_negative_order_rejected(self):
+        g = GridSpec(n=8)
+        with pytest.raises(ValueError, match="order"):
+            g.derivative_square_sum(np.zeros(g.spectral_shape, complex), -1)
 
 
 class TestDealias:
@@ -220,14 +256,10 @@ class TestNorms:
         assert g.sobolev_norm(f, 1) == pytest.approx(expect, rel=1e-12)
 
     def test_sobolev_norm_matches_derivative_sum(self):
-        # same quantity assembled from explicit mixed partials
+        # same quantity assembled from the mixed partials in physical space
         g = GridSpec(n=16, box=9.0)
         f = random_field(g, seed=15, band=5)
-        fh = g.transform(f)
-        total = 0.0
-        for alpha in multi_indices(2):
-            d = g.inverse(g.derivative(fh, alpha))
-            total += g.l2_norm(d) ** 2
+        total = g.integral(g.derivative_square_sum(g.transform(f), 2)[0])
         assert g.sobolev_norm(f, 2) == pytest.approx(np.sqrt(total), rel=1e-12)
 
     def test_weighted_norm_gaussian_against_radial_quadrature(self):
