@@ -257,12 +257,6 @@ class TestTimeStepping:
         assert info.value.h == pytest.approx(0.9 * grid.dx / (2.0 + 1e12), rel=1e-12)
         assert calls == []
 
-    def test_step_bound_is_per_chunk(self):
-        y0 = np.array(1.0)
-        cap = 0.5 / (dyn.MAX_CHUNK_STEPS * 1.01)
-        with pytest.raises(dyn.StepCollapseError, match="RK4 steps per cadence chunk"):
-            list(dyn.integrate_fixed(y0, lambda y: -y, t_end=1.0, dt_max=cap, cadence=0.5))
-
     def test_integrate_yields_cadence_points(self):
         y0 = np.array(1.0)
         out = list(dyn.integrate_fixed(y0, lambda y: -y, t_end=1.0, dt_max=0.024, cadence=0.25))
