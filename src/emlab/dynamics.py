@@ -352,10 +352,10 @@ class StepCollapseError(ValueError):
     """
 
     def __init__(self, t: float, h: float, max_speed: float | None = None) -> None:
-        speed = "" if max_speed is None else f", max |v| = {max_speed:.6g}"
+        speed = "" if max_speed is None else f" (max |v| = {max_speed:.6g})"
         super().__init__(
-            f"step size collapsed at t={t:.12g}: h = {h:.6g}{speed} needs more "
-            f"than {MAX_CHUNK_STEPS} RK4 steps per cadence chunk"
+            f"step size collapsed at t={t:.12g}: h = {h:.6g}{speed} would need "
+            f"more than {MAX_CHUNK_STEPS} RK4 steps per cadence chunk"
         )
         self.t = t
         self.h = h

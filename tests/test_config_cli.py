@@ -463,7 +463,7 @@ class TestCli:
         assert "Traceback" not in captured.err + captured.out
         assert "step size collapsed at t=0:" in lines[0]
         assert "max |v| = 1e+12" in lines[0]
-        h = float(lines[0].split("h = ")[1].split(",")[0])
+        h = float(lines[0].split("h = ")[1].split()[0])
         gamma = parse_config().gamma
         assert h == pytest.approx(0.9 * grid.dx / (2.0 + 1e12) / np.sqrt(gamma), rel=1e-5)
         manifest = strict_json(tmp_path / "ev" / "manifest.json")
