@@ -96,6 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(err: Exception) -> str:
+    """The error text on one line (numpy's parse errors span several)."""
+    parts = (part.strip() for part in str(err).splitlines())
+    return "; ".join(part for part in parts if part)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {
@@ -106,13 +112,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config, overrides)
     except ValueError as err:
-        print(f"emlab: {err}", file=sys.stderr)
+        print(f"emlab: {_one_line(err)}", file=sys.stderr)
         return 2
 
     try:
         manifest = run_experiment(cfg)
     except (ValueError, RuntimeError, OSError) as err:
-        print(f"emlab: {cfg.command} run failed: {err}", file=sys.stderr)
+        print(f"emlab: {cfg.command} run failed: {_one_line(err)}", file=sys.stderr)
         return 1
 
     for check, ok in manifest.checks.items():

@@ -21,21 +21,23 @@ B~ = B/sqrt(g), and w(sigma) = (g-1)/2 sigma + 1:
 where Phi(sigma) = w(sigma)^{2/(g-1)} - sigma - 1 so that the density is
 n = Phi(sigma) + sigma + 1.
 
-Discretization notes.  The symmetrized system evolves spectrally: its state
-is the stack of rfft coefficients of [scalar, vector, vector, vector], a
-complex array of shape (10, n, n, n//2+1) in the grid's "forward"
-normalization, and rhs_symmetric, cfl_dt, constraint_residuals and
-energy.energy_report all take that stack.  The state keeps every rfft mode;
-only the tendency is truncated.  Tendencies are assembled in spectral space
-and the complete right-hand side is projected by the two-thirds dealias mask
-(a Galerkin truncation), so the modes beyond the band never move and
-pointwise cancellations --- in particular the stationary balance
-grad h(n_st) = -E_st, whose out-of-band tail the state carries --- are
-projected as a unit and exact equilibria stay exact.  The acoustic gradient
-terms are written in gradient form, grad h(n) and w grad sigma = grad W(sigma)
-with W(sigma) = (w^2 - 1)/(g - 1), which is what makes that balance hold to
-roundoff on the grid.  The primitive system (rhs_primitive,
-nonlinear_sources) works on real arrays of shape (10, n, n, n).
+Discretization notes.  The symmetrized system evolves spectrally on the
+rfft coefficients of [scalar, vector, vector, vector], a complex stack of
+shape (10, n, n, n//2+1) in the grid's "forward" normalization; cfl_dt,
+constraint_residuals and energy.energy_report take that stack.  The
+complete right-hand side is projected onto the two-thirds dealias band (a
+Galerkin truncation), so the modes beyond the band never move: RK4
+carries only the band coefficients, (10, 2b+1, 2b+1, b+1) with b = n // 3,
+and a BandTail keeps the fixed off-band tail of the initial state, adds
+its share to the inverse transform of every RHS call and rebuilds the
+full stack where one is needed.  Pointwise cancellations --- in particular
+the stationary balance grad h(n_st) = -E_st, whose out-of-band tail the
+state carries --- are projected as a unit, so exact equilibria stay exact.
+The acoustic gradient terms are written in gradient form, grad h(n) and
+w grad sigma = grad W(sigma) with W(sigma) = (w^2 - 1)/(g - 1), which is
+what makes that balance hold to roundoff on the grid.  The primitive
+system (rhs_primitive, nonlinear_sources) works on real arrays of shape
+(10, n, n, n).
 """
 from __future__ import annotations
 
@@ -47,6 +49,7 @@ from .grid import GridSpec
 
 __all__ = [
     "MAX_CHUNK_STEPS",
+    "BandTail",
     "NonFiniteStateError",
     "StepCollapseError",
     "cfl_dt",
@@ -121,45 +124,85 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def rhs_symmetric(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.ndarray:
+class BandTail:
+    """The off-band part of a spectral state, fixed along the flow.
+
+    rhs_symmetric's tendency vanishes outside the two-thirds band, so an
+    integration carries only the band coefficients, take(state_hat), and
+    this tail of the state it started from; full() rebuilds the whole rfft
+    stack.  The tail's share of the RHS's batched inverse input (see
+    _inverse_fields) is computed here, once per run.
+    """
+
+    def __init__(self, grid: GridSpec, state_hat: np.ndarray) -> None:
+        self.band = grid.two_thirds
+        self._state = state_hat.copy()
+        # entries on the band are overwritten on every RHS call
+        self.fields = _inverse_fields(grid, state_hat)
+
+    def take(self, state_hat: np.ndarray) -> np.ndarray:
+        """The band coefficients an integration carries."""
+        return self.band.take(state_hat)
+
+    def full(self, state_band: np.ndarray) -> np.ndarray:
+        """The (10, n, n, n//2+1) stack: band coefficients over the fixed tail."""
+        out = self._state.copy()
+        out[(Ellipsis,) + self.band.index] = state_band
+        return out
+
+
+def _inverse_fields(ops, sh: np.ndarray) -> np.ndarray:
+    """The 11 fields the products need in physical space, spectrally.
+
+    sigma, v, grad sigma, div v and curl v - B~ (B~ enters the products only
+    through v x (curl v - B~)), on the layout of ops: a GridSpec or a
+    SpectralBand.  E~ enters only linearly and never leaves spectral space.
+    """
+    out = np.empty((11,) + sh.shape[1:], dtype=complex)
+    out[0:4] = sh[0:4]
+    out[4:7] = ops.grad(sh[SCALAR])
+    out[7] = ops.div(sh[VEL])
+    out[8:11] = ops.curl(sh[VEL]) - sh[MAG]
+    return out
+
+
+def rhs_symmetric(
+    grid: GridSpec, gamma: float, state_band: np.ndarray, tail: BandTail
+) -> np.ndarray:
     """Dealiased tendency of the symmetrized system on the tau clock.
 
-    Spectral in and out: takes the (10, n, n, n//2+1) coefficient stack and
-    returns the tendency's coefficients, zero outside the two-thirds band.
+    Takes the state's two-thirds band coefficients (tail.take of the full
+    stack) and returns the tendency there; off the band it is zero, so the
+    tail stays as it is.
     """
     sg = np.sqrt(gamma)
-    div_v_hat = grid.div(state_hat[VEL])
+    band = tail.band
+    sb = state_band
 
-    # sigma, v, B and the derivatives the products need, in one batched call;
-    # E~ enters only linearly and never leaves spectral space
-    spec = np.empty((14,) + grid.spectral_shape, dtype=complex)
-    spec[0:4] = state_hat[0:4]
-    spec[4:7] = state_hat[MAG]
-    spec[7:10] = grid.grad(state_hat[SCALAR])
-    spec[10] = div_v_hat
-    spec[11:14] = grid.curl(state_hat[VEL])
+    # the tail's fields are fixed; the band's are scattered over them
+    fields_band = _inverse_fields(band, sb)
+    spec = tail.fields.copy()
+    spec[(Ellipsis,) + band.index] = fields_band
     phys = grid.inverse(spec)
-    sigma, v, mag = phys[SCALAR], phys[VEL], phys[4:7]
-    grad_sigma, div_v, omega = phys[7:10], phys[10], phys[11:14]
+    sigma, v, grad_sigma, div_v, curl_v_b = (
+        phys[SCALAR], phys[VEL], phys[4:7], phys[7], phys[8:11]
+    )
 
     # pointwise products, then one batched forward transform
-    prods = np.empty((9,) + grid.shape)
-    prods[0] = (v * grad_sigma).sum(axis=0)               # v . grad sigma
-    prods[1] = sigma * div_v                              # closes w(sigma) div v
-    prods[2] = 0.5 * (v * v).sum(axis=0) + (w_of_sigma(sigma, gamma) ** 2 - 1.0) / (gamma - 1.0)
-    prods[3:6] = _cross(v, omega - mag)                   # v x (curl v - B~)
-    prods[6:9] = n_of_sigma(sigma, gamma) * v             # current n(sigma) v
+    prods = np.empty((8,) + grid.shape)
+    # v . grad sigma + (w(sigma) - 1) div v; the linear div v stays spectral
+    prods[0] = (v * grad_sigma).sum(axis=0) + 0.5 * (gamma - 1.0) * sigma * div_v
+    prods[1] = 0.5 * (v * v).sum(axis=0) + (w_of_sigma(sigma, gamma) ** 2 - 1.0) / (gamma - 1.0)
+    prods[2:5] = _cross(v, curl_v_b)                      # v x (curl v - B~)
+    prods[5:8] = n_of_sigma(sigma, gamma) * v             # current n(sigma) v
 
     # The complete tendency is projected onto the two-thirds band (a
-    # Galerkin truncation), so it is assembled on that sub-lattice alone
-    # and embedded with zeros beyond.
-    band = grid.two_thirds
+    # Galerkin truncation), so it is assembled on that sub-lattice alone.
     ph = band.take(grid.transform(prods))
-    sb = band.take(state_hat)
     out = np.empty_like(sb)
-    out[SCALAR] = -ph[0] - 0.5 * (gamma - 1.0) * ph[1] - band.take(div_v_hat)
-    out[VEL] = -band.grad(ph[2]) + ph[3:6] - (sb[ELEC] + sb[VEL]) / sg
-    out[ELEC] = band.curl(sb[MAG]) / sg + ph[6:9] / sg
+    out[SCALAR] = -ph[0] - fields_band[7]
+    out[VEL] = -band.grad(ph[1]) + ph[2:5] - (sb[ELEC] + sb[VEL]) / sg
+    out[ELEC] = band.curl(sb[MAG]) / sg + ph[5:8] / sg
     out[MAG] = -band.curl(sb[ELEC]) / sg
 
     # The density advances through nonconservative products while the
@@ -174,7 +217,7 @@ def rhs_symmetric(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.nda
     s_hat = band.take(grid.transform(n_prime * grid.inverse(band.embed(out[SCALAR]))))
     # the correction's divergence is minus the defect div E~ + s/sqrt(g)
     out[ELEC] += band.longitudinal(s_hat / -sg - band.div(out[ELEC]))
-    return band.embed(out)
+    return out
 
 
 def rhs_primitive(grid: GridSpec, gamma: float, state: np.ndarray) -> np.ndarray:

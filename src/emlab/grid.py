@@ -46,24 +46,28 @@ class _Derivatives:
     squared magnitudes; coefficient arrays have the layout's trailing shape.
     """
 
+    @functools.cached_property
+    def ik(self) -> np.ndarray:
+        """The complex multipliers i*k, built once per layout."""
+        return 1j * self.k
+
     def grad(self, fh: np.ndarray) -> np.ndarray:
         """Gradient of a scalar: (...) -> (3, ...)."""
-        return 1j * self.k * fh
+        return self.ik * fh
 
     def div(self, vh: np.ndarray) -> np.ndarray:
         """Divergence of a vector: (3, ...) -> (...)."""
-        return 1j * (self.k[0] * vh[0] + self.k[1] * vh[1] + self.k[2] * vh[2])
+        ik = self.ik
+        return ik[0] * vh[0] + ik[1] * vh[1] + ik[2] * vh[2]
 
     def curl(self, vh: np.ndarray) -> np.ndarray:
         """Curl of a vector, (3, ...) -> same shape."""
-        k1, k2, k3 = self.k
-        return np.stack(
-            [
-                1j * (k2 * vh[2] - k3 * vh[1]),
-                1j * (k3 * vh[0] - k1 * vh[2]),
-                1j * (k1 * vh[1] - k2 * vh[0]),
-            ]
-        )
+        ik1, ik2, ik3 = self.ik
+        out = np.empty(vh.shape, dtype=complex)
+        out[0] = ik2 * vh[2] - ik3 * vh[1]
+        out[1] = ik3 * vh[0] - ik1 * vh[2]
+        out[2] = ik1 * vh[1] - ik2 * vh[0]
+        return out
 
     def laplacian(self, fh: np.ndarray) -> np.ndarray:
         """Laplacian multiplier; broadcasts over leading axes."""
@@ -77,7 +81,7 @@ class _Derivatives:
         """
         coef = np.zeros_like(src_hat)
         np.divide(src_hat, self.k_sq, out=coef, where=self.k_sq > 0.0)
-        return -1j * self.k * coef
+        return -(self.ik * coef)
 
 
 @dataclass(frozen=True)

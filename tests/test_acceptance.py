@@ -20,8 +20,6 @@ from emlab.dynamics import (
     cfl_dt,
     compatible_perturbation,
     constraint_residuals,
-    integrate_fixed,
-    rhs_symmetric,
 )
 from emlab.energy import energy_report, lyapunov_certify
 from emlab.grid import GridSpec
@@ -45,6 +43,8 @@ from emlab.stationary import (
     verify_smallness_bounds,
     yukawa_convolve,
 )
+
+from _helpers import integrate_band
 
 GAMMA = 5.0 / 3.0
 ROOT_G = np.sqrt(GAMMA)
@@ -142,11 +142,10 @@ def test_2_yukawa_operator():
 
 def test_3_equilibrium_fixedness(equilibrium):
     grid, n_b, state, base = equilibrium
-    rhs = lambda y: rhs_symmetric(grid, GAMMA, y)
     cap = lambda y: cfl_dt(grid, GAMMA, y, 0.4)
     sup_u = 0.0
     sup_gauss = 0.0
-    for _, y in integrate_fixed(grid.transform(base), rhs, 10.0 * ROOT_G, cap, ROOT_G):
+    for _, y in integrate_band(grid, GAMMA, grid.transform(base), 10.0 * ROOT_G, cap, ROOT_G):
         sup_u = max(sup_u, ROOT_G * vec_norm(grid, grid.inverse(y[VEL])))
         res = constraint_residuals(grid, GAMMA, y, n_b=n_b)
         sup_gauss = max(sup_gauss, res["gauss_e_l2"], res["gauss_b_l2"])
@@ -165,12 +164,11 @@ def test_4_lyapunov_certification(equilibrium):
     grid, n_b, state, base = equilibrium
     y0 = grid.transform(base + compatible_perturbation(grid, GAMMA, state.sigma_st, 1e-3, seed=0))
     base_hat = grid.transform(base)
-    rhs = lambda y: rhs_symmetric(grid, GAMMA, y)
     cap = lambda y: cfl_dt(grid, GAMMA, y, 0.4)
 
     taus, rows = [], []
     ratio_lo, ratio_hi = np.inf, -np.inf
-    for tau, y in integrate_fixed(y0, rhs, 40.0 * ROOT_G, cap, 0.5 * ROOT_G):
+    for tau, y in integrate_band(grid, GAMMA, y0, 40.0 * ROOT_G, cap, 0.5 * ROOT_G):
         rep = energy_report(grid, y - base_hat, state.sigma_st, GAMMA)
         taus.append(tau)
         rows.append((
@@ -302,11 +300,10 @@ def test_8_nonlinear_decay_trend():
     base[ELEC] = state.e_st / ROOT_G
     y0 = grid.transform(base + compatible_perturbation(grid, GAMMA, state.sigma_st, 1e-3, seed=0))
     base_hat = grid.transform(base)
-    rhs = lambda y: rhs_symmetric(grid, GAMMA, y)
     cap = lambda y: cfl_dt(grid, GAMMA, y, 0.4)
 
     ts, fluid, bmag = [], [], []
-    for tau, y in integrate_fixed(y0, rhs, 40.0 * ROOT_G, cap, 0.5 * ROOT_G):
+    for tau, y in integrate_band(grid, GAMMA, y0, 40.0 * ROOT_G, cap, 0.5 * ROOT_G):
         p = grid.inverse(y - base_hat)
         ts.append(tau / ROOT_G)
         fluid.append(np.sqrt(grid.l2_norm(p[SCALAR]) ** 2 + vec_norm(grid, p[VEL]) ** 2))

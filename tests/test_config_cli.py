@@ -39,6 +39,38 @@ def small_cfg(tmp_path, name, **extra):
     return parse_config(overrides=overrides)
 
 
+def custom_snapshot(tmp_path, edit, grid=GridSpec(16, 10.0), name="init.emxf"):
+    """Write a symmetrized snapshot of zeros after edit(fields, grid) ran on it."""
+    fields = {f: np.zeros(grid.shape) for f in SYMMETRIC_FIELDS}
+    edit(fields, grid)
+    write_snapshot(tmp_path / name, grid, fields)
+    return tmp_path / name
+
+
+def evolve_custom_argv(tmp_path, snap, *flags, box="10"):
+    """emlab evolve from a custom snapshot on an N=16 grid, t_end 1, cadence 0.5."""
+    return [
+        "evolve", "--init", "custom", "--init-snapshot", str(snap),
+        "--grid-n", "16", "--box-l", box, "--t-end", "1", "--cadence", "0.5",
+        "--out-dir", str(tmp_path / "ev"), *flags,
+    ]
+
+
+def set_point(name, index, value):
+    def edit(fields, grid):
+        fields[name][index] = value
+    return edit
+
+
+def big_sheared_b(fields, grid):
+    # 1e100 b_z(x) is solenoidal; it overflows within the first chunk
+    fields["b_z"][:] = 1e100 * np.sin(2.0 * np.pi * grid.x1d / grid.box)[:, None, None]
+
+
+def fast_v(fields, grid):
+    fields["v_x"][:] = 1e12
+
+
 class TestConfigValidation:
     def test_empty_config_gives_documented_defaults(self):
         cfg = parse_config()
@@ -368,15 +400,8 @@ class TestCli:
         assert "lyapunov run failed" in capsys.readouterr().err
 
     def test_non_finite_custom_snapshot_exits_one_naming_field(self, tmp_path, capsys):
-        grid = GridSpec(16, 10.0)
-        snap = {name: np.zeros(grid.shape) for name in SYMMETRIC_FIELDS}
-        snap["sigma"][3, 4, 5] = np.nan
-        write_snapshot(tmp_path / "nan.emxf", grid, snap)
-        code = main(
-            ["evolve", "--init", "custom", "--init-snapshot", str(tmp_path / "nan.emxf"),
-             "--grid-n", "16", "--box-l", "10", "--t-end", "1", "--cadence", "0.5",
-             "--out-dir", str(tmp_path / "ev")]
-        )
+        snap = custom_snapshot(tmp_path, set_point("sigma", (3, 4, 5), np.nan))
+        code = main(evolve_custom_argv(tmp_path, snap))
         assert code == 1
         err = capsys.readouterr().err
         assert "non-finite" in err and "sigma" in err
@@ -388,32 +413,19 @@ class TestCli:
 
     def test_inadmissible_custom_sigma_exits_one_naming_field(self, tmp_path, capsys):
         # w(sigma) = (gamma - 1)/2 sigma + 1 <= 0 has no density
-        grid = GridSpec(16, 10.0)
-        snap = {name: np.zeros(grid.shape) for name in SYMMETRIC_FIELDS}
-        snap["sigma"][3, 4, 5] = -10.0
-        write_snapshot(tmp_path / "low.emxf", grid, snap)
-        code = main(
-            ["evolve", "--init", "custom", "--init-snapshot", str(tmp_path / "low.emxf"),
-             "--grid-n", "16", "--box-l", "10", "--t-end", "1", "--cadence", "0.5",
-             "--out-dir", str(tmp_path / "ev")]
-        )
+        snap = custom_snapshot(tmp_path, set_point("sigma", (3, 4, 5), -10.0))
+        code = main(evolve_custom_argv(tmp_path, snap))
         assert code == 1
         err = capsys.readouterr().err
         assert "sigma" in err and "admissible" in err
 
     def test_non_finite_state_names_physical_time(self, tmp_path, capsys):
         # a huge sheared magnetic field overflows within the first chunk, so
-        # the step bound of the second chunk is the first non-finite one
-        grid = GridSpec(16, 10.0)
-        snap = {name: np.zeros(grid.shape) for name in SYMMETRIC_FIELDS}
-        snap["b_z"][:] = 1e100 * np.sin(2.0 * np.pi * grid.x1d / grid.box)[:, None, None]
-        write_snapshot(tmp_path / "big.emxf", grid, snap)
+        # the step bound of the second chunk is the first non-finite one; a
+        # flat background (eps 0) makes the zero density Gauss-compatible
+        snap = custom_snapshot(tmp_path, big_sheared_b)
         with np.errstate(all="ignore"):
-            code = main(
-                ["evolve", "--init", "custom", "--init-snapshot", str(tmp_path / "big.emxf"),
-                 "--grid-n", "16", "--box-l", "10", "--t-end", "1", "--cadence", "0.5",
-                 "--out-dir", str(tmp_path / "ev")]
-            )
+            code = main(evolve_custom_argv(tmp_path, snap, "--eps", "0"))
         assert code == 1
         err = capsys.readouterr().err
         # the physical time series.csv would use, not tau = sqrt(gamma) t
@@ -443,19 +455,14 @@ class TestCli:
 
     def test_step_collapse_exits_one_naming_t_h_and_speed(self, tmp_path, capsys, monkeypatch):
         grid = GridSpec(16, 20.0)
-        snap = {name: np.zeros(grid.shape) for name in SYMMETRIC_FIELDS}
-        snap["v_x"][:] = 1e12
-        write_snapshot(tmp_path / "fast.emxf", grid, snap)
+        snap = custom_snapshot(tmp_path, fast_v, grid)
 
         def no_step(*args):
             raise AssertionError("an RK4 step ran")
 
         monkeypatch.setattr("emlab.dynamics.step_rk4", no_step)
-        code = main(
-            ["evolve", "--init", "custom", "--init-snapshot", str(tmp_path / "fast.emxf"),
-             "--grid-n", "16", "--box-l", "20", "--cfl", "0.9", "--t-end", "1",
-             "--cadence", "0.5", "--out-dir", str(tmp_path / "ev")]
-        )
+        # a flat background (eps 0) makes the zero density Gauss-compatible
+        code = main(evolve_custom_argv(tmp_path, snap, "--cfl", "0.9", "--eps", "0", box="20"))
         assert code == 1
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
@@ -503,6 +510,112 @@ class TestCli:
             if a.dest not in ("help", "config")
         }
         assert flags == {f.name for f in fields(ExperimentConfig)} - {"command"}
+
+
+def resumed_with_doubled_e_x(tmp_path, monkeypatch):
+    # a state the flow produced, so Gauss-compatible until e_x is doubled
+    assert main(["evolve", "--grid-n", "16", "--box-l", "10", "--t-end", "0.5",
+                 "--cadence", "0.5", "--out-dir", str(tmp_path / "leg")]) == 0
+    grid, fields = read_snapshot(tmp_path / "leg" / "state_final.emxf")
+    fields["e_x"] = 2.0 * fields["e_x"]
+    write_snapshot(tmp_path / "doubled.emxf", grid, fields)
+    argv = evolve_custom_argv(tmp_path, tmp_path / "doubled.emxf")
+    return argv, ["doubled.emxf", "Gauss", "gauss_e_l2_band", "exceeds 1e-06"]
+
+
+def corrupt_emxf(tmp_path, monkeypatch):
+    snap = custom_snapshot(tmp_path, lambda fields, grid: None)
+    snap.write_bytes(snap.read_bytes()[:100])
+    return evolve_custom_argv(tmp_path, snap), ["corrupt EMXF file"]
+
+
+def picard_expanding(tmp_path, monkeypatch):
+    # no admissible background diverges below the contraction gate, so the
+    # fixed-point map is made expanding, as in the stationary unit test
+    monkeypatch.setattr("emlab.stationary.g_nonlinearity", lambda x, gamma: 5.0 * x)
+    argv = ["stationary", "--grid-n", "8", "--box-l", "5", "--out-dir", str(tmp_path / "st")]
+    return argv, ["Picard iteration expanding"]
+
+
+def series_file(tmp_path, text):
+    path = tmp_path / "series.csv"
+    path.write_text(text)
+    return ["lyapunov", "--series", str(path), "--out-dir", str(tmp_path / "ly")]
+
+
+def malformed_series(tmp_path, monkeypatch):
+    text = ",".join(SERIES_COLUMNS) + "\n0,1,2\n0.1,1,2,3\n"
+    return series_file(tmp_path, text), ["cannot read series"]
+
+
+def non_finite_series(tmp_path, monkeypatch):
+    rows = [(0.1 * k,) + (1.0 - 0.01 * k, 1.0) * 2 + (0.0,) * 9 for k in range(6)]
+    rows[2] = (0.2, np.inf) + rows[2][2:]
+    emit_series(tmp_path / "inf.csv", SERIES_COLUMNS, rows)
+    return series_file(tmp_path, (tmp_path / "inf.csv").read_text()), ["non-finite energy_full"]
+
+
+# failure class -> (setup returning argv and needles of the message, exit status,
+# whether a run started and so must leave a failed manifest)
+FAILURES = {
+    "corrupt-emxf": (corrupt_emxf, 1, True),
+    "non-finite-init": (
+        lambda tmp, mp: (evolve_custom_argv(
+            tmp, custom_snapshot(tmp, set_point("v_y", (1, 2, 3), np.inf))), ["non-finite", "v_y"]),
+        1, True,
+    ),
+    "inadmissible-init": (
+        lambda tmp, mp: (evolve_custom_argv(
+            tmp, custom_snapshot(tmp, set_point("sigma", (0, 0, 0), -3.0))), ["admissible"]),
+        1, True,
+    ),
+    "gauss-incompatible-init": (resumed_with_doubled_e_x, 1, True),
+    "cfl-collapse": (
+        lambda tmp, mp: (evolve_custom_argv(
+            tmp, custom_snapshot(tmp, fast_v), "--eps", "0"), ["step size collapsed"]),
+        1, True,
+    ),
+    "non-finite-state": (
+        lambda tmp, mp: (evolve_custom_argv(
+            tmp, custom_snapshot(tmp, big_sheared_b), "--eps", "0"), ["state non-finite"]),
+        1, True,
+    ),
+    "picard-divergence": (picard_expanding, 1, True),
+    "malformed-series": (malformed_series, 1, True),
+    "non-finite-series": (non_finite_series, 1, True),
+    "impossible-config": (
+        lambda tmp, mp: (["evolve", "--t-end", "1", "--cadence", "0.3",
+                          "--out-dir", str(tmp / "ev")], ["cadence"]),
+        2, False,
+    ),
+}
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_failure_exits_with_one_named_line(self, case, tmp_path, capsys, monkeypatch):
+        setup, status, started = FAILURES[case]
+        argv, needles = setup(tmp_path, monkeypatch)
+        capsys.readouterr()
+        # overflow warnings go through the warnings module, not the CLI's stderr
+        with np.errstate(all="ignore"):
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert code == status
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("emlab: "), captured.err
+        assert "Traceback" not in captured.err + captured.out
+        for needle in needles:
+            assert needle in lines[0]
+        out_dir = argv[argv.index("--out-dir") + 1]
+        manifest_path = os.path.join(out_dir, "manifest.json")
+        if started:
+            with open(manifest_path, encoding="utf-8") as fh:
+                manifest = json.loads(fh.read(), parse_constant=_no_constant)
+            assert manifest["status"] == "failed" and not manifest["passed"]
+            assert needles[0] in manifest["error"]
+        else:
+            assert not os.path.exists(manifest_path)
 
 
 class TestThreadedAgreement:

@@ -8,7 +8,7 @@ from emlab import dynamics as dyn
 from emlab.grid import GridSpec
 from emlab.stationary import background_profile, picard_iterate
 
-from _helpers import random_field
+from _helpers import integrate_band, oracle_rhs_symmetric, random_field, tendency
 
 GAMMA = 5.0 / 3.0
 
@@ -87,16 +87,15 @@ class TestEquilibriumPreservation:
     def test_symmetric_tendency_vanishes(self, equilibrium):
         grid, _, _, prim = equilibrium
         sym = dyn.to_symmetric(prim, GAMMA)
-        f_hat = dyn.rhs_symmetric(grid, GAMMA, grid.transform(sym))
+        f_hat = tendency(grid, GAMMA, grid.transform(sym))
         assert np.abs(grid.inverse(f_hat)).max() <= 1e-8
 
     def test_short_run_keeps_velocity_at_zero(self, equilibrium):
         grid, n_b, _, prim = equilibrium
         sym = dyn.to_symmetric(prim, GAMMA)
-        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y)
         sup_u = 0.0
         y0 = grid.transform(sym)
-        for t, y in dyn.integrate_fixed(y0, rhs, t_end=2.0, dt_max=0.1, cadence=1.0):
+        for t, y in integrate_band(grid, GAMMA, y0, t_end=2.0, dt_max=0.1, cadence=1.0):
             sup_u = max(sup_u, np.sqrt(GAMMA) * np.abs(grid.inverse(y[1:4])).max())
         assert sup_u <= 1e-10
         res = dyn.constraint_residuals(grid, GAMMA, y, n_b)
@@ -177,9 +176,10 @@ class TestTimeStepping:
         sym0 = dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-4, seed=2)
         prim0 = dyn.from_symmetric(sym0, GAMMA)
         h = 1e-2
-        sym1 = grid.inverse(
-            dyn.step_rk4(grid.transform(sym0), lambda y: dyn.rhs_symmetric(grid, GAMMA, y), h)
-        )
+        y0 = grid.transform(sym0)
+        tail = dyn.BandTail(grid, y0)
+        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+        sym1 = grid.inverse(tail.full(dyn.step_rk4(tail.take(y0), rhs, h)))
         prim1 = dyn.step_rk4(
             prim0, lambda y: dyn.rhs_primitive(grid, GAMMA, y), h / np.sqrt(GAMMA)
         )
@@ -307,7 +307,7 @@ class TestConstraintTransport:
         y = dyn.to_symmetric(prim, GAMMA) + dyn.compatible_perturbation(
             grid, GAMMA, state.sigma_st, amp=1e-2, seed=9
         )
-        fh = dyn.rhs_symmetric(grid, GAMMA, grid.transform(y))
+        fh = tendency(grid, GAMMA, grid.transform(y))
         f = grid.inverse(fh)
         n_prime = dyn.w_of_sigma(y[0], GAMMA) ** ((3.0 - GAMMA) / (GAMMA - 1.0))
         rate_e = grid.div(fh[4:7]) + grid.dealias(
@@ -342,12 +342,11 @@ class TestConstraintTransport:
         y0 = grid.transform(
             base + dyn.compatible_perturbation(grid, GAMMA, state.sigma_st, amp=1e-3, seed=3)
         )
-        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y)
         cap = lambda y: dyn.cfl_dt(grid, GAMMA, y, 0.4)
         tau_end = 2.5 * np.sqrt(GAMMA)
         worst_band = 0.0
         worst_full = 0.0
-        for _, y in dyn.integrate_fixed(y0, rhs, tau_end, cap, tau_end / 4):
+        for _, y in integrate_band(grid, GAMMA, y0, tau_end, cap, tau_end / 4):
             res = dyn.constraint_residuals(grid, GAMMA, y, n_b)
             worst_band = max(worst_band, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
             worst_full = max(worst_full, res["gauss_e_l2"], res["gauss_b_l2"])
@@ -373,7 +372,7 @@ def _old_residuals(grid, y, n_b, band_limited):
 
 
 class TestSpectralState:
-    # the evolved state is the full rfft stack; only the tendency is truncated
+    # the integrator carries the two-thirds band; the off-band tail is fixed
 
     @pytest.fixture(scope="class")
     def rough_state(self, equilibrium):
@@ -390,23 +389,65 @@ class TestSpectralState:
 
     def test_tendency_vanishes_outside_the_band(self, equilibrium, rough_state):
         grid = equilibrium[0]
-        f_hat = dyn.rhs_symmetric(grid, GAMMA, grid.transform(rough_state))
+        f_hat = tendency(grid, GAMMA, grid.transform(rough_state))
         outside = grid.band_mask(grid.n // 3) == 0.0
         assert np.all(f_hat[:, outside] == 0.0)
         assert np.abs(f_hat[:, ~outside]).max() > 0.0
 
     def test_out_of_band_tail_carried_unchanged(self, equilibrium, rough_state):
+        # integrate_band rebuilds the full stack from the band the RK4 carries
         grid = equilibrium[0]
         y0 = grid.transform(rough_state)
-        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y)
         cap = lambda y: dyn.cfl_dt(grid, GAMMA, y, 0.4)
-        *_, (_, y_end) = dyn.integrate_fixed(y0, rhs, 0.5, cap, 0.25)
+        *_, (_, y_end) = integrate_band(grid, GAMMA, y0, 0.5, cap, 0.25)
         outside = grid.band_mask(grid.n // 3) == 0.0
         # the noise occupies every E and B mode; sigma_st has its own tail
         assert np.abs(y0[4:10][:, outside]).min() > 0.0
         assert np.abs(y0[0][outside]).max() > 0.0
         assert np.array_equal(y_end[:, outside], y0[:, outside])
         assert not np.array_equal(y_end[:, ~outside], y0[:, ~outside])
+
+    def test_band_tendency_matches_full_layout_oracle(self, equilibrium, rough_state):
+        grid = equilibrium[0]
+        y = grid.transform(rough_state)
+        tail = dyn.BandTail(grid, y)
+        band = dyn.rhs_symmetric(grid, GAMMA, tail.take(y), tail)
+        ref = tail.take(oracle_rhs_symmetric(grid, GAMMA, y))
+        assert band.shape == (10, 11, 11, 6)
+        assert np.abs(band - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_band_steps_match_full_layout_oracle_steps(self, equilibrium, rough_state):
+        grid = equilibrium[0]
+        y0 = grid.transform(rough_state)
+        h = 0.5 * dyn.cfl_dt(grid, GAMMA, y0, 0.4)
+        tail = dyn.BandTail(grid, y0)
+        y_band, y_ref = tail.take(y0), y0
+        for _ in range(3):
+            y_band = dyn.step_rk4(y_band, lambda z: dyn.rhs_symmetric(grid, GAMMA, z, tail), h)
+            y_ref = dyn.step_rk4(y_ref, lambda z: oracle_rhs_symmetric(grid, GAMMA, z), h)
+        y_end = tail.full(y_band)
+        assert np.abs(y_end - y_ref).max() <= 1e-13 * np.abs(y_ref).max()
+        # the steps moved the band by far more than the bound
+        assert np.abs(y_end - y0).max() > 1e-6 * np.abs(y_ref).max()
+
+    def test_fields_transformed_per_call(self, equilibrium, rough_state, monkeypatch):
+        # 11 + 1 fields inverse-transformed and 8 + 1 forward per RHS call:
+        # the product batches plus the Gauss correction's one field each way
+        grid = equilibrium[0]
+        y = grid.transform(rough_state)
+        tail = dyn.BandTail(grid, y)
+        y_band = tail.take(y)
+        counts = {"inverse": [], "transform": []}
+        for name in counts:
+            method = getattr(GridSpec, name)
+
+            def counted(self, arr, _method=method, _log=counts[name]):
+                _log.append(int(np.prod(arr.shape[:-3])))
+                return _method(self, arr)
+
+            monkeypatch.setattr(GridSpec, name, counted)
+        dyn.rhs_symmetric(grid, GAMMA, y_band, tail)
+        assert counts == {"inverse": [11, 1], "transform": [8, 1]}
 
     def test_rk4_accumulator_matches_classical_formula(self):
         rng = np.random.default_rng(3)

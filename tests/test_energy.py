@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from emlab.dynamics import (
     compatible_perturbation,
-    integrate_fixed,
     phi_of_sigma,
-    rhs_symmetric,
     sigma_of_n,
     to_symmetric,
 )
@@ -28,7 +26,7 @@ from emlab.energy import (
 from emlab.grid import GridSpec
 from emlab.stationary import background_profile, picard_iterate
 
-from _helpers import random_field
+from _helpers import integrate_band, random_field
 
 GAMMA = 5.0 / 3.0
 
@@ -455,10 +453,9 @@ class TestTrajectorySmoke:
         pert0 = compatible_perturbation(grid, GAMMA, sigma_st, amp=1e-3, seed=7)
         y0 = grid.transform(base + pert0)
         base_hat = grid.transform(base)
-        rhs = lambda y: rhs_symmetric(grid, GAMMA, y)
 
         times, e_f, d_f, e_h, d_h = [], [], [], [], []
-        for tau, y in integrate_fixed(y0, rhs, t_end=2.0, dt_max=0.05, cadence=0.25):
+        for tau, y in integrate_band(grid, GAMMA, y0, t_end=2.0, dt_max=0.05, cadence=0.25):
             rep = energy_report(grid, y - base_hat, sigma_st, GAMMA)
             times.append(tau)
             e_f.append(rep["energy_full"])
