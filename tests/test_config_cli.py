@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,12 +40,12 @@ def small_cfg(tmp_path, name, **extra):
     return parse_config(overrides=overrides)
 
 
-def custom_snapshot(tmp_path, edit, grid=GridSpec(16, 10.0), name="init.emxf"):
+def custom_snapshot(tmp_path, edit, grid=GridSpec(16, 10.0)):
     """Write a symmetrized snapshot of zeros after edit(fields, grid) ran on it."""
     fields = {f: np.zeros(grid.shape) for f in SYMMETRIC_FIELDS}
     edit(fields, grid)
-    write_snapshot(tmp_path / name, grid, fields)
-    return tmp_path / name
+    write_snapshot(tmp_path / "init.emxf", grid, fields)
+    return tmp_path / "init.emxf"
 
 
 def evolve_custom_argv(tmp_path, snap, *flags, box="10"):
@@ -530,29 +531,27 @@ def corrupt_emxf(tmp_path, monkeypatch):
 
 
 def picard_expanding(tmp_path, monkeypatch):
-    # no admissible background diverges below the contraction gate, so the
+    # no background tried below the contraction gate diverges, so the
     # fixed-point map is made expanding, as in the stationary unit test
     monkeypatch.setattr("emlab.stationary.g_nonlinearity", lambda x, gamma: 5.0 * x)
     argv = ["stationary", "--grid-n", "8", "--box-l", "5", "--out-dir", str(tmp_path / "st")]
     return argv, ["Picard iteration expanding"]
 
 
-def series_file(tmp_path, text):
-    path = tmp_path / "series.csv"
-    path.write_text(text)
-    return ["lyapunov", "--series", str(path), "--out-dir", str(tmp_path / "ly")]
+def lyapunov_argv(tmp_path):
+    return ["lyapunov", "--series", str(tmp_path / "series.csv"), "--out-dir", str(tmp_path / "ly")]
 
 
 def malformed_series(tmp_path, monkeypatch):
-    text = ",".join(SERIES_COLUMNS) + "\n0,1,2\n0.1,1,2,3\n"
-    return series_file(tmp_path, text), ["cannot read series"]
+    (tmp_path / "series.csv").write_text(",".join(SERIES_COLUMNS) + "\n0,1,2\n0.1,1,2,3\n")
+    return lyapunov_argv(tmp_path), ["cannot read series"]
 
 
 def non_finite_series(tmp_path, monkeypatch):
     rows = [(0.1 * k,) + (1.0 - 0.01 * k, 1.0) * 2 + (0.0,) * 9 for k in range(6)]
     rows[2] = (0.2, np.inf) + rows[2][2:]
-    emit_series(tmp_path / "inf.csv", SERIES_COLUMNS, rows)
-    return series_file(tmp_path, (tmp_path / "inf.csv").read_text()), ["non-finite energy_full"]
+    emit_series(tmp_path / "series.csv", SERIES_COLUMNS, rows)
+    return lyapunov_argv(tmp_path), ["non-finite energy_full"]
 
 
 # failure class -> (setup returning argv and needles of the message, exit status,
@@ -607,15 +606,13 @@ class TestExitCodes:
         assert "Traceback" not in captured.err + captured.out
         for needle in needles:
             assert needle in lines[0]
-        out_dir = argv[argv.index("--out-dir") + 1]
-        manifest_path = os.path.join(out_dir, "manifest.json")
+        manifest_path = Path(argv[argv.index("--out-dir") + 1]) / "manifest.json"
         if started:
-            with open(manifest_path, encoding="utf-8") as fh:
-                manifest = json.loads(fh.read(), parse_constant=_no_constant)
+            manifest = strict_json(manifest_path)
             assert manifest["status"] == "failed" and not manifest["passed"]
             assert needles[0] in manifest["error"]
         else:
-            assert not os.path.exists(manifest_path)
+            assert not manifest_path.exists()
 
 
 class TestThreadedAgreement:
