@@ -14,16 +14,39 @@ equals laplacian(f) and curl(grad(f)) vanishes exactly on the grid.
 The two-thirds dealias band is also available as a dense sub-lattice
 (GridSpec.two_thirds, a SpectralBand) on which the same operators act, for
 work whose result is projected onto the band anyway.
+
+The transforms are scipy's, imported by _fft on the first one a process
+makes: a process that transforms nothing (lindecay, lyapunov) never loads
+scipy.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
-__all__ = ["GridSpec", "SpectralBand", "multi_indices"]
+__all__ = ["GridSpec", "SpectralBand", "fft_workers", "multi_indices"]
+
+
+@functools.cache
+def _fft():
+    """The scipy.fft module, imported on first use (about 0.3 s of start-up)."""
+    from scipy import fft
+
+    return fft
+
+
+def fft_workers(threads: int) -> contextlib.AbstractContextManager:
+    """Context in which grid transforms run on `threads` workers.
+
+    One worker is the FFT library's default, so at threads = 1 this is a
+    no-op and loads nothing.
+    """
+    if threads > 1:
+        return _fft().set_workers(threads)
+    return contextlib.nullcontext()
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,9 +157,9 @@ class GridSpec(_Derivatives):
     @functools.cached_property
     def _k1d(self) -> tuple[np.ndarray, np.ndarray]:
         """(full-axis, half-axis) wavenumbers with the Nyquist entry zeroed."""
-        kfull = 2.0 * np.pi * sp_fft.fftfreq(self.n, d=self.dx)
+        kfull = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
         kfull[self.n // 2] = 0.0
-        khalf = 2.0 * np.pi * sp_fft.rfftfreq(self.n, d=self.dx)
+        khalf = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
         khalf[-1] = 0.0
         return kfull, khalf
 
@@ -165,7 +188,7 @@ class GridSpec(_Derivatives):
 
     def _band_axes(self, band: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis flags (full axis, half axis): |integer index| <= band."""
-        idx_full = np.abs(np.rint(sp_fft.fftfreq(self.n, d=1.0 / self.n)).astype(int))
+        idx_full = np.abs(np.rint(np.fft.fftfreq(self.n, d=1.0 / self.n)).astype(int))
         idx_half = np.arange(self.n // 2 + 1)
         return idx_full <= band, idx_half <= band
 
@@ -192,11 +215,11 @@ class GridSpec(_Derivatives):
 
     def transform(self, f: np.ndarray) -> np.ndarray:
         """Real field(s) -> spectral coefficients over the last three axes."""
-        return sp_fft.rfftn(f, norm="forward", axes=(-3, -2, -1))
+        return _fft().rfftn(f, norm="forward", axes=(-3, -2, -1))
 
     def inverse(self, fh: np.ndarray) -> np.ndarray:
         """Spectral coefficients -> real field(s) over the last three axes."""
-        return sp_fft.irfftn(fh, s=self.shape, norm="forward", axes=(-3, -2, -1))
+        return _fft().irfftn(fh, s=self.shape, norm="forward", axes=(-3, -2, -1))
 
     def derivative_square_sum(self, fh: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise sum_{|alpha| <= m} (d^alpha f)^2 per field, and f^2.
@@ -215,21 +238,22 @@ class GridSpec(_Derivatives):
         d1 = (1j * kfull)[:, None, None]
         d2 = (1j * kfull)[:, None]
         d3 = 1j * khalf
+        fft = _fft()
         total = np.zeros(fh.shape[:-3] + self.shape)
         zero = None
         g1 = np.array(fh, dtype=complex)  # multiplied in place below
         for a1 in range(m + 1):
             if a1:
                 g1 *= d1
-            g2 = sp_fft.ifft(g1, axis=-3, norm="forward")
+            g2 = fft.ifft(g1, axis=-3, norm="forward")
             for a2 in range(m - a1 + 1):
                 if a2:
                     g2 *= d2
-                g3 = sp_fft.ifft(g2, axis=-2, norm="forward")
+                g3 = fft.ifft(g2, axis=-2, norm="forward")
                 for a3 in range(m - a1 - a2 + 1):
                     if a3:
                         g3 *= d3
-                    f = sp_fft.irfft(g3, n=self.n, axis=-1, norm="forward")
+                    f = fft.irfft(g3, n=self.n, axis=-1, norm="forward")
                     f *= f
                     total += f
                     if zero is None:

@@ -45,11 +45,10 @@ across runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
 
 from .dynamics import compatible_perturbation_primitive, integrate_fixed, rhs_primitive
 from .grid import GridSpec
@@ -377,9 +376,35 @@ def initial_modes(family: GaussianFamily, xi: np.ndarray) -> np.ndarray:
     return y
 
 
+def _moment_gamma(p: float) -> float:
+    """Gamma((p + 3) / 2) for an even power p >= 0.
+
+    Gamma(a + 1) = a Gamma(a) from Gamma(3/2) = sqrt(pi) / 2 rounds Gamma(7/2)
+    correctly, where math.gamma(3.5) is one ulp low.
+    """
+    if p < 0 or p % 2:
+        raise ValueError(f"moment power must be even and >= 0, got {p}")
+    g, a = 0.5 * math.sqrt(math.pi), 1.5
+    while a < (p + 3.0) / 2.0:
+        g *= a
+        a += 1.0
+    return g
+
+
 def _gaussian_moment(p: float, width: float) -> float:
-    """integral over R^3 of |xi|^p exp(-width^2 |xi|^2) dxi."""
-    return 2.0 * np.pi * gamma_fn((p + 3.0) / 2.0) / width ** (p + 3.0)
+    """integral over R^3 of |xi|^p exp(-width^2 |xi|^2) dxi, p even."""
+    return 2.0 * np.pi * _moment_gamma(p) / width ** (p + 3.0)
+
+
+def _upper_gamma_q72(x: float) -> float:
+    """Regularized upper incomplete gamma Q(7/2, x) for x >= 0.
+
+    Closed form from Q(s + 1, x) = Q(s, x) + x^s e^{-x} / Gamma(s + 1) and
+    Q(1/2, x) = erfc(sqrt x); every term is positive, so nothing cancels.
+    """
+    root = math.sqrt(x)
+    poly = 1.0 + x * (2.0 / 3.0 + x * (4.0 / 15.0))
+    return math.erfc(root) + math.exp(-x) * (2.0 / math.sqrt(math.pi)) * root * poly
 
 
 def initial_norms_analytic(family: GaussianFamily) -> dict[str, float]:
@@ -418,15 +443,9 @@ def quadrature_tail_bound(family: GaussianFamily, scheme: QuadratureScheme) -> f
         float(np.dot(family.dir_e, family.dir_e)),
         float(np.dot(family.dir_b, family.dir_b)),
     ]
-    # worst polynomial power across components is |xi|^4 (the rho profile)
-    p = 4.0
-    tail = (
-        2.0
-        * np.pi
-        * gamma_fn((p + 3.0) / 2.0)
-        * gammaincc((p + 3.0) / 2.0, w2r2)
-        / family.width ** (p + 3.0)
-    )
+    # worst polynomial power across components is |xi|^4 (the rho profile);
+    # its Gaussian moment beyond r_max is the whole moment times Q(7/2, .)
+    tail = _gaussian_moment(4.0, family.width) * _upper_gamma_q72(w2r2)
     return float(max(amps) * tail * (1.0 + family.rho_amp**2))
 
 

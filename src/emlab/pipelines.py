@@ -14,7 +14,6 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from . import __version__
 from .config import ExperimentConfig, canonical_text, config_hash
@@ -34,7 +33,7 @@ from .dynamics import (
     w_of_sigma,
 )
 from .energy import energy_report, lyapunov_certify
-from .grid import GridSpec
+from .grid import GridSpec, fft_workers
 from .lindecay import decay_trajectory, fit_decay
 from .snapshot import read_snapshot, write_snapshot
 from .stationary import StationaryState, background_profile, picard_iterate, verify_smallness_bounds
@@ -293,7 +292,16 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
     root_g = np.sqrt(cfg.gamma)
     tail = BandTail(grid, y0_hat)
     rhs = lambda y_band: rhs_symmetric(grid, cfg.gamma, y_band, tail)
-    dt_cap = lambda y_band: cfl_dt(grid, cfg.gamma, tail.full(y_band), cfg.cfl)
+    # a cadence boundary's state is rebuilt once, for its sample and for the
+    # next chunk's step cap, which integrate_fixed asks with the same array
+    rebuilt: list = [None, None]
+
+    def full(y_band: np.ndarray) -> np.ndarray:
+        if rebuilt[0] is not y_band:
+            rebuilt[:] = [y_band, tail.full(y_band)]
+        return rebuilt[1]
+
+    dt_cap = lambda y_band: cfl_dt(grid, cfg.gamma, full(y_band), cfg.cfl)
     weights = cfg.energy_weights()
     norm = lambda f_hat: np.sqrt(grid.spectral_l2_sq(f_hat))
 
@@ -308,7 +316,7 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
     )
     try:
         for tau, y_band in trajectory:
-            y_hat = tail.full(y_band)
+            y_hat = full(y_band)
             pert_hat = y_hat - base_hat
             rep = energy_report(grid, pert_hat, state.sigma_st, cfg.gamma, weights)
             res = constraint_residuals(grid, cfg.gamma, y_hat, n_b=n_b)
@@ -456,7 +464,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunManifest:
     start = time.perf_counter()
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")
     try:
-        with sp_fft.set_workers(cfg.threads):
+        with fft_workers(cfg.threads):
             manifest = _PIPELINES[cfg.command](cfg)
     except Exception as err:
         failed = RunManifest(

@@ -3,6 +3,8 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -624,3 +626,57 @@ class TestThreadedAgreement:
         for name in a.dtype.names:
             ref = np.maximum(np.abs(a[name]), 1e-300)
             assert (np.abs(a[name] - b[name]) / ref).max() <= 1e-12
+
+
+_IMPORT_PROBE = """
+import sys
+from emlab.cli import main
+code = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(code)
+"""
+
+
+def scipy_modules_loaded(*argv):
+    """The scipy modules a fresh interpreter holds after emlab's CLI ran argv."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = proc.stdout.splitlines()[-1]
+    assert line.startswith("scipy modules:"), proc.stdout
+    return set(line.split()[2:])
+
+
+class TestLeanImports:
+    """scipy is loaded only by a run that makes a grid transform."""
+
+    def test_cli_import_loads_no_scipy(self):
+        assert scipy_modules_loaded() == set()
+
+    def test_lindecay_runs_without_scipy(self, tmp_path):
+        assert scipy_modules_loaded(
+            "lindecay", "--radial-nodes", "8", "--theta-nodes", "4", "--phi-nodes", "8",
+            "--out-dir", str(tmp_path / "ld"),
+        ) == set()
+        assert (tmp_path / "ld" / "decay_fits.json").exists()
+
+    def test_lyapunov_runs_without_scipy(self, tmp_path):
+        series = tmp_path / "decaying.csv"
+        rows = [(0.1 * k,) + (np.exp(-0.1 * k),) * 4 + (0.0,) * 9 for k in range(20)]
+        emit_series(series, SERIES_COLUMNS, rows)
+        assert scipy_modules_loaded(
+            "lyapunov", "--series", str(series), "--out-dir", str(tmp_path / "ly"),
+        ) == set()
+        assert (tmp_path / "ly" / "lyapunov.json").exists()
+
+    def test_evolve_loads_the_fft(self, tmp_path):
+        loaded = scipy_modules_loaded(
+            "evolve", "--grid-n", "16", "--box-l", "10", "--t-end", "0.5",
+            "--cadence", "0.25", "--out-dir", str(tmp_path / "ev"),
+        )
+        assert "scipy.fft" in loaded

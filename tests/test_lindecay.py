@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
+from scipy.special import gamma as scipy_gamma
+from scipy.special import gammaincc
 
 from emlab.grid import GridSpec
 from emlab.lindecay import (
@@ -24,10 +26,16 @@ from emlab.lindecay import (
     initial_modes,
     initial_norms_analytic,
     propagate,
+    quadrature_tail_bound,
     spectral_stability_report,
     symbol_matrix,
 )
-from emlab.lindecay import _transverse_generator
+from emlab.lindecay import (
+    _gaussian_moment,
+    _moment_gamma,
+    _transverse_generator,
+    _upper_gamma_q72,
+)
 from emlab.stationary import background_profile, picard_iterate
 
 GAMMA = 5.0 / 3.0
@@ -265,6 +273,44 @@ class TestQuadrature:
             ]:
                 ref = np.sqrt(np.sum(w * r2**s * dens[:, sl].sum(axis=1)))
                 assert abs(traj.norms[name][j] - ref) <= 1e-12 * ref, (name, t)
+
+
+class TestClosedForms:
+    """The special-function values lindecay computes without scipy, against
+    scipy.special."""
+
+    def test_q72_matches_gammaincc(self):
+        xs = np.concatenate([[0.0], np.logspace(-3.0, np.log10(600.0), 200)])
+        for x in xs:
+            ref = gammaincc(3.5, x)
+            if ref >= 1e-300:
+                assert abs(_upper_gamma_q72(float(x)) - ref) <= 1e-13 * ref, x
+
+    @pytest.mark.parametrize("p", [0, 2, 4])
+    def test_half_integer_gamma_within_one_ulp(self, p):
+        ref = scipy_gamma((p + 3.0) / 2.0)
+        assert abs(_moment_gamma(p) - ref) <= np.spacing(ref)
+        for width in (0.5, 1.0, 2.0):
+            moment = 2.0 * np.pi * ref / width ** (p + 3.0)
+            assert abs(_gaussian_moment(p, width) - moment) <= 1e-15 * moment
+
+    def test_moment_gamma_refuses_odd_powers(self):
+        with pytest.raises(ValueError, match="even"):
+            _moment_gamma(1)
+
+    @pytest.mark.parametrize("r_max", [0.5, 1.0, 3.0, 6.0])
+    def test_tail_bound_matches_scipy_formula(self, r_max):
+        fam = GaussianFamily(rho_amp=1.3)
+        scheme = QuadratureScheme(r_max=r_max)
+        x = (fam.width * r_max) ** 2
+        amp = max(fam.rho_amp**2, *(float(np.dot(d, d)) for d in (fam.dir_u, fam.dir_e, fam.dir_b)))
+        ref = (
+            amp * 2.0 * np.pi * scipy_gamma(3.5) * gammaincc(3.5, x)
+            / fam.width**7 * (1.0 + fam.rho_amp**2)
+        )
+        bound = quadrature_tail_bound(fam, scheme)
+        assert ref > 0.0
+        assert abs(bound - ref) <= 1e-13 * ref
 
 
 class TestFamily:
