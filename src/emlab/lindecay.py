@@ -384,10 +384,9 @@ def _moment_gamma(p: float) -> float:
     """
     if p < 0 or p % 2:
         raise ValueError(f"moment power must be even and >= 0, got {p}")
-    g, a = 0.5 * math.sqrt(math.pi), 1.5
-    while a < (p + 3.0) / 2.0:
-        g *= a
-        a += 1.0
+    g = 0.5 * math.sqrt(math.pi)
+    for k in range(int(p) // 2):
+        g *= 1.5 + k
     return g
 
 
