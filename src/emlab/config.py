@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Mapping
@@ -110,6 +111,10 @@ class ExperimentConfig:
         req(self.cadence > 0.0, "cadence", "must be positive", self.cadence)
         chunks = self.t_end / self.cadence
         req(
+            math.isfinite(chunks),
+            "cadence", f"must divide t_end = {self.t_end} into finitely many chunks", self.cadence,
+        )
+        req(
             abs(chunks - round(chunks)) < 1e-9 and round(chunks) >= 1,
             "cadence", f"must divide t_end = {self.t_end}", self.cadence,
         )
@@ -189,9 +194,11 @@ def _parse_window(key: str, text: str) -> tuple[float, float]:
 
 def _as_float(key: str, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValueError(f"invalid config: key {key} expects a number, got {text!r}") from None
+    _require(math.isfinite(value), key, "expects a finite number", text)
+    return value
 
 
 def _as_int(key: str, text: str) -> int:

@@ -1,15 +1,8 @@
-"""Nonlinear evolution of the damped plasma system, in two equivalent forms.
+"""Nonlinear evolution of the damped plasma system in symmetrized variables.
 
-Primitive variables (n, u, E, B) on the physical clock t:
-
-    dt n = -div(n u)
-    dt u = -u.grad u - grad h(n) - E - u x B - u,   h(n) = g/(g-1) (n^{g-1}-1)
-    dt E =  curl B + n u
-    dt B = -curl E
-    div E = n_b - n,  div B = 0                     (g = adiabatic exponent)
-
-Symmetrized variables (sigma, v, E~, B~) on the rescaled clock tau = sqrt(g) t,
-with sigma = 2/(g-1) (n^{(g-1)/2} - 1), v = u/sqrt(g), E~ = E/sqrt(g),
+The primitive fields (n, u, E, B) enter as symmetrized variables (sigma, v,
+E~, B~) on the rescaled clock tau = sqrt(g) t, with g the adiabatic
+exponent, sigma = 2/(g-1) (n^{(g-1)/2} - 1), v = u/sqrt(g), E~ = E/sqrt(g),
 B~ = B/sqrt(g), and w(sigma) = (g-1)/2 sigma + 1:
 
     dtau sigma = -v.grad sigma - w(sigma) div v
@@ -33,11 +26,10 @@ its share to the inverse transform of every RHS call and rebuilds the
 full stack where one is needed.  Pointwise cancellations --- in particular
 the stationary balance grad h(n_st) = -E_st, whose out-of-band tail the
 state carries --- are projected as a unit, so exact equilibria stay exact.
-The acoustic gradient terms are written in gradient form, grad h(n) and
-w grad sigma = grad W(sigma) with W(sigma) = (w^2 - 1)/(g - 1), which is
-what makes that balance hold to roundoff on the grid.  The primitive
-system (rhs_primitive, nonlinear_sources) works on real arrays of shape
-(10, n, n, n).
+The acoustic gradient terms are written in gradient form, grad h(n) with
+the enthalpy h(n) = g/(g-1) (n^{g-1} - 1), and w grad sigma = grad W(sigma)
+with W(sigma) = (w^2 - 1)/(g - 1), which is what makes that balance hold
+to roundoff on the grid.
 """
 from __future__ import annotations
 
@@ -57,11 +49,8 @@ __all__ = [
     "constraint_residuals",
     "from_symmetric",
     "integrate_fixed",
-    "linear_rhs_symmetric",
     "n_of_sigma",
-    "nonlinear_sources",
     "phi_of_sigma",
-    "rhs_primitive",
     "rhs_symmetric",
     "sigma_of_n",
     "step_rk4",
@@ -220,100 +209,6 @@ def rhs_symmetric(
     return out
 
 
-def rhs_primitive(grid: GridSpec, gamma: float, state: np.ndarray) -> np.ndarray:
-    """Tendency of the primitive system on the physical clock."""
-    n = state[SCALAR]
-    u = state[VEL]
-    sh = grid.transform(state)
-    omega = grid.inverse(grid.curl(sh[VEL]))
-
-    ke_h = 0.5 * (u * u).sum(axis=0) + gamma / (gamma - 1.0) * (n ** (gamma - 1.0) - 1.0)
-    prods = np.empty((7,) + grid.shape)
-    prods[0] = ke_h
-    prods[1:4] = _cross(u, omega - state[MAG])
-    prods[4:7] = n * u
-    ph = grid.transform(prods)
-
-    out = np.empty_like(sh)
-    out[SCALAR] = -grid.div(ph[4:7])
-    out[VEL] = -grid.grad(ph[0]) + ph[1:4] - sh[ELEC] - sh[VEL]
-    out[ELEC] = grid.curl(sh[MAG]) + ph[4:7]
-    out[MAG] = -grid.curl(sh[ELEC])
-    return grid.inverse(grid.dealias(out))
-
-
-def linear_rhs_symmetric(
-    grid: GridSpec,
-    gamma: float,
-    state: np.ndarray,
-    damping: bool = True,
-) -> np.ndarray:
-    """Linearization of the symmetrized system at the constant equilibrium.
-
-    With damping off, the remaining terms are antisymmetric and conserve
-    (1/2) sum of squared L^2 norms.
-    """
-    sg = np.sqrt(gamma)
-    sh = grid.transform(state)
-    out = np.empty_like(sh)
-    out[SCALAR] = -grid.div(sh[VEL])
-    out[VEL] = -grid.grad(sh[SCALAR])
-    out[ELEC] = grid.curl(sh[MAG]) / sg
-    out[MAG] = -grid.curl(sh[ELEC]) / sg
-    out[VEL] -= sh[ELEC] / sg
-    out[ELEC] += sh[VEL] / sg
-    if damping:
-        out[VEL] -= sh[VEL] / sg
-    return grid.inverse(out)
-
-
-def nonlinear_sources(
-    grid: GridSpec,
-    gamma: float,
-    pert: np.ndarray,
-    rho_st: np.ndarray | float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quadratic-and-higher sources of the primitive perturbation system.
-
-    For the perturbation (rho, u, E, B) about a stationary density 1 + rho_st:
-
-        g1 = -div[(rho + rho_st) u]
-        g2 = -u.grad u - u x B - g [(1+rho+rho_st)^{g-2} - 1] grad rho
-             - g [(1+rho+rho_st)^{g-2} - (1+rho_st)^{g-2}] grad rho_st
-        g3 = (rho + rho_st) u
-
-    projected by the same dealias mask as the full tendencies.
-    """
-    rho = pert[SCALAR]
-    u = pert[VEL]
-    rho_st = np.asarray(rho_st, dtype=float)
-    rho_tot = rho + rho_st
-
-    uh = grid.transform(u)
-    omega = grid.inverse(grid.curl(uh))
-    grad_rho = grid.inverse(grid.grad(grid.transform(rho)))
-    ke = 0.5 * (u * u).sum(axis=0)
-
-    pres = gamma * ((1.0 + rho_tot) ** (gamma - 2.0) - 1.0) * grad_rho
-    if np.ndim(rho_st) == 3:
-        grad_rho_st = grid.inverse(grid.grad(grid.transform(rho_st)))
-        pres = pres + gamma * (
-            (1.0 + rho_tot) ** (gamma - 2.0) - (1.0 + rho_st) ** (gamma - 2.0)
-        ) * grad_rho_st
-
-    stack = np.empty((10,) + grid.shape)
-    stack[0] = ke
-    stack[1:4] = _cross(u, omega - pert[MAG]) - pres
-    stack[4:7] = rho_tot * u
-    stack[7:10] = 0.0
-    sh = grid.transform(stack)
-    g2_hat = grid.dealias(-grid.grad(sh[0]) + sh[1:4])
-    g13_hat = grid.dealias(sh[4:7])
-    g3 = grid.inverse(g13_hat)
-    g1 = grid.inverse(-grid.div(g13_hat))
-    return g1, grid.inverse(g2_hat), g3
-
-
 def constraint_residuals(
     grid: GridSpec,
     gamma: float,
@@ -454,7 +349,7 @@ def _shaped_noise(grid: GridSpec, rng: np.random.Generator, env: np.ndarray) -> 
 
 
 def _noise_state(grid: GridSpec, amp: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The noise both perturbation builders share, drawn in one fixed order.
+    """The noise of a perturbation builder, drawn in one fixed order.
 
     Returns unit-peak scalar noise and a (10, n, n, n) stack holding
     amp-peak velocity noise and an amp-peak solenoidal magnetic field (the
@@ -474,21 +369,6 @@ def _noise_state(grid: GridSpec, amp: float, seed: int) -> tuple[np.ndarray, np.
     mag = grid.inverse(grid.curl(grid.transform(pot)))
     pert[MAG] = amp * mag / np.abs(mag).max()
     return scalar, pert
-
-
-def compatible_perturbation_primitive(grid: GridSpec, amp: float, seed: int = 0) -> np.ndarray:
-    """Random primitive perturbation (rho, u, E, B) about the constant state.
-
-    rho is mean-zero band-limited noise under a centered Gaussian envelope,
-    u is free noise of the same shape, B is the curl of a noise potential,
-    and E is purely longitudinal with div E = -rho solved spectrally.  All
-    components are fully resolvable (band-limited) on the grid.
-    """
-    rho, pert = _noise_state(grid, amp, seed)
-    rho -= rho.mean()
-    pert[SCALAR] = amp * rho / np.abs(rho).max()
-    pert[ELEC] = grid.inverse(grid.longitudinal(grid.transform(-pert[SCALAR])))
-    return pert
 
 
 def compatible_perturbation(

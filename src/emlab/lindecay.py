@@ -50,16 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import compatible_perturbation_primitive, integrate_fixed, rhs_primitive
-from .grid import GridSpec
-
 __all__ = [
     "DecayFit",
     "DecayTrajectory",
     "GaussianFamily",
     "QuadratureScheme",
     "decay_trajectory",
-    "duhamel_crosscheck",
     "fit_decay",
     "initial_modes",
     "initial_norms_analytic",
@@ -630,54 +626,4 @@ def spectral_stability_report(
         "c_fit": float(c_samples.min()),
         "n_samples": float(n_samples),
         "k_max": float(k_max),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Duhamel cross-check against the nonlinear box integrator
-
-
-def duhamel_crosscheck(
-    amp: float = 1e-4,
-    t_end: float = 5.0,
-    gamma: float = 5.0 / 3.0,
-    grid: GridSpec = GridSpec(n=32, box=40.0),
-    dt: float = 0.02,
-    seed: int = 0,
-    base_state: np.ndarray | None = None,
-) -> dict[str, float]:
-    """Gap between the nonlinear run and flat-state linear propagation.
-
-    Runs the primitive-variable integrator from (base state) + a * (unit
-    perturbation shape) and from the same shape at a/2, subtracts the
-    mode-wise linear solution e^{tA} applied to each perturbation, and
-    reports the L2 gaps and their ratio.  About the flat state the sources
-    are quadratic, so gap(a/2)/gap(a) ~ 1/4; a nonflat base state injects
-    an O(a * delta) linear-in-a mismatch and drags the ratio toward 1/2.
-    """
-    if base_state is None:
-        base_state = np.zeros((10,) + grid.shape)
-        base_state[0] = 1.0
-
-    shape = compatible_perturbation_primitive(grid, amp=1.0, seed=seed)
-    xi = np.moveaxis(grid.k, 0, -1).reshape(-1, 3)
-
-    def gap(a: float) -> float:
-        pert0 = a * shape
-        y = base_state + pert0
-        for _, y in integrate_fixed(y, lambda s: rhs_primitive(grid, gamma, s), t_end, dt):
-            pass
-        # mode-wise e^{tA} on the grid's (Nyquist-zeroed) frequencies
-        y0 = grid.transform(pert0).reshape(10, -1).T
-        lin = grid.inverse(propagate(xi, y0, gamma, t_end).T.reshape((10,) + grid.spectral_shape))
-        diff = (y - base_state) - lin
-        return float(np.sqrt(sum(grid.l2_norm(diff[i]) ** 2 for i in range(10))))
-
-    g_full, g_half = gap(amp), gap(0.5 * amp)
-    return {
-        "amp": amp,
-        "gap": g_full,
-        "gap_half": g_half,
-        "ratio": g_half / g_full if g_full > 0.0 else 0.0,
-        "t_end": t_end,
     }

@@ -28,7 +28,6 @@ from emlab.lindecay import (
     QuadratureScheme,
     constraint_matrix,
     decay_trajectory,
-    duhamel_crosscheck,
     fit_decay,
     initial_modes,
     propagate,
@@ -44,7 +43,7 @@ from emlab.stationary import (
     yukawa_convolve,
 )
 
-from _helpers import integrate_band
+from _helpers import duhamel_crosscheck, integrate_band
 
 GAMMA = 5.0 / 3.0
 ROOT_G = np.sqrt(GAMMA)

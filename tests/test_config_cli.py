@@ -116,6 +116,10 @@ class TestConfigValidation:
             ("threads", "0", "threads"),
             ("amp", "0", "amp"),
             ("order", "2", "order"),
+            ("gamma", "inf", "gamma expects a finite number"),
+            ("box_l", "inf", "box_l expects a finite number"),
+            ("family_width", "nan", "family_width expects a finite number"),
+            ("fit_window", "50:inf", "fit_window expects a finite number"),
         ],
     )
     def test_invariant_violations_rejected(self, key, value, needle):
@@ -587,6 +591,16 @@ FAILURES = {
     "impossible-config": (
         lambda tmp, mp: (["evolve", "--t-end", "1", "--cadence", "0.3",
                           "--out-dir", str(tmp / "ev")], ["cadence"]),
+        2, False,
+    ),
+    "non-finite-config": (
+        lambda tmp, mp: (["evolve", "--t-end", "inf", "--out-dir", str(tmp / "ev")],
+                         ["t_end", "finite"]),
+        2, False,
+    ),
+    "overflowing-chunk-count": (
+        lambda tmp, mp: (["evolve", "--t-end", "1e300", "--cadence", "1e-300",
+                          "--out-dir", str(tmp / "ev")], ["cadence", "finitely many chunks"]),
         2, False,
     ),
 }

@@ -8,7 +8,10 @@ from emlab import dynamics as dyn
 from emlab.grid import GridSpec
 from emlab.stationary import background_profile, picard_iterate
 
-from _helpers import integrate_band, oracle_rhs_symmetric, random_field, tendency
+from _helpers import (
+    compatible_perturbation_primitive, integrate_band, linear_rhs_symmetric, nonlinear_sources,
+    oracle_rhs_symmetric, random_field, rhs_primitive, tendency,
+)
 
 GAMMA = 5.0 / 3.0
 
@@ -82,7 +85,7 @@ class TestPointwiseMaps:
 class TestEquilibriumPreservation:
     def test_primitive_tendency_vanishes(self, equilibrium):
         grid, _, _, prim = equilibrium
-        assert np.abs(dyn.rhs_primitive(grid, GAMMA, prim)).max() <= 1e-8
+        assert np.abs(rhs_primitive(grid, GAMMA, prim)).max() <= 1e-8
 
     def test_symmetric_tendency_vanishes(self, equilibrium):
         grid, _, _, prim = equilibrium
@@ -114,11 +117,11 @@ class TestSources:
     def test_consistency_about_constant_state(self):
         # full tendency == linear part + sources, for resolvable data
         grid = GridSpec(n=16, box=10.0)
-        pert = dyn.compatible_perturbation_primitive(grid, amp=1e-4, seed=2)
+        pert = compatible_perturbation_primitive(grid, amp=1e-4, seed=2)
         total = pert.copy()
         total[0] += 1.0
-        full = dyn.rhs_primitive(grid, GAMMA, total)
-        g1, g2, g3 = dyn.nonlinear_sources(grid, GAMMA, pert, 0.0)
+        full = rhs_primitive(grid, GAMMA, total)
+        g1, g2, g3 = nonlinear_sources(grid, GAMMA, pert, 0.0)
         lin = linearized_primitive(grid, GAMMA, pert)
         resid = full - lin
         resid[0] -= g1
@@ -128,13 +131,13 @@ class TestSources:
 
     def test_consistency_about_stationary_state(self, equilibrium):
         grid, _, state, _ = equilibrium
-        pert = dyn.compatible_perturbation_primitive(grid, amp=1e-4, seed=3)
+        pert = compatible_perturbation_primitive(grid, amp=1e-4, seed=3)
         rho_st = state.n_st - 1.0
         total = pert.copy()
         total[0] += 1.0 + rho_st
         total[4:7] += state.e_st
-        full = dyn.rhs_primitive(grid, GAMMA, total)
-        g1, g2, g3 = dyn.nonlinear_sources(grid, GAMMA, pert, rho_st)
+        full = rhs_primitive(grid, GAMMA, total)
+        g1, g2, g3 = nonlinear_sources(grid, GAMMA, pert, rho_st)
         lin = linearized_primitive(grid, GAMMA, pert)
         resid = full - lin
         resid[0] -= g1
@@ -144,9 +147,9 @@ class TestSources:
 
     def test_quadratic_scaling_under_halving(self):
         grid = GridSpec(n=16, box=10.0)
-        pert = dyn.compatible_perturbation_primitive(grid, amp=1e-3, seed=4)
-        big = dyn.nonlinear_sources(grid, GAMMA, pert, 0.0)
-        small = dyn.nonlinear_sources(grid, GAMMA, 0.5 * pert, 0.0)
+        pert = compatible_perturbation_primitive(grid, amp=1e-3, seed=4)
+        big = nonlinear_sources(grid, GAMMA, pert, 0.0)
+        small = nonlinear_sources(grid, GAMMA, 0.5 * pert, 0.0)
         for a, b in zip(big, small):
             ratio = np.linalg.norm(b) / np.linalg.norm(a)
             assert ratio <= 0.3
@@ -181,7 +184,7 @@ class TestTimeStepping:
         rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
         sym1 = grid.inverse(tail.full(dyn.step_rk4(tail.take(y0), rhs, h)))
         prim1 = dyn.step_rk4(
-            prim0, lambda y: dyn.rhs_primitive(grid, GAMMA, y), h / np.sqrt(GAMMA)
+            prim0, lambda y: rhs_primitive(grid, GAMMA, y), h / np.sqrt(GAMMA)
         )
         assert np.abs(dyn.to_symmetric(prim1, GAMMA) - sym1).max() <= 1e-9
 
@@ -190,7 +193,7 @@ class TestTimeStepping:
         y = dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-2, seed=5)
         energy = lambda z: 0.5 * sum(grid.l2_norm(z[i]) ** 2 for i in range(10))
         e0 = energy(y)
-        rhs = lambda z: dyn.linear_rhs_symmetric(grid, GAMMA, z, damping=False)
+        rhs = lambda z: linear_rhs_symmetric(grid, GAMMA, z, damping=False)
         for _, y in dyn.integrate_fixed(y, rhs, t_end=1.0, dt_max=0.005, cadence=1.0):
             pass
         assert abs(energy(y) - e0) / e0 <= 1e-8
@@ -200,7 +203,7 @@ class TestTimeStepping:
         y = dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-2, seed=6)
         energy = lambda z: 0.5 * sum(grid.l2_norm(z[i]) ** 2 for i in range(10))
         e0 = energy(y)
-        rhs = lambda z: dyn.linear_rhs_symmetric(grid, GAMMA, z, damping=True)
+        rhs = lambda z: linear_rhs_symmetric(grid, GAMMA, z, damping=True)
         for _, y in dyn.integrate_fixed(y, rhs, t_end=1.0, dt_max=0.01, cadence=1.0):
             pass
         assert energy(y) < e0
@@ -276,7 +279,7 @@ class TestPerturbationBuilders:
 
     def test_primitive_builder_satisfies_gauss(self):
         grid = GridSpec(n=16, box=10.0)
-        pert = dyn.compatible_perturbation_primitive(grid, amp=1e-3, seed=7)
+        pert = compatible_perturbation_primitive(grid, amp=1e-3, seed=7)
         total = pert.copy()
         total[0] += 1.0
         sym = dyn.to_symmetric(total, GAMMA)
@@ -290,12 +293,12 @@ class TestPerturbationBuilders:
         with pytest.raises(ValueError, match="amplitude"):
             dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=0.0)
         with pytest.raises(ValueError, match="amplitude"):
-            dyn.compatible_perturbation_primitive(grid, amp=-1.0)
+            compatible_perturbation_primitive(grid, amp=-1.0)
 
     def test_builder_is_deterministic(self):
         grid = GridSpec(n=8, box=5.0)
-        a = dyn.compatible_perturbation_primitive(grid, amp=1e-3, seed=11)
-        b = dyn.compatible_perturbation_primitive(grid, amp=1e-3, seed=11)
+        a = compatible_perturbation_primitive(grid, amp=1e-3, seed=11)
+        b = compatible_perturbation_primitive(grid, amp=1e-3, seed=11)
         assert np.array_equal(a, b)
 
 
@@ -324,8 +327,8 @@ class TestConstraintTransport:
 
     def test_primitive_gauss_rate_vanishes(self, equilibrium):
         grid, _, _, prim = equilibrium
-        total = prim + dyn.compatible_perturbation_primitive(grid, amp=1e-2, seed=10)
-        f = dyn.rhs_primitive(grid, GAMMA, total)
+        total = prim + compatible_perturbation_primitive(grid, amp=1e-2, seed=10)
+        f = rhs_primitive(grid, GAMMA, total)
         fh = grid.transform(f)
         rate = grid.div(fh[4:7]) + grid.transform(f[0])
         assert np.sqrt(grid.spectral_l2_sq(rate)) <= 1e-13

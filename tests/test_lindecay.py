@@ -5,6 +5,10 @@ of the symbol); whole-space norms are checked against Gaussian moment
 integrals; decay exponents against the slow-branch analysis.
 """
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,6 @@ from emlab.lindecay import (
     QuadratureScheme,
     constraint_matrix,
     decay_trajectory,
-    duhamel_crosscheck,
     fit_decay,
     initial_modes,
     initial_norms_analytic,
@@ -37,6 +40,8 @@ from emlab.lindecay import (
     _upper_gamma_q72,
 )
 from emlab.stationary import background_profile, picard_iterate
+
+from _helpers import duhamel_crosscheck, primitive_flow
 
 GAMMA = 5.0 / 3.0
 
@@ -451,6 +456,14 @@ class TestStability:
 class TestDuhamel:
     grid = GridSpec(n=16, box=20.0)
 
+    def background_base(self):
+        n_b = background_profile(self.grid, "gaussian", eps=0.05, width=1.5)
+        state = picard_iterate(self.grid, n_b, gamma=GAMMA)
+        base = np.zeros((10,) + self.grid.shape)
+        base[0] = state.n_st
+        base[4:7] = state.e_st
+        return base
+
     def test_zero_amplitude_zero_gap(self):
         rep = duhamel_crosscheck(amp=0.0, t_end=1.0, gamma=GAMMA, grid=self.grid, dt=0.05)
         assert rep["gap"] == 0.0
@@ -460,12 +473,34 @@ class TestDuhamel:
         assert 0.2 <= rep["ratio"] <= 0.35
 
     def test_background_degrades_scaling(self):
-        n_b = background_profile(self.grid, "gaussian", eps=0.05, width=1.5)
-        state = picard_iterate(self.grid, n_b, gamma=GAMMA)
-        base = np.zeros((10,) + self.grid.shape)
-        base[0] = state.n_st
-        base[4:7] = state.e_st
         rep = duhamel_crosscheck(
-            amp=1e-4, t_end=2.0, gamma=GAMMA, grid=self.grid, dt=0.05, base_state=base
+            amp=1e-4, t_end=2.0, gamma=GAMMA, grid=self.grid, dt=0.05,
+            base_state=self.background_base(),
         )
         assert rep["ratio"] > 0.35
+
+    @pytest.mark.parametrize("background", [False, True], ids=["flat", "background"])
+    def test_shipped_integrator_agrees_with_primitive_reference(self, background):
+        # the band-state RK4 on the tau clock and the primitive system on
+        # the physical clock discretize one flow: same gaps, same ratio
+        base = self.background_base() if background else None
+        kw = dict(amp=1e-4, t_end=2.0, gamma=GAMMA, grid=self.grid, dt=0.05, base_state=base)
+        shipped = duhamel_crosscheck(**kw)
+        ref = duhamel_crosscheck(**kw, flow=primitive_flow)
+        assert shipped["gap"] == pytest.approx(ref["gap"], rel=0.05)
+        assert shipped["gap_half"] == pytest.approx(ref["gap_half"], rel=0.05)
+        assert abs(shipped["ratio"] - ref["ratio"]) <= 2e-3
+
+
+def test_lindecay_is_a_leaf_module():
+    # lindecay needs numpy and math only: no grid, no integrator
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = "import sys, emlab.lindecay; print(*sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"emlab.dynamics", "emlab.grid"}, sorted(m for m in loaded if "emlab" in m)
