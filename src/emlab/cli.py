@@ -13,47 +13,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from .config import KEY_SECTIONS, ExperimentConfig, parse_config
 from .pipelines import run_experiment
-
-_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
-
-# the help text of every flag, one per config key except command
-_HELP = {
-    "out_dir": "directory for outputs and the manifest",
-    "seed": "RNG seed for initial perturbation noise",
-    "threads": "FFT worker threads (1 = bit-reproducible serial)",
-    "series": "series.csv produced by evolve",
-    "out": "output path (stationary: <out-dir>/stationary.emxf; lindecay: <out-dir>/norms.csv)",
-    "report": "JSON report path (default <out-dir>/<subcommand>.json; "
-    "lindecay: <out-dir>/decay_fits.json)",
-    "gamma": "adiabatic exponent, > 1",
-    "profile": "background bump shape: gaussian or double-bump",
-    "eps": "background bump amplitude, >= 0",
-    "width": "background bump width",
-    "grid_n": "grid points per axis, even and >= 8",
-    "box_l": "periodic box side length",
-    "tol": "fixed-point convergence tolerance",
-    "init": "stationary+noise, stationary-exact, or custom",
-    "init_snapshot": "snapshot path when init = custom",
-    "amp": "perturbation amplitude for noise runs",
-    "t_end": "final physical time",
-    "cfl": "CFL number in (0, 1)",
-    "cadence": "sampling interval; must divide t_end",
-    "kappa1": "sigma-gradient coupling weight",
-    "kappa2": "velocity-electric coupling weight",
-    "kappa3": "curl coupling weight",
-    "order": "derivative order of the energy functionals, >= 3",
-    "fit_window": "'lo:hi' window for the field-norm power fits",
-    "rho_fit_window": "'lo:hi' window for the density exponential fit",
-    "t_grid": "'lo:hi:count' log-spaced times, or an explicit list",
-    "family_width": "Gaussian width of the initial-data family",
-    "radial_nodes": "quadrature nodes per radial panel",
-    "theta_nodes": "polar quadrature nodes",
-    "phi_nodes": "azimuthal quadrature nodes",
-}
 
 # subcommand -> (config sections it reads, its own [run] keys)
 _SUBCOMMANDS = {
@@ -68,12 +30,13 @@ _GLOBAL_KEYS = ("out_dir", "seed", "threads")
 
 
 def _add_key_flag(parser: argparse.ArgumentParser, key: str) -> None:
-    default = f" (default {_DEFAULTS[key]!r})" if _DEFAULTS[key] != "" else ""
+    spec = ExperimentConfig.__dataclass_fields__[key]
+    default = f" (default {spec.default!r})" if spec.default != "" else ""
     parser.add_argument(
         f"--{key.replace('_', '-')}",
         dest=key,
         metavar="V",
-        help=_HELP[key] + default,
+        help=spec.metadata["help"] + default,
     )
 
 

@@ -12,11 +12,12 @@ import configparser
 import hashlib
 import math
 import os
-from dataclasses import dataclass, fields
-from typing import Mapping
+from dataclasses import dataclass, field, fields
+from typing import Any, Mapping
 
 import numpy as np
 
+from .dynamics import MAX_CHUNK_STEPS
 from .energy import EnergyWeights
 from .lindecay import GaussianFamily, QuadratureScheme
 
@@ -26,64 +27,59 @@ COMMANDS = ("stationary", "evolve", "lyapunov", "lindecay")
 PROFILES = ("gaussian", "double-bump")
 INIT_MODES = ("stationary+noise", "stationary-exact", "custom")
 
-# section -> keys, in the canonical serialization order
-KEY_SECTIONS: dict[str, tuple[str, ...]] = {
-    "run": ("command", "out_dir", "seed", "threads", "series", "out", "report"),
-    "model": ("gamma",),
-    "background": ("profile", "eps", "width"),
-    "grid": ("grid_n", "box_l"),
-    "stationary": ("tol",),
-    "integrator": ("init", "init_snapshot", "amp", "t_end", "cfl", "cadence"),
-    "energy": ("kappa1", "kappa2", "kappa3", "order"),
-    "fit": ("fit_window", "rho_fit_window"),
-    "lindecay": ("t_grid", "family_width", "radial_nodes", "theta_nodes", "phi_nodes"),
-}
-_KEY_TO_SECTION = {k: s for s, ks in KEY_SECTIONS.items() for k in ks}
+
+def _key(section: str, default: Any, help: str = "") -> Any:
+    """A config key: its INI section and flag help ride on the field."""
+    return field(default=default, metadata={"section": section, "help": help})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated description of one experiment run."""
+    """Fully validated description of one experiment run; each field is a key."""
 
-    command: str = "stationary"
-    out_dir: str = "runs"
-    seed: int = 0
-    threads: int = 1
-    series: str = ""
-    out: str = ""
-    report: str = ""
+    command: str = _key("run", "stationary")
+    out_dir: str = _key("run", "runs", "directory for outputs and the manifest")
+    seed: int = _key("run", 0, "RNG seed for initial perturbation noise")
+    threads: int = _key("run", 1, "FFT worker threads (1 = bit-reproducible serial)")
+    series: str = _key("run", "", "series.csv produced by evolve")
+    out: str = _key("run", "", "output path (stationary: <out-dir>/stationary.emxf; "
+                    "lindecay: <out-dir>/norms.csv)")
+    report: str = _key("run", "", "JSON report path (default <out-dir>/<subcommand>.json; "
+                       "lindecay: <out-dir>/decay_fits.json)")
 
-    gamma: float = 5.0 / 3.0
+    gamma: float = _key("model", 5.0 / 3.0, "adiabatic exponent, > 1")
 
-    profile: str = "gaussian"
-    eps: float = 0.05
-    width: float = 1.0
+    profile: str = _key("background", "gaussian", "background bump shape: gaussian or double-bump")
+    eps: float = _key("background", 0.05, "background bump amplitude, >= 0")
+    width: float = _key("background", 1.0, "background bump width")
 
-    grid_n: int = 48
-    box_l: float = 40.0
+    grid_n: int = _key("grid", 48, "grid points per axis, even and >= 8")
+    box_l: float = _key("grid", 40.0, "periodic box side length")
 
-    tol: float = 1e-10
+    tol: float = _key("stationary", 1e-10, "fixed-point convergence tolerance")
 
-    init: str = "stationary+noise"
-    init_snapshot: str = ""
-    amp: float = 1e-3
-    t_end: float = 40.0
-    cfl: float = 0.4
-    cadence: float = 0.5
+    init: str = _key("integrator", "stationary+noise",
+                     "stationary+noise, stationary-exact, or custom")
+    init_snapshot: str = _key("integrator", "", "snapshot path when init = custom")
+    amp: float = _key("integrator", 1e-3, "perturbation amplitude for noise runs")
+    t_end: float = _key("integrator", 40.0, "final physical time")
+    cfl: float = _key("integrator", 0.4, "CFL number in (0, 1)")
+    cadence: float = _key("integrator", 0.5, "sampling interval; must divide t_end")
 
-    kappa1: float = 0.1
-    kappa2: float = 0.005
-    kappa3: float = 0.002
-    order: int = 3
+    kappa1: float = _key("energy", 0.1, "sigma-gradient coupling weight")
+    kappa2: float = _key("energy", 0.005, "velocity-electric coupling weight")
+    kappa3: float = _key("energy", 0.002, "curl coupling weight")
+    order: int = _key("energy", 3, "derivative order of the energy functionals, >= 3")
 
-    fit_window: str = "50:500"
-    rho_fit_window: str = "5:45"
+    fit_window: str = _key("fit", "50:500", "'lo:hi' window for the field-norm power fits")
+    rho_fit_window: str = _key("fit", "5:45", "'lo:hi' window for the density exponential fit")
 
-    t_grid: str = "5:500:40"
-    family_width: float = 2.0
-    radial_nodes: int = 32
-    theta_nodes: int = 16
-    phi_nodes: int = 32
+    t_grid: str = _key("lindecay", "5:500:40",
+                       "'lo:hi:count' log-spaced times, or an explicit list")
+    family_width: float = _key("lindecay", 2.0, "Gaussian width of the initial-data family")
+    radial_nodes: int = _key("lindecay", 32, "quadrature nodes per radial panel")
+    theta_nodes: int = _key("lindecay", 16, "polar quadrature nodes")
+    phi_nodes: int = _key("lindecay", 32, "azimuthal quadrature nodes")
 
     def __post_init__(self) -> None:
         req = _require
@@ -117,6 +113,13 @@ class ExperimentConfig:
         req(
             abs(chunks - round(chunks)) < 1e-9 and round(chunks) >= 1,
             "cadence", f"must divide t_end = {self.t_end}", self.cadence,
+        )
+        # CFL steps are below cfl * dx on the clock tau = sqrt(gamma) t: a longer chunk collapses
+        cap = MAX_CHUNK_STEPS * self.cfl * self.box_l / self.grid_n
+        req(
+            self.cadence * math.sqrt(self.gamma) <= cap, "cadence",
+            f"* sqrt(gamma) must not exceed {MAX_CHUNK_STEPS} * cfl * box_l / grid_n = {cap:.6g}",
+            self.cadence,
         )
         # constructing the dependent objects runs their own named checks
         try:
@@ -177,6 +180,14 @@ class ExperimentConfig:
             "t_grid", "an explicit list needs >= 10 increasing positive times", text,
         )
         return values
+
+
+_KEY_TO_SECTION = {f.name: f.metadata["section"] for f in fields(ExperimentConfig)}
+# section -> keys, in field order, which is the canonical serialization order
+KEY_SECTIONS: dict[str, tuple[str, ...]] = {
+    section: tuple(k for k, home in _KEY_TO_SECTION.items() if home == section)
+    for section in dict.fromkeys(_KEY_TO_SECTION.values())
+}
 
 
 def _require(ok: bool, key: str, constraint: str, value: object) -> None:
@@ -268,12 +279,3 @@ def canonical_text(cfg: ExperimentConfig) -> str:
 def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical_text(cfg).encode("utf-8")).hexdigest()
 
-
-def _check_fields_cover_schema() -> None:
-    declared = {f.name for f in fields(ExperimentConfig)}
-    schema = set(_KEY_TO_SECTION)
-    if declared != schema:
-        raise AssertionError(f"schema drift: {declared ^ schema}")
-
-
-_check_fields_cover_schema()

@@ -47,7 +47,6 @@ __all__ = [
     "cfl_dt",
     "compatible_perturbation",
     "constraint_residuals",
-    "from_symmetric",
     "integrate_fixed",
     "n_of_sigma",
     "phi_of_sigma",
@@ -93,13 +92,6 @@ def to_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
     out = np.empty_like(state)
     out[SCALAR] = sigma_of_n(state[SCALAR], gamma)
     out[1:] = state[1:] / np.sqrt(gamma)
-    return out
-
-
-def from_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
-    out = np.empty_like(state)
-    out[SCALAR] = n_of_sigma(state[SCALAR], gamma)
-    out[1:] = state[1:] * np.sqrt(gamma)
     return out
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -30,12 +29,13 @@ from .dynamics import (
     constraint_residuals,
     integrate_fixed,
     rhs_symmetric,
+    to_symmetric,
     w_of_sigma,
 )
 from .energy import energy_report, lyapunov_certify
 from .grid import GridSpec, fft_workers
 from .lindecay import decay_trajectory, fit_decay
-from .snapshot import read_snapshot, write_snapshot
+from .snapshot import atomic_write, read_snapshot, write_snapshot
 from .stationary import StationaryState, background_profile, picard_iterate, verify_smallness_bounds
 
 __all__ = [
@@ -104,19 +104,6 @@ class RunManifest:
         emit_report(path, payload)
 
 
-def _atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    dest_dir = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dest_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def emit_series(path: str | os.PathLike, columns: tuple[str, ...], rows: list) -> None:
     """CSV with a fixed column order and 17-significant-digit floats."""
     lines = [",".join(columns)]
@@ -125,7 +112,7 @@ def emit_series(path: str | os.PathLike, columns: tuple[str, ...], rows: list) -
             raise ValueError(f"row of width {len(row)} against {len(columns)} columns")
         lines.append(",".join("%.17g" % float(v) for v in row))
     try:
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write(path, [("\n".join(lines) + "\n").encode("utf-8")])
     except OSError as err:
         raise OSError(f"cannot write series {path}: {err}") from err
 
@@ -156,14 +143,15 @@ def emit_report(path: str | os.PathLike, payload: dict) -> None:
     except ValueError as err:
         raise ValueError(f"cannot write report {path}: {err}") from None
     try:
-        _atomic_write_text(path, text + "\n")
+        atomic_write(path, [(text + "\n").encode("utf-8")])
     except OSError as err:
         raise OSError(f"cannot write report {path}: {err}") from err
 
 
 def _prepare_out_dir(cfg: ExperimentConfig) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _atomic_write_text(os.path.join(cfg.out_dir, "config.resolved.ini"), canonical_text(cfg))
+    resolved = os.path.join(cfg.out_dir, "config.resolved.ini")
+    atomic_write(resolved, [canonical_text(cfg).encode("utf-8")])
     return cfg.out_dir
 
 
@@ -172,13 +160,6 @@ def _solve_background(cfg: ExperimentConfig) -> tuple[GridSpec, np.ndarray, Stat
     n_b = background_profile(grid, cfg.profile, cfg.eps, cfg.width)
     state = picard_iterate(grid, n_b, cfg.gamma, tol=cfg.tol)
     return grid, n_b, state
-
-
-def _base_symmetric(state: StationaryState, gamma: float) -> np.ndarray:
-    base = np.zeros((10,) + state.grid.shape)
-    base[SCALAR] = state.sigma_st
-    base[ELEC] = state.e_st / np.sqrt(gamma)
-    return base
 
 
 SYMMETRIC_FIELDS = (
@@ -274,8 +255,12 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
     out_dir = _prepare_out_dir(cfg)
     manifest = RunManifest("evolve", config_hash(cfg), __version__)
     grid, n_b, state = _solve_background(cfg)
-    # the integrator carries rfft coefficients; see emlab.dynamics
-    base_hat = grid.transform(_base_symmetric(state, cfg.gamma))
+    # the base state (n_st, u = 0, E_st, B = 0), symmetrized; the integrator
+    # carries rfft coefficients (see emlab.dynamics)
+    prim = np.zeros((10,) + grid.shape)
+    prim[SCALAR], prim[ELEC] = state.n_st, state.e_st
+    base_hat = grid.transform(to_symmetric(prim, cfg.gamma))
+    del prim  # a full real stack: kept alive, it would raise the run's peak RSS
 
     if cfg.init == "stationary-exact":
         y0_hat = base_hat.copy()
@@ -372,6 +357,10 @@ def run_lyapunov(cfg: ExperimentConfig) -> RunManifest:
         data = np.genfromtxt(cfg.series, delimiter=",", names=True)
     except (OSError, ValueError) as err:
         raise ValueError(f"cannot read series {cfg.series}: {err}") from None
+    needed = ("t", "energy_full", "dissipation_full", "energy_high", "dissipation_high")
+    missing = [name for name in needed if name not in (data.dtype.names or ())]
+    if missing:
+        raise ValueError(f"series {cfg.series} lacks the columns {missing}")
     if data.shape == () or data.size < 2:
         raise ValueError(f"series {cfg.series} holds fewer than two samples")
     finite = np.isfinite(np.column_stack([data[name] for name in data.dtype.names]))

@@ -12,23 +12,43 @@ single binary file.  Layout, all little-endian:
     data    count times n^3 f64, C row-major, in name order
 
 Vector fields are stored as one scalar per component (e.g. "u_x", "u_y",
-"u_z").  Writes are atomic: the payload goes to a temporary file in the
+"u_z").  Writes are atomic (atomic_write, which the pipelines' CSV and
+JSON outputs use too): the payload goes to a temporary file in the
 destination directory which is then renamed over the target.
 """
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import tempfile
+from typing import Iterable
 
 import numpy as np
 
 from .grid import GridSpec
 
-__all__ = ["write_snapshot", "read_snapshot", "EMXF_MAGIC", "EMXF_VERSION"]
+__all__ = ["atomic_write", "write_snapshot", "read_snapshot", "EMXF_MAGIC", "EMXF_VERSION"]
 
 EMXF_MAGIC = b"EMXF"
 EMXF_VERSION = 1
+
+
+def atomic_write(path: str | os.PathLike, chunks: Iterable[bytes]) -> None:
+    """Write the chunks, one at a time, to a temporary file in the
+    destination directory and rename it over path.  On any failure the
+    temporary is removed and path is left as it was."""
+    dest_dir = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=dest_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def write_snapshot(path: str | os.PathLike, grid: GridSpec, fields: dict[str, np.ndarray]) -> None:
@@ -48,18 +68,8 @@ def write_snapshot(path: str | os.PathLike, grid: GridSpec, fields: dict[str, np
         header += struct.pack("<I", len(raw))
         header += raw
 
-    dest_dir = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dest_dir, suffix=".emxf.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(bytes(header))
-            for arr in fields.values():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    payload = (np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in fields.values())
+    atomic_write(path, itertools.chain([bytes(header)], payload))
 
 
 def _read_exact(fh, size: int, what: str) -> bytes:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite, and the references the package is
-checked against: a full-layout symmetrized tendency, the primitive system
-and the Duhamel crosscheck of the shipped integrator."""
+checked against: the inverse symmetrization, a full-layout symmetrized
+tendency, the primitive system and the Duhamel crosscheck of the shipped
+integrator."""
 from __future__ import annotations
 
 import numpy as np
@@ -24,6 +25,15 @@ def random_field(grid: GridSpec, seed: int, band: int | None = None, amp: float 
 def gaussian_bump(grid: GridSpec, width: float, amp: float = 1.0) -> np.ndarray:
     """amp * exp(-|x - c|^2 / width^2) centered in the box."""
     return amp * np.exp(-(grid.radius**2) / width**2)
+
+
+def from_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
+    """Symmetrized (sigma, v, E~, B~) -> primitive (n, u, E, B), the inverse
+    of dynamics.to_symmetric."""
+    out = np.empty_like(state)
+    out[SCALAR] = dyn.n_of_sigma(state[SCALAR], gamma)
+    out[1:] = state[1:] * np.sqrt(gamma)
+    return out
 
 
 def tendency(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.ndarray:
@@ -212,7 +222,7 @@ def band_flow(grid: GridSpec, gamma: float, state: np.ndarray, t_end: float, dt:
     sg = np.sqrt(gamma)
     y0_hat = grid.transform(dyn.to_symmetric(state, gamma))
     *_, (_, y_hat) = integrate_band(grid, gamma, y0_hat, sg * t_end, sg * dt)
-    return dyn.from_symmetric(grid.inverse(y_hat), gamma)
+    return from_symmetric(grid.inverse(y_hat), gamma)
 
 
 def primitive_flow(grid: GridSpec, gamma: float, state: np.ndarray, t_end: float, dt: float):

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from emlab.cli import build_parser, main
-from emlab.config import ExperimentConfig, canonical_text, config_hash, parse_config
+from emlab.config import (
+    KEY_SECTIONS, ExperimentConfig, canonical_text, config_hash, parse_config,
+)
 from emlab.grid import GridSpec
 from emlab.pipelines import (
     SERIES_COLUMNS,
@@ -162,6 +164,13 @@ class TestConfigValidation:
         assert config_hash(a) == config_hash(parse_config())
         assert config_hash(a) != config_hash(b)
         assert f"seed = {a.seed}" in canonical_text(a)
+
+    def test_default_hash_is_pinned(self):
+        # canonical_text is keyed by field order and section; a reordered or
+        # re-homed key would change every run's identity
+        assert config_hash(parse_config()) == (
+            "93299112de16bbd3eaa5be32830dcefd7ed0aea0ddbf782d07bc28a7fd7c91ad"
+        )
 
     def test_explicit_time_grid_list(self):
         times = ",".join(str(5.0 * k) for k in range(1, 13))
@@ -518,6 +527,13 @@ class TestCli:
         }
         assert flags == {f.name for f in fields(ExperimentConfig)} - {"command"}
 
+    def test_every_key_declares_its_section_and_help(self):
+        for f in fields(ExperimentConfig):
+            assert f.metadata["section"] in KEY_SECTIONS, f.name
+            assert f.name in KEY_SECTIONS[f.metadata["section"]]
+            if f.name != "command":
+                assert f.metadata["help"].strip(), f.name
+
 
 def resumed_with_doubled_e_x(tmp_path, monkeypatch):
     # a state the flow produced, so Gauss-compatible until e_x is doubled
@@ -560,6 +576,11 @@ def non_finite_series(tmp_path, monkeypatch):
     return lyapunov_argv(tmp_path), ["non-finite energy_full"]
 
 
+def series_missing_columns(tmp_path, monkeypatch):
+    (tmp_path / "series.csv").write_text("t,energy_full\n0,1\n0.1,0.9\n0.2,0.8\n")
+    return lyapunov_argv(tmp_path), ["series.csv", "dissipation_full", "energy_high"]
+
+
 # failure class -> (setup returning argv and needles of the message, exit status,
 # whether a run started and so must leave a failed manifest)
 FAILURES = {
@@ -588,6 +609,7 @@ FAILURES = {
     "picard-divergence": (picard_expanding, 1, True),
     "malformed-series": (malformed_series, 1, True),
     "non-finite-series": (non_finite_series, 1, True),
+    "series-missing-columns": (series_missing_columns, 1, True),
     "impossible-config": (
         lambda tmp, mp: (["evolve", "--t-end", "1", "--cadence", "0.3",
                           "--out-dir", str(tmp / "ev")], ["cadence"]),
@@ -601,6 +623,13 @@ FAILURES = {
     "overflowing-chunk-count": (
         lambda tmp, mp: (["evolve", "--t-end", "1e300", "--cadence", "1e-300",
                           "--out-dir", str(tmp / "ev")], ["cadence", "finitely many chunks"]),
+        2, False,
+    ),
+    # the CFL step of this run is normal; no step of it could fill such a chunk
+    "chunk-past-step-cap": (
+        lambda tmp, mp: (["evolve", "--grid-n", "16", "--box-l", "10", "--t-end", "1e300",
+                          "--cadence", "1e280", "--out-dir", str(tmp / "ev")],
+                         ["cadence", "must not exceed", "250000"]),
         2, False,
     ),
 }

@@ -9,8 +9,8 @@ from emlab.grid import GridSpec
 from emlab.stationary import background_profile, picard_iterate
 
 from _helpers import (
-    compatible_perturbation_primitive, integrate_band, linear_rhs_symmetric, nonlinear_sources,
-    oracle_rhs_symmetric, random_field, rhs_primitive, tendency,
+    compatible_perturbation_primitive, from_symmetric, integrate_band, linear_rhs_symmetric,
+    nonlinear_sources, oracle_rhs_symmetric, random_field, rhs_primitive, tendency,
 )
 
 GAMMA = 5.0 / 3.0
@@ -64,7 +64,7 @@ class TestPointwiseMaps:
         state = np.zeros((10,) + grid.shape)
         state[0] = 1.0 + 0.1 * random_field(grid, seed=1)
         state[1:] = 0.1 * np.stack([random_field(grid, seed=s) for s in range(2, 11)])
-        back = dyn.from_symmetric(dyn.to_symmetric(state, GAMMA), GAMMA)
+        back = from_symmetric(dyn.to_symmetric(state, GAMMA), GAMMA)
         assert np.abs(back - state).max() < 1e-12
 
     @given(
@@ -78,7 +78,7 @@ class TestPointwiseMaps:
         state = np.zeros((10,) + grid.shape)
         state[0] = 1.0 + amp * random_field(grid, seed=seed)
         state[1:] = amp * random_field(grid, seed=seed + 1)
-        back = dyn.from_symmetric(dyn.to_symmetric(state, gamma), gamma)
+        back = from_symmetric(dyn.to_symmetric(state, gamma), gamma)
         assert np.abs(back - state).max() < 1e-12
 
 
@@ -177,7 +177,7 @@ class TestTimeStepping:
         # primitive step of h/sqrt(gamma)
         grid = GridSpec(n=16, box=10.0)
         sym0 = dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-4, seed=2)
-        prim0 = dyn.from_symmetric(sym0, GAMMA)
+        prim0 = from_symmetric(sym0, GAMMA)
         h = 1e-2
         y0 = grid.transform(sym0)
         tail = dyn.BandTail(grid, y0)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlab.grid import GridSpec
-from emlab.snapshot import EMXF_MAGIC, EMXF_VERSION, read_snapshot, write_snapshot
+from emlab.snapshot import EMXF_MAGIC, EMXF_VERSION, atomic_write, read_snapshot, write_snapshot
 
 from _helpers import random_field
 
@@ -53,6 +53,29 @@ def test_header_layout(tmp_path, grid):
     assert len(payload) == grid.n**3 * 8
     vals = np.frombuffer(payload, dtype="<f8")
     assert np.all(vals == 1.0)
+
+
+def test_write_failing_mid_way_keeps_the_old_file(tmp_path, grid):
+    path = tmp_path / "s.emxf"
+    write_snapshot(path, grid, {"a": random_field(grid, seed=0)})
+    before = path.read_bytes()
+    bad = np.zeros(grid.shape, dtype=object)
+    bad[1, 2, 3] = "not a number"
+    # the header and field "a" are written before field "b" fails to convert
+    with pytest.raises(ValueError):
+        write_snapshot(path, grid, {"a": random_field(grid, seed=1), "b": bad})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.emxf"]
+
+
+def test_atomic_write_failing_mid_way_leaves_nothing(tmp_path):
+    def chunks():
+        yield b"first chunk\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write(tmp_path / "report.json", chunks())
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_magic_rejected(tmp_path):
