@@ -63,7 +63,10 @@ class ExperimentConfig:
     init_snapshot: str = _key("integrator", "", "snapshot path when init = custom")
     amp: float = _key("integrator", 1e-3, "perturbation amplitude for noise runs")
     t_end: float = _key("integrator", 40.0, "final physical time")
-    cfl: float = _key("integrator", 0.4, "CFL number in (0, 1)")
+    cfl: float = _key(
+        "integrator", 0.4,
+        "CFL number in (0, 1); a step is at most cfl * dx / (max|v| + max|w(sigma) - 1|)",
+    )
     cadence: float = _key("integrator", 0.5, "sampling interval; must divide t_end")
 
     kappa1: float = _key("energy", 0.1, "sigma-gradient coupling weight")
@@ -114,7 +117,10 @@ class ExperimentConfig:
             abs(chunks - round(chunks)) < 1e-9 and round(chunks) >= 1,
             "cadence", f"must divide t_end = {self.t_end}", self.cadence,
         )
-        # CFL steps are below cfl * dx on the clock tau = sqrt(gamma) t: a longer chunk collapses
+        # Steps are at most cfl * dx over the remainder's speed max|v| + max|w - 1|
+        # on the clock tau = sqrt(gamma) t; where that speed reaches 1, a longer
+        # chunk would need more than MAX_CHUNK_STEPS steps.  The bound ignores
+        # the state, so it is only conservative: flatter states take longer steps
         cap = MAX_CHUNK_STEPS * self.cfl * self.box_l / self.grid_n
         req(
             self.cadence * math.sqrt(self.gamma) <= cap, "cadence",

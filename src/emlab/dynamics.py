@@ -19,17 +19,25 @@ rfft coefficients of [scalar, vector, vector, vector], a complex stack of
 shape (10, n, n, n//2+1) in the grid's "forward" normalization; cfl_dt,
 constraint_residuals and energy.energy_report take that stack.  The
 complete right-hand side is projected onto the two-thirds dealias band (a
-Galerkin truncation), so the modes beyond the band never move: RK4
-carries only the band coefficients, (10, 2b+1, 2b+1, b+1) with b = n // 3,
-and a BandTail keeps the fixed off-band tail of the initial state, adds
-its share to the inverse transform of every RHS call and rebuilds the
-full stack where one is needed.  Pointwise cancellations --- in particular
-the stationary balance grad h(n_st) = -E_st, whose out-of-band tail the
-state carries --- are projected as a unit, so exact equilibria stay exact.
-The acoustic gradient terms are written in gradient form, grad h(n) with
-the enthalpy h(n) = g/(g-1) (n^{g-1} - 1), and w grad sigma = grad W(sigma)
-with W(sigma) = (w^2 - 1)/(g - 1), which is what makes that balance hold
-to roundoff on the grid.
+Galerkin truncation), so the modes beyond the band never move: the
+integrator carries only the band coefficients, (10, 2b+1, 2b+1, b+1) with
+b = n // 3, and a BandTail keeps the fixed off-band tail of the initial
+state, adds its share to the inverse transform of every RHS call and
+rebuilds the full stack where one is needed.  Pointwise cancellations ---
+in particular the stationary balance grad h(n_st) = -E_st, whose
+out-of-band tail the state carries --- are projected as a unit, so exact
+equilibria stay exact.  The acoustic gradient terms are written in
+gradient form, grad h(n) with the enthalpy h(n) = g/(g-1) (n^{g-1} - 1),
+and w grad sigma = grad W(sigma) with W(sigma) = (w^2 - 1)/(g - 1), which
+is what makes that balance hold to roundoff on the grid.
+
+Time stepping.  About the flat state the system is linear, and its waves,
+light and sound, are what limit an explicit step.  FlatFlows solves that
+linear part exactly, mode by mode, from lindecay's block decomposition of
+the symbol, and step_rk4 takes it as the exponential integrator ETDRK4,
+so cfl_dt bounds the step by the speed of the remainder alone: advection
+and the departure of the sound speed w(sigma) from 1.  A GaussReset after
+each step holds the in-band Gauss defect at its initial value.
 """
 from __future__ import annotations
 
@@ -38,10 +46,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .grid import GridSpec
+from .lindecay import phi_tables
 
 __all__ = [
     "MAX_CHUNK_STEPS",
     "BandTail",
+    "FlatFlows",
+    "GaussReset",
     "NonFiniteStateError",
     "StepCollapseError",
     "cfl_dt",
@@ -95,14 +106,27 @@ def to_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+def _cross(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """a x b over the first axis; with out and tmp (shaped like b), in them."""
+    if out is None:
+        return np.stack(
+            [
+                a[1] * b[2] - a[2] * b[1],
+                a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0],
+            ]
+        )
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(a[j], b[k], out=out[i])
+        out[i] -= np.multiply(a[k], b[j], out=tmp[i])
+    return out
+
+
+def _real(a: np.ndarray) -> np.ndarray:
+    """A complex array viewed as a real one, real and imaginary parts interleaved."""
+    return a.view(np.float64)
 
 
 class BandTail:
@@ -118,7 +142,9 @@ class BandTail:
     def __init__(self, grid: GridSpec, state_hat: np.ndarray) -> None:
         self.band = grid.two_thirds
         self._state = state_hat.copy()
-        # entries on the band are overwritten on every RHS call
+        # the RHS's inverse input: every call scatters the band's fields into
+        # it, and the transform leaves its input as it is, so the off-band
+        # entries keep the tail's fields
         self.fields = _inverse_fields(grid, state_hat)
 
     def take(self, state_hat: np.ndarray) -> np.ndarray:
@@ -162,9 +188,8 @@ def rhs_symmetric(
 
     # the tail's fields are fixed; the band's are scattered over them
     fields_band = _inverse_fields(band, sb)
-    spec = tail.fields.copy()
-    spec[(Ellipsis,) + band.index] = fields_band
-    phys = grid.inverse(spec)
+    tail.fields[(Ellipsis,) + band.index] = fields_band
+    phys = grid.inverse(tail.fields)
     sigma, v, grad_sigma, div_v, curl_v_b = (
         phys[SCALAR], phys[VEL], phys[4:7], phys[7], phys[8:11]
     )
@@ -234,30 +259,283 @@ def constraint_residuals(
 
 
 def cfl_dt(grid: GridSpec, gamma: float, state_hat: np.ndarray, cfl: float) -> float:
-    """Largest admissible step: cfl * dx / (1 + max|v| + max w(sigma)).
+    """Largest admissible step: cfl * dx / (max|v| + max|w(sigma) - 1|).
 
-    Takes the spectral state; only sigma and v are transformed back.
+    step_rk4's flows solve the flat linear waves, light and sound, exactly,
+    so only the remainder's speed bounds the step: advection, and the sound
+    speed's departure from its flat value 1.  The bound is +inf where both
+    vanish (a flat state) and NaN for a NaN state.  Takes the spectral
+    state; only sigma and v are transformed back.
     """
     if not 0.0 < cfl < 1.0:
         raise ValueError(f"CFL number must lie in (0, 1), got {cfl}")
     sigma_v = grid.inverse(state_hat[0:4])
     speed = np.sqrt((sigma_v[VEL] ** 2).sum(axis=0)).max()
-    c_max = 1.0 + speed + w_of_sigma(sigma_v[SCALAR], gamma).max()
-    return float(cfl * grid.dx / c_max)
+    speed += 0.5 * (gamma - 1.0) * np.abs(sigma_v[SCALAR]).max()
+    return float(cfl * grid.dx / speed) if speed != 0.0 else np.inf
 
 
-def step_rk4(y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float) -> np.ndarray:
-    """One classical Runge-Kutta step.
+class FlatFlows:
+    """The flat linear part of rhs_symmetric on the two-thirds band, solved exactly.
 
-    The stages are summed into one running accumulator as they are made,
-    so no more than one stage tendency is held at a time.
+    About the flat state the tendency is L y, with L y = (-div v,
+    -grad sigma - (E~ + v)/sqrt(g), (curl B~ + v)/sqrt(g), -curl E~/sqrt(g)).
+    On the tau clock L is lindecay's symbol conjugated,
+    L = D A(xi) D^{-1} / sqrt(g) with D = diag(1, I_9 / sqrt(g)), so
+    f(h L) = D f((h/sqrt(g)) A(xi)) D^{-1}.  split() takes band coefficients
+    to 13 eigen-coordinates per mode, where L is diagonal: rows 0-2 hold the
+    longitudinal block (sigma, v . xi^, E~ . xi^), rows 3-11 the transverse
+    rows (v_perp, E~_perp, xi^ x B~), eigenvector-major with one row per
+    Cartesian component, and row 12 the constant B~ . xi^; join() maps
+    back.  The weights step_rk4 gives the tendencies are functions of hL,
+    tabulated per distinct radius for one step size at a time (at) and
+    gathered to the modes at each use.
     """
-    k = rhs(y)
-    acc = y + (h / 6.0) * k
-    for to_stage, weight in ((0.5 * h, h / 3.0), (0.5 * h, h / 3.0), (h, h / 6.0)):
-        k = rhs(y + to_stage * k)
-        acc += weight * k
-    return acc
+
+    def __init__(self, grid: GridSpec, gamma: float) -> None:
+        band = grid.two_thirds
+        self.shape = (10,) + band.k_sq.shape
+        k = band.k.reshape(3, -1)
+        r = np.sqrt(band.k_sq.reshape(-1))
+        hat = np.divide(k, r, out=np.zeros(k.shape), where=r > 0.0)
+        hat[2, r == 0.0] = 1.0  # any direction: A(0) is isotropic
+        # xi^ for both parts of each coefficient: hat products act on complex
+        # arrays viewed as real ones (_real), which needs no complex arithmetic
+        self._hat = np.repeat(hat, 2, axis=-1)
+        # distinct radii from the integer lattice, so equal shells share a radius
+        dk = 2.0 * np.pi / grid.box
+        index_sq = np.rint(band.k_sq.reshape(-1) / dk**2).astype(np.int64)
+        squares, self._radius = np.unique(index_sq, return_inverse=True)
+        self.radii = dk * np.sqrt(squares)
+        self.gamma = gamma
+        self.h: float | None = None
+        # scratch rows for split, join and weigh; no call leaves data in them
+        self._work = np.empty((24, r.size), dtype=complex)
+
+    def at(self, h: float) -> "FlatFlows":
+        """These flows with their weights tabulated for step size h."""
+        if h != self.h:
+            root_g = np.sqrt(self.gamma)
+            vecs, inv, z, tab = phi_tables(self.radii, self.gamma, h / root_g)
+            # conjugate the longitudinal block by D
+            vecs[0, :, 1:] /= root_g
+            inv[0, :, :, 1:] *= root_g
+            # per radius 3 longitudinal and 3 transverse rows, (10, 6, R)
+            weights = _etd_weights(h, z, tab)
+            self._weights = np.ascontiguousarray(
+                np.concatenate([weights[:, 0], weights[:, 1]], axis=-1).transpose(0, 2, 1)
+            )
+            # B~ . xi^ is constant: its weights are those at z = 0, from
+            # e^0 = phi_1(0) = 1, phi_2(0) = 1/2 and phi_3(0) = 1/6
+            at_zero = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 1.0 / 6.0])
+            self._weights_b = _etd_weights(h, np.zeros(()), at_zero)
+            # (block, j, i, R): entry i, j of V or V^{-1}, gathered along the last axis
+            self._vecs = np.ascontiguousarray(np.moveaxis(vecs, (1, 2, 3), (3, 2, 1)))
+            self._inv = np.ascontiguousarray(np.moveaxis(inv, (1, 2, 3), (3, 2, 1)))
+            self.h = h
+        return self
+
+    def _gather(self, table: np.ndarray, rows: int) -> np.ndarray:
+        """A per-radius table (..., R) at the modes, in the first scratch rows."""
+        out = self._work[:rows].reshape(table.shape[:-1] + (-1,))
+        return table.take(self._radius, axis=-1, out=out, mode="clip")
+
+    def weigh(self, row: int, f_hat: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+        """acc + weight row times eigen-coordinates f_hat (acc is updated in place)."""
+        g = self._gather(self._weights[row], 6)
+        out = np.empty_like(f_hat) if acc is None else self._work[6:19]
+        np.multiply(g[0:3], f_hat[0:3], out=out[0:3])
+        np.multiply(g[3:6, None], f_hat[3:12].reshape(3, 3, -1), out=out[3:12].reshape(3, 3, -1))
+        np.multiply(self._weights_b[row], f_hat[12], out=out[12])
+        if acc is None:
+            return out
+        acc += out
+        return acc
+
+    def split(self, y: np.ndarray) -> np.ndarray:
+        """Band coefficients (10, ...) -> eigen-coordinates (13, modes)."""
+        y = np.ascontiguousarray(y).reshape(10, -1)
+        hat, work = self._hat, self._work
+        rows, tmp, along = work[9:18].reshape(3, 3, -1), work[18:21], work[21:24]
+        vectors = y[1:10].reshape(3, 3, -1)
+        # v, E~ and B~ along xi^
+        np.einsum("fcq,cq->fq", _real(vectors), hat, out=_real(along))
+        w = np.empty((13, y.shape[1]), dtype=complex)
+        # w_i = sum_j V^{-1}_ij x_j over (sigma, v_l, E~_l), then over the
+        # transverse rows x = (v_perp, E~_perp, xi^ x B~), one per component
+        g = self._gather(self._inv[0], 9)
+        np.multiply(g[0], y[SCALAR], out=w[0:3])
+        w[0:3] += np.multiply(g[1], along[0], out=tmp)
+        w[0:3] += np.multiply(g[2], along[1], out=tmp)
+        for j in (0, 1):
+            np.multiply(hat, _real(along[j]), out=_real(tmp))
+            np.subtract(vectors[j], tmp, out=rows[j])
+        _cross(hat, _real(vectors[2]), out=_real(rows[2]), tmp=_real(tmp))
+        g = self._gather(self._inv[1], 9)
+        trans = w[3:12].reshape(3, 3, -1)
+        for i in range(3):
+            np.multiply(g[0, i], rows[0], out=trans[i])
+            trans[i] += np.multiply(g[1, i], rows[1], out=tmp)
+            trans[i] += np.multiply(g[2, i], rows[2], out=tmp)
+        w[12] = along[2]
+        return w
+
+    def join(self, w: np.ndarray) -> np.ndarray:
+        """Eigen-coordinates (13, modes) -> band coefficients."""
+        hat, work = self._hat, self._work
+        lon, tmp, row = work[9:12], work[12:15], work[15:18]
+        # x_i = sum_j V_ij w_j, longitudinally and per transverse component
+        g = self._gather(self._vecs[0], 9)
+        np.multiply(g[0], w[0], out=lon)
+        lon += np.multiply(g[1], w[1], out=tmp)
+        lon += np.multiply(g[2], w[2], out=tmp)
+        y = np.empty((10, w.shape[1]), dtype=complex)
+        y[SCALAR] = lon[0]
+        for dest, along in ((y[VEL], lon[1]), (y[ELEC], lon[2]), (y[MAG], w[12])):
+            np.multiply(hat, _real(along), out=_real(dest))
+        g = self._gather(self._vecs[1], 9)
+        trans = w[3:12].reshape(3, 3, -1)
+        # v_perp and E~_perp add to y; xi^ x B~ collects in row
+        row[...] = 0.0
+        for i, dest in ((0, y[VEL]), (1, y[ELEC]), (2, row)):
+            for j in range(3):
+                dest += np.multiply(g[j, i], trans[j], out=tmp)
+        # xi^ x (xi^ x B~) = -B~_perp
+        y[MAG] -= _cross(hat, _real(row), out=_real(lon), tmp=_real(tmp)).view(complex)
+        return y.reshape(self.shape)
+
+
+# The rows of the stage weights: a = y + A F(y), b = y + B0 F(y) + BA F(a),
+# c = y + C0 F(y) + CA F(a) + CB F(b), y_1 = y + Y0 F(y) + ... + YC F(c)
+_A, _B0, _BA, _C0, _CA, _CB, _Y0, _YA, _YB, _YC = range(10)
+
+
+def _etd_weights(h: float, z: np.ndarray, tab: np.ndarray) -> np.ndarray:
+    """The stage weights of step_rk4 at z = h lambda, shape (10,) + z.shape.
+
+    tab holds e^z, e^{z/2}, phi_1(z/2), phi_1(z), phi_2(z), phi_3(z) (see
+    lindecay.phi_tables).  With p = h/2 phi_1(z/2), d = e^{z/2} - 1
+    = z/2 phi_1(z/2) and the Cox-Matthews weights g_1 = h (phi_1 - 3 phi_2
+    + 4 phi_3), g_2 = h (2 phi_2 - 4 phi_3), g_3 = h (4 phi_3 - phi_2),
+    eliminating N = F - lambda y from the stages leaves these.
+    """
+    _, _, phi_half, phi1, phi2, phi3 = tab
+    p = 0.5 * h * phi_half
+    d = 0.5 * z * phi_half
+    g1 = h * (phi1 - 3.0 * phi2 + 4.0 * phi3)
+    g2 = h * (2.0 * phi2 - 4.0 * phi3)
+    g3 = h * (4.0 * phi3 - phi2)
+    return np.stack([
+        p,
+        -d * p, p,
+        d * p * (1.0 + 2.0 * d), -2.0 * d * p, 2.0 * p,
+        g1 - g2 * d * (1.0 - d) - g3 * d * d * (1.0 + 2.0 * d),
+        g2 * (1.0 - d) + 2.0 * g3 * d * d, g2 - 2.0 * g3 * d, g3,
+    ])
+
+
+class _NoFlows:
+    """L = 0: step_rk4 is then classical RK4, its weights plain numbers."""
+
+    def __init__(self, h: float) -> None:
+        self._weights = (0.5 * h, 0.0, 0.5 * h, 0.0, 0.0, h, h / 6.0, h / 3.0, h / 3.0, h / 6.0)
+
+    def weigh(self, row: int, f_hat: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
+        out = self._weights[row] * f_hat
+        return out if acc is None else acc + out
+
+    def split(self, y: np.ndarray) -> np.ndarray:
+        return y
+
+    join = split
+
+
+def step_rk4(
+    y: np.ndarray,
+    rhs: Callable[[np.ndarray], np.ndarray],
+    h: float,
+    flows: FlatFlows | None = None,
+) -> np.ndarray:
+    """One fourth-order Runge-Kutta step of y' = rhs(y) = L y + N(y).
+
+    flows solve the linear part L exactly, and the step is the exponential
+    integrator ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002):
+
+        a   = e^{hL/2} y + h/2 phi_1(hL/2) N(y)
+        b   = e^{hL/2} y + h/2 phi_1(hL/2) N(a)
+        c   = e^{hL/2} a + h/2 phi_1(hL/2) (2 N(b) - N(y))
+        y_1 = e^{hL} y + h (f_1 N(y) + f_2 (N(a) + N(b)) + f_3 N(c))
+
+    with f_1 = phi_1 - 3 phi_2 + 4 phi_3, f_2 = 2 phi_2 - 4 phi_3 and
+    f_3 = 4 phi_3 - phi_2 of hL.  With N = rhs - L y substituted, each
+    stage is y plus weighted tendencies (see _etd_weights), summed in the
+    eigen-coordinates of L as the tendencies are made; so a state at rest
+    stays at rest.  Without flows L = 0: then
+    e^{hL} = phi_1 = 1, phi_2 = 1/2 and phi_3 = 1/6, and this is the
+    classical step.
+    """
+    fl = _NoFlows(h) if flows is None else flows.at(h)
+
+    def stage(acc: np.ndarray) -> np.ndarray:
+        out = fl.join(acc)  # an array no one else holds, on both paths
+        out += y
+        return out
+
+    k0 = fl.split(rhs(y))
+    a = stage(fl.weigh(_A, k0))
+    ka = fl.split(rhs(a))
+    del a
+    b = stage(fl.weigh(_BA, ka, fl.weigh(_B0, k0)))
+    c = fl.weigh(_CA, ka, fl.weigh(_C0, k0))
+    acc = fl.weigh(_YA, ka, fl.weigh(_Y0, k0))
+    del k0, ka
+    kb = fl.split(rhs(b))
+    del b
+    c = stage(fl.weigh(_CB, kb, c))
+    acc = fl.weigh(_YB, kb, acc)
+    del kb
+    acc = fl.weigh(_YC, fl.split(rhs(c)), acc)
+    return stage(acc)
+
+
+class GaussReset:
+    """Holds the in-band Gauss defect of an integration at its initial value.
+
+    rhs_symmetric transports the defect div E~ + (n(sigma) - n_b)/sqrt(g)
+    exactly on every band mode but the mean, but a long step drifts it by
+    the integrator's error.  Called after each step, this moves the band's
+    longitudinal E~ so that the defect on k != 0 is its value at t = 0
+    again, at the cost of one inverse and one forward transform of sigma.
+    It counts the steps and records the largest drift it removed (the L^2
+    norm of the defect's change, as constraint_residuals measures it).
+    """
+
+    def __init__(self, grid: GridSpec, gamma: float, state_hat: np.ndarray) -> None:
+        self._grid = grid
+        self._gamma = gamma
+        self._band = grid.two_thirds
+        # the full sigma: each call scatters the band into it; the tail is fixed
+        self._sigma = state_hat[SCALAR].copy()
+        self._weight = grid.box**3 * self._band.take(grid.mult)
+        self._defect0 = self._defect(self._band.take(state_hat))
+        self.steps = 0
+        self.max_drift = 0.0
+
+    def _defect(self, y_band: np.ndarray) -> np.ndarray:
+        """div E~ + n(sigma)/sqrt(g) on the band (the defect up to n_b's part)."""
+        grid, band = self._grid, self._band
+        self._sigma[band.index] = y_band[SCALAR]
+        density = n_of_sigma(grid.inverse(self._sigma), self._gamma)
+        return band.div(y_band[ELEC]) + band.take(grid.transform(density)) / np.sqrt(self._gamma)
+
+    def __call__(self, y_band: np.ndarray) -> np.ndarray:
+        drift = self._defect0 - self._defect(y_band)
+        drift[self._band.k_sq == 0.0] = 0.0  # no field carries the mean charge
+        y_band[ELEC] += self._band.longitudinal(drift)
+        norm = float(np.sqrt(np.sum(self._weight * (drift.real**2 + drift.imag**2))))
+        self.max_drift = max(self.max_drift, norm)
+        self.steps += 1
+        return y_band
 
 
 class NonFiniteStateError(ValueError):
@@ -269,8 +547,8 @@ class NonFiniteStateError(ValueError):
         self.bound = bound
 
 
-# A cadence chunk that needs more RK4 steps than this has a collapsed step
-# size (a runaway CFL bound): no run of this laboratory gets near it.
+# A cadence chunk that needs more steps than this has a collapsed step size
+# (a runaway CFL bound): no run of this laboratory gets near it.
 MAX_CHUNK_STEPS = 1_000_000
 
 
@@ -285,7 +563,7 @@ class StepCollapseError(ValueError):
         speed = "" if max_speed is None else f" (max |v| = {max_speed:.6g})"
         super().__init__(
             f"step size collapsed at t={t:.12g}: h = {h:.6g}{speed} would need "
-            f"more than {MAX_CHUNK_STEPS} RK4 steps per cadence chunk"
+            f"more than {MAX_CHUNK_STEPS} steps per cadence chunk"
         )
         self.t = t
         self.h = h
@@ -298,16 +576,20 @@ def integrate_fixed(
     t_end: float,
     dt_max: Callable[[np.ndarray], float] | float,
     cadence: float | None = None,
+    flows: FlatFlows | None = None,
+    after_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Fixed-step RK4 integration, yielding (t, state) at cadence boundaries.
+    """Fixed-step integration by step_rk4, yielding (t, state) at cadence boundaries.
 
     dt_max may be a constant or a callable recomputed from the state at each
     cadence chunk (e.g. a CFL bound); within a chunk the step is uniform and
-    chosen to land exactly on the boundary.  Yields the initial state first.
-    A step bound that is not finite and positive raises NonFiniteStateError,
-    and one that would need more than MAX_CHUNK_STEPS steps in a chunk
-    raises StepCollapseError before any of them is taken; both carry the
-    time on this function's own clock.
+    chosen to land exactly on the boundary, and an infinite bound means one
+    step per chunk.  flows go to every step, and after_step, if given, maps
+    the state after each one.  Yields the initial state first.  A step bound
+    that is NaN or not positive raises NonFiniteStateError, and one that
+    would need more than MAX_CHUNK_STEPS steps in a chunk raises
+    StepCollapseError before any of them is taken; both carry the time on
+    this function's own clock.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -320,14 +602,16 @@ def integrate_fixed(
     yield 0.0, y
     for chunk in range(1, n_chunks + 1):
         cap = dt_max(y) if callable(dt_max) else float(dt_max)
-        if not 0.0 < cap < np.inf:
+        if not cap > 0.0:
             raise NonFiniteStateError((chunk - 1) * cadence, cap)
         if cadence / cap > MAX_CHUNK_STEPS:
             raise StepCollapseError((chunk - 1) * cadence, cap)
         steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
         h = cadence / steps
         for _ in range(steps):
-            y = step_rk4(y, rhs, h)
+            y = step_rk4(y, rhs, h, flows)
+            if after_step is not None:
+                y = after_step(y)
         yield chunk * cadence, y
 
 

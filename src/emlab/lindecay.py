@@ -59,6 +59,7 @@ __all__ = [
     "fit_decay",
     "initial_modes",
     "initial_norms_analytic",
+    "phi_tables",
     "propagate",
     "spectral_stability_report",
     "symbol_matrix",
@@ -193,6 +194,71 @@ def _block_flow(r: np.ndarray, gamma: float, t) -> tuple[np.ndarray, np.ndarray]
     lon[..., 2, 2] = m_ee
     lon[..., 3, 3] = 1.0
     return lon, trans
+
+
+def _longitudinal_generator(r: np.ndarray, gamma: float) -> np.ndarray:
+    """The longitudinal block on (rho, u . xi^, E . xi^), shape r.shape + (3, 3).
+
+    Its eigenvalues are 0 (the conserved Gauss defect) and
+    -1/2 +- i sqrt(3/4 + gamma r^2), distinct at every radius.
+    """
+    gen = np.zeros(np.shape(r) + (3, 3), dtype=complex)
+    gen[..., 0, 1] = -1j * r
+    gen[..., 1, 0] = -1j * gamma * r
+    gen[..., 1, 1] = -1.0
+    gen[..., 1, 2] = -1.0
+    gen[..., 2, 1] = 1.0
+    return gen
+
+
+# Taylor terms of phi_k inside the unit disc; the first one dropped is below 1e-18
+_PHI_TERMS = 20
+
+
+def _phi_functions(z: np.ndarray) -> np.ndarray:
+    """phi_0 .. phi_3 at complex z, shape (4,) + z.shape.
+
+    phi_0(z) = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z.  That recurrence
+    cancels as z -> 0, so inside the unit disc the series
+    phi_k(z) = sum_j z^j / (j + k)! is summed instead.
+    """
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((4,) + z.shape, dtype=complex)
+    small = np.abs(z) < 1.0
+    large = ~small
+    out[0] = np.exp(z)
+    for k in range(3):
+        out[k + 1][large] = (out[k][large] - 1.0 / math.factorial(k)) / z[large]
+    zs = z[small]
+    for k in range(4):
+        acc = np.full(zs.shape, 1.0 / math.factorial(_PHI_TERMS + k), dtype=complex)
+        for j in range(_PHI_TERMS - 1, -1, -1):
+            acc = acc * zs + 1.0 / math.factorial(j + k)
+        out[k][small] = acc
+    return out
+
+
+def phi_tables(
+    r: np.ndarray, gamma: float, t: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What an exponential integrator needs of e^{t A(xi)}, at radii r.
+
+    Block 0 is the longitudinal block on (rho, u . xi^, E . xi^), block 1
+    the transverse block on (u_perp, E_perp, xi^ x B); B . xi^ is constant.
+    Each is diagonalized at each radius, f(t A) = V diag(f(z)) V^{-1} with
+    z = t lambda.  Returns V and V^{-1}, shape (2, R, 3, 3); z, shape
+    (2, R, 3); and the tables, shape (6, 2, R, 3), of e^z, e^{z/2},
+    phi_1(z/2), phi_1(z), phi_2(z) and phi_3(z), where
+    phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2 and
+    phi_3(z) = (e^z - 1 - z - z^2/2)/z^3.
+    """
+    r = np.asarray(r, dtype=float)
+    gens = np.stack([_longitudinal_generator(r, gamma), _transverse_generator(r)])
+    lam, vecs = np.linalg.eig(gens)
+    z = t * lam
+    whole, half = _phi_functions(z), _phi_functions(0.5 * z)
+    tables = np.stack([whole[0], half[0], half[1], whole[1], whole[2], whole[3]])
+    return vecs, np.linalg.inv(vecs), z, tables
 
 
 def propagate(xi: np.ndarray, y0: np.ndarray, gamma: float, t: float) -> np.ndarray:

@@ -44,14 +44,19 @@ def tendency(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.ndarray:
 
 def integrate_band(grid: GridSpec, gamma: float, y0_hat, t_end, dt_max, cadence=None):
     """integrate_fixed on the two-thirds band of the rfft stack y0_hat, as
-    emlab evolve runs it; yields (tau, full rfft stack) at cadence points.
+    emlab evolve runs it: exponential steps over the flat linear flows, with
+    the Gauss reset after each; yields (tau, full rfft stack) at cadence
+    points.
 
     dt_max is a constant or a callable on the full stack (e.g. cfl_dt).
     """
     tail = dyn.BandTail(grid, y0_hat)
     rhs = lambda y_band: dyn.rhs_symmetric(grid, gamma, y_band, tail)
     cap = (lambda y_band: dt_max(tail.full(y_band))) if callable(dt_max) else dt_max
-    for tau, y_band in dyn.integrate_fixed(tail.take(y0_hat), rhs, t_end, cap, cadence):
+    flows = dyn.FlatFlows(grid, gamma)
+    reset = dyn.GaussReset(grid, gamma, y0_hat)
+    steps = dyn.integrate_fixed(tail.take(y0_hat), rhs, t_end, cap, cadence, flows, reset)
+    for tau, y_band in steps:
         yield tau, tail.full(y_band)
 
 

@@ -268,6 +268,28 @@ class TestEvolvePipeline:
         # spectrum value, truncation tail included, rides along in the notes
         assert manifest.notes["max_gauss"] <= manifest.notes["max_gauss_full_spectrum"]
 
+    def test_manifest_counts_steps_and_rhs_calls(self, tmp_path):
+        # the step bound far exceeds a chunk here: one exponential step each
+        cfg = small_cfg(tmp_path, "ev", command="evolve", t_end=1.5, cadence=0.5)
+        manifest = run_experiment(cfg)
+        notes = strict_json(tmp_path / "ev" / "manifest.json")["notes"]
+        assert notes["steps"] == notes["samples"] - 1 == 3
+        assert notes["rhs_calls"] == 4 * notes["steps"]
+        # a step drifts the in-band defect a little; the reset takes it back
+        assert 0.0 < notes["max_gauss_reset"] <= 1e-6
+        assert manifest.checks["gauss_laws_transported"]
+
+    def test_flat_state_takes_one_step_per_chunk(self, tmp_path):
+        # no flow but the exactly solved waves: the step bound is infinite
+        out = tmp_path / "flat"
+        code = main(["evolve", "--grid-n", "16", "--box-l", "10", "--eps", "0",
+                     "--init", "stationary-exact", "--t-end", "1", "--out-dir", str(out)])
+        assert code == 0
+        manifest = strict_json(out / "manifest.json")
+        assert manifest["checks"]["equilibrium_fixed"] is True
+        assert manifest["notes"]["steps"] == manifest["notes"]["samples"] - 1 == 2
+        assert manifest["notes"]["max_norm_v"] == 0.0
+
     def test_noise_run_is_bit_deterministic(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -474,7 +496,7 @@ class TestCli:
         snap = custom_snapshot(tmp_path, fast_v, grid)
 
         def no_step(*args):
-            raise AssertionError("an RK4 step ran")
+            raise AssertionError("a step ran")
 
         monkeypatch.setattr("emlab.dynamics.step_rk4", no_step)
         # a flat background (eps 0) makes the zero density Gauss-compatible
@@ -488,7 +510,7 @@ class TestCli:
         assert "max |v| = 1e+12" in lines[0]
         h = float(lines[0].split("h = ")[1].split()[0])
         gamma = parse_config().gamma
-        assert h == pytest.approx(0.9 * grid.dx / (2.0 + 1e12) / np.sqrt(gamma), rel=1e-5)
+        assert h == pytest.approx(0.9 * grid.dx / 1e12 / np.sqrt(gamma), rel=1e-5)
         manifest = strict_json(tmp_path / "ev" / "manifest.json")
         assert manifest["status"] == "failed" and "collapsed" in manifest["error"]
         # the t = 0 sample was taken before the failure and is kept
@@ -576,6 +598,16 @@ def non_finite_series(tmp_path, monkeypatch):
     return lyapunov_argv(tmp_path), ["non-finite energy_full"]
 
 
+def empty_series(tmp_path, monkeypatch):
+    (tmp_path / "series.csv").write_bytes(b"")
+    return lyapunov_argv(tmp_path), ["cannot read series", "series.csv", "Empty input file"]
+
+
+def header_only_series(tmp_path, monkeypatch):
+    emit_series(tmp_path / "series.csv", SERIES_COLUMNS, [])
+    return lyapunov_argv(tmp_path), ["series.csv", "fewer than two samples"]
+
+
 def series_missing_columns(tmp_path, monkeypatch):
     (tmp_path / "series.csv").write_text("t,energy_full\n0,1\n0.1,0.9\n0.2,0.8\n")
     return lyapunov_argv(tmp_path), ["series.csv", "dissipation_full", "energy_high"]
@@ -610,6 +642,8 @@ FAILURES = {
     "malformed-series": (malformed_series, 1, True),
     "non-finite-series": (non_finite_series, 1, True),
     "series-missing-columns": (series_missing_columns, 1, True),
+    "empty-series": (empty_series, 1, True),
+    "header-only-series": (header_only_series, 1, True),
     "impossible-config": (
         lambda tmp, mp: (["evolve", "--t-end", "1", "--cadence", "0.3",
                           "--out-dir", str(tmp / "ev")], ["cadence"]),

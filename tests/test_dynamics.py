@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlab import dynamics as dyn
+from emlab.energy import energy_report
 from emlab.grid import GridSpec
+from emlab.lindecay import propagate
 from emlab.stationary import background_profile, picard_iterate
 
 from _helpers import (
@@ -213,11 +215,25 @@ class TestTimeStepping:
         state = np.zeros((10,) + grid.shape)
         state[0] = 0.2
         state[1] = 0.3
-        expect = 0.4 * grid.dx / (1.0 + 0.3 + (0.5 * (GAMMA - 1.0) * 0.2 + 1.0))
+        # the remainder's speed: max|v| + max|w(sigma) - 1|
+        expect = 0.4 * grid.dx / (0.3 + 0.5 * (GAMMA - 1.0) * 0.2)
         state_hat = grid.transform(state)
         assert dyn.cfl_dt(grid, GAMMA, state_hat, 0.4) == pytest.approx(expect, rel=1e-12)
         with pytest.raises(ValueError, match="CFL"):
             dyn.cfl_dt(grid, GAMMA, state_hat, 1.5)
+
+    def test_flat_state_has_no_step_bound(self):
+        # nothing but the exactly solved linear waves moves: one step per chunk
+        grid = GridSpec(n=8, box=5.0)
+        flat = np.zeros((10,) + grid.spectral_shape, dtype=complex)
+        assert dyn.cfl_dt(grid, GAMMA, flat, 0.4) == np.inf
+        out = list(dyn.integrate_fixed(
+            np.array(1.0), lambda y: -y, t_end=1.0, cadence=0.5,
+            dt_max=lambda y: dyn.cfl_dt(grid, GAMMA, flat, 0.4),
+        ))
+        assert [t for t, _ in out] == [0.0, 0.5, 1.0]
+        flat[0, 1, 2, 3] = np.nan
+        assert np.isnan(dyn.cfl_dt(grid, GAMMA, flat, 0.4))
 
     def test_integrate_cadence_must_divide_horizon(self):
         grid = GridSpec(n=8, box=5.0)
@@ -237,7 +253,7 @@ class TestTimeStepping:
             list(steps)
 
     def test_step_collapse_raised_from_the_plan(self):
-        # a finite, admissible state with |v| = 1e12 gives a CFL step of
+        # a finite, admissible state with |v| = 1e12 gives a step bound of
         # about 1e-12: the plan for one chunk is refused before any step
         grid = GridSpec(n=16, box=20.0)
         y = np.zeros((10,) + grid.shape)
@@ -257,7 +273,7 @@ class TestTimeStepping:
             next(steps)
         assert isinstance(info.value, ValueError)
         assert info.value.t == 0.0
-        assert info.value.h == pytest.approx(0.9 * grid.dx / (2.0 + 1e12), rel=1e-12)
+        assert info.value.h == pytest.approx(0.9 * grid.dx / 1e12, rel=1e-12)
         assert calls == []
 
     def test_integrate_yields_cadence_points(self):
@@ -357,6 +373,137 @@ class TestConstraintTransport:
         assert worst_band <= worst_full
 
 
+def band_linear_rhs(band, gamma):
+    """The flat linear part L of rhs_symmetric on band coefficients."""
+    sg = np.sqrt(gamma)
+
+    def rhs(y):
+        out = np.empty_like(y)
+        out[0] = -band.div(y[1:4])
+        out[1:4] = -band.grad(y[0]) - (y[4:7] + y[1:4]) / sg
+        out[4:7] = (band.curl(y[7:10]) + y[1:4]) / sg
+        out[7:10] = -band.curl(y[4:7]) / sg
+        return out
+
+    return rhs
+
+
+def classical_cfl(grid, gamma, y_hat, cfl):
+    """The step bound of explicit RK4, whose speed includes the flat waves."""
+    phys = grid.inverse(y_hat[0:4])
+    speed = np.sqrt((phys[1:4] ** 2).sum(axis=0)).max()
+    return cfl * grid.dx / (1.0 + speed + dyn.w_of_sigma(phys[0], gamma).max())
+
+
+class TestExponentialSteps:
+    # step_rk4 over FlatFlows: ETDRK4 with the flat linear part solved exactly
+
+    def test_eigen_coordinates_round_trip(self):
+        grid = GridSpec(n=16, box=10.0)
+        flows = dyn.FlatFlows(grid, GAMMA).at(0.4)
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal(flows.shape) + 1j * rng.standard_normal(flows.shape)
+        assert flows.split(y).shape == (13, y[0].size)
+        assert np.abs(flows.join(flows.split(y)) - y).max() <= 1e-14 * np.abs(y).max()
+        # 45 distinct radii carry the 726 band modes
+        assert flows.radii.size == 45 and flows.radii[0] == 0.0
+
+    @pytest.mark.parametrize("h", [0.3, 2.0])
+    def test_zero_remainder_step_is_the_linear_flow(self, h):
+        grid = GridSpec(n=16, box=10.0)
+        band = grid.two_thirds
+        flows = dyn.FlatFlows(grid, GAMMA)
+        rng = np.random.default_rng(2)
+        y = rng.standard_normal(flows.shape) + 1j * rng.standard_normal(flows.shape)
+        out = dyn.step_rk4(y, band_linear_rhs(band, GAMMA), h, flows)
+        # lindecay's flow of the primitive amplitudes D^{-1} y for h / sqrt(g)
+        d = np.r_[1.0, np.full(9, 1.0 / np.sqrt(GAMMA))]
+        xi = np.moveaxis(band.k, 0, -1).reshape(-1, 3)
+        ref = propagate(xi, y.reshape(10, -1).T / d, GAMMA, h / np.sqrt(GAMMA)) * d
+        ref = ref.T.reshape(y.shape)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_tables_follow_the_step_size(self):
+        grid = GridSpec(n=16, box=10.0)
+        flows = dyn.FlatFlows(grid, GAMMA)
+        y = np.random.default_rng(3).standard_normal(flows.shape) + 0j
+        rhs = band_linear_rhs(grid.two_thirds, GAMMA)
+        two_halves = dyn.step_rk4(dyn.step_rk4(y, rhs, 0.5, flows), rhs, 0.5, flows)
+        assert flows.h == 0.5
+        one = dyn.step_rk4(y, rhs, 1.0, flows)
+        assert flows.h == 1.0
+        assert np.abs(one - two_halves).max() <= 1e-12 * np.abs(one).max()
+
+    def test_stationary_state_stays_put(self, equilibrium):
+        grid, _, _, prim = equilibrium
+        y0 = grid.transform(dyn.to_symmetric(prim, GAMMA))
+        tail = dyn.BandTail(grid, y0)
+        y_band = tail.take(y0)
+        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+        # one step of a whole cadence chunk, as evolve takes it
+        out = dyn.step_rk4(y_band, rhs, 0.5 * np.sqrt(GAMMA), dyn.FlatFlows(grid, GAMMA))
+        assert np.abs(out - y_band).max() <= 1e-10 * np.abs(y_band).max()
+
+    def test_gauss_reset_holds_the_in_band_defect(self, equilibrium):
+        grid, n_b, state, prim = equilibrium
+        y0 = grid.transform(dyn.to_symmetric(prim, GAMMA) + dyn.compatible_perturbation(
+            grid, GAMMA, state.sigma_st, amp=1e-2, seed=4
+        ))
+        tail = dyn.BandTail(grid, y0)
+        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+        reset = dyn.GaussReset(grid, GAMMA, y0)
+        y = dyn.step_rk4(tail.take(y0), rhs, 2.0, dyn.FlatFlows(grid, GAMMA))
+
+        def defect(y_band):
+            sh = tail.full(y_band)
+            target = (n_b - dyn.n_of_sigma(grid.inverse(sh[0]), GAMMA)) / np.sqrt(GAMMA)
+            res = tail.band.take(grid.div(sh[4:7]) - grid.transform(target))
+            res[tail.band.k_sq == 0.0] = 0.0
+            return res
+
+        drift = np.abs(defect(y) - defect(tail.take(y0))).max()
+        assert drift > 1e-10  # a long step drifts the defect
+        y = reset(y)
+        assert np.abs(defect(y) - defect(tail.take(y0))).max() <= 1e-6 * drift
+        assert reset.steps == 1 and reset.max_drift > 0.0
+
+    def test_one_step_per_chunk_beats_rk4_at_its_cfl_step(self, equilibrium):
+        # against classical RK4 at an eighth of its CFL step, one exponential
+        # step per chunk errs less on every series column than RK4 at the step
+        grid, _, state, prim = equilibrium
+        base = dyn.to_symmetric(prim, GAMMA)
+        base_hat = grid.transform(base)
+        y0 = grid.transform(base + dyn.compatible_perturbation(
+            grid, GAMMA, state.sigma_st, amp=1e-3, seed=0
+        ))
+        tau_end, cadence = np.sqrt(GAMMA), 0.5 * np.sqrt(GAMMA)
+        norm = lambda f: np.sqrt(grid.spectral_l2_sq(f))
+
+        def series(samples):
+            rows = []
+            for _, y in samples:
+                pert = y - base_hat
+                rep = energy_report(grid, pert, state.sigma_st, GAMMA)
+                rows.append([rep[k] for k in ("energy_full", "dissipation_full", "energy_high",
+                                              "dissipation_high", "int1", "int2", "int3")]
+                            + [norm(pert[0]), norm(pert[1:4]), norm(pert[4:7]), norm(pert[7:10])])
+            return np.array(rows)
+
+        def rk4(fraction):
+            tail = dyn.BandTail(grid, y0)
+            rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+            cap = lambda y: fraction * classical_cfl(grid, GAMMA, tail.full(y), 0.4)
+            steps = dyn.integrate_fixed(tail.take(y0), rhs, tau_end, cap, cadence)
+            return series((t, tail.full(y)) for t, y in steps)
+
+        ref = rk4(1.0 / 8.0)
+        cap = lambda y: dyn.cfl_dt(grid, GAMMA, y, 0.4)
+        assert cap(y0) > cadence  # one exponential step per chunk
+        etd = series(integrate_band(grid, GAMMA, y0, tau_end, cap, cadence))
+        err = lambda rows: (np.abs(rows - ref) / np.abs(ref))[1:].max(axis=0)
+        assert (err(etd) <= err(rk4(1.0))).all(), (err(etd), err(rk4(1.0)))
+
+
 def _old_residuals(grid, y, n_b, band_limited):
     """The two-pass Gauss defect norms, from the physical state."""
     sh = grid.transform(y)
@@ -422,7 +569,8 @@ class TestSpectralState:
     def test_band_steps_match_full_layout_oracle_steps(self, equilibrium, rough_state):
         grid = equilibrium[0]
         y0 = grid.transform(rough_state)
-        h = 0.5 * dyn.cfl_dt(grid, GAMMA, y0, 0.4)
+        # classical steps on both sides, so the explicit RK4 bound
+        h = 0.5 * classical_cfl(grid, GAMMA, y0, 0.4)
         tail = dyn.BandTail(grid, y0)
         y_band, y_ref = tail.take(y0), y0
         for _ in range(3):
