@@ -65,7 +65,8 @@ class ExperimentConfig:
     t_end: float = _key("integrator", 40.0, "final physical time")
     cfl: float = _key(
         "integrator", 0.4,
-        "CFL number in (0, 1); a step is at most cfl * dx / (max|v| + max|w(sigma) - 1|)",
+        "CFL number in (0, 1); a step is at most cfl * dx / (max|v| + max|w(sigma) - 1|) "
+        "and one period of the fastest flat wave",
     )
     cadence: float = _key("integrator", 0.5, "sampling interval; must divide t_end")
 
@@ -120,7 +121,9 @@ class ExperimentConfig:
         # Steps are at most cfl * dx over the remainder's speed max|v| + max|w - 1|
         # on the clock tau = sqrt(gamma) t; where that speed reaches 1, a longer
         # chunk would need more than MAX_CHUNK_STEPS steps.  The bound ignores
-        # the state, so it is only conservative: flatter states take longer steps
+        # the state, so it is only conservative: flatter states take longer
+        # steps, up to one period of the fastest flat wave (about sqrt(3) dx
+        # on the tau clock unless the box is far wider than the grid is fine)
         cap = MAX_CHUNK_STEPS * self.cfl * self.box_l / self.grid_n
         req(
             self.cadence * math.sqrt(self.gamma) <= cap, "cadence",

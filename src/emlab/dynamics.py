@@ -36,8 +36,11 @@ light and sound, are what limit an explicit step.  FlatFlows solves that
 linear part exactly, mode by mode, from lindecay's block decomposition of
 the symbol, and step_rk4 takes it as the exponential integrator ETDRK4,
 so cfl_dt bounds the step by the speed of the remainder alone: advection
-and the departure of the sound speed w(sigma) from 1.  A GaussReset after
-each step holds the in-band Gauss defect at its initial value.
+and the departure of the sound speed w(sigma) from 1.  The remainder
+still oscillates with the waves it rides on, so FlatFlows.max_step, one
+period of the fastest flat wave on the band, bounds the step for
+accuracy whatever the state and the sampling cadence.  A GaussReset
+after each step holds the in-band Gauss defect at its initial value.
 """
 from __future__ import annotations
 
@@ -106,21 +109,11 @@ def to_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def _cross(
-    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
-) -> np.ndarray:
-    """a x b over the first axis; with out and tmp (shaped like b), in them."""
-    if out is None:
-        return np.stack(
-            [
-                a[1] * b[2] - a[2] * b[1],
-                a[2] * b[0] - a[0] * b[2],
-                a[0] * b[1] - a[1] * b[0],
-            ]
-        )
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """a x b over the first axis, written into out; tmp is shaped like b[0]."""
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], b[k], out=out[i])
-        out[i] -= np.multiply(a[k], b[j], out=tmp[i])
+        out[i] -= np.multiply(a[k], b[j], out=tmp)
     return out
 
 
@@ -199,7 +192,7 @@ def rhs_symmetric(
     # v . grad sigma + (w(sigma) - 1) div v; the linear div v stays spectral
     prods[0] = (v * grad_sigma).sum(axis=0) + 0.5 * (gamma - 1.0) * sigma * div_v
     prods[1] = 0.5 * (v * v).sum(axis=0) + (w_of_sigma(sigma, gamma) ** 2 - 1.0) / (gamma - 1.0)
-    prods[2:5] = _cross(v, curl_v_b)                      # v x (curl v - B~)
+    _cross(v, curl_v_b, out=prods[2:5], tmp=prods[5])     # v x (curl v - B~)
     prods[5:8] = n_of_sigma(sigma, gamma) * v             # current n(sigma) v
 
     # The complete tendency is projected onto the two-thirds band (a
@@ -290,6 +283,11 @@ class FlatFlows:
     back.  The weights step_rk4 gives the tendencies are functions of hL,
     tabulated per distinct radius for one step size at a time (at) and
     gathered to the modes at each use.
+
+    max_step is one period of the fastest flat wave on the band, 2 pi over
+    the largest |Im| of L's eigenvalues.  The waves themselves are exact at
+    any step, but the remainder they drive oscillates with them and is
+    sampled once per stage, so integrate_fixed takes no longer step.
     """
 
     def __init__(self, grid: GridSpec, gamma: float) -> None:
@@ -308,6 +306,10 @@ class FlatFlows:
         squares, self._radius = np.unique(index_sq, return_inverse=True)
         self.radii = dk * np.sqrt(squares)
         self.gamma = gamma
+        # z = h lambda at h = 1, the eigenvalues of L on the tau clock, at the
+        # largest radius: both blocks' frequencies grow with the radius
+        _, _, z, _ = phi_tables(self.radii[-1:], gamma, 1.0 / np.sqrt(gamma))
+        self.max_step = float(2.0 * np.pi / np.abs(z.imag).max())
         self.h: float | None = None
         # scratch rows for split, join and weigh; no call leaves data in them
         self._work = np.empty((24, r.size), dtype=complex)
@@ -370,7 +372,7 @@ class FlatFlows:
         for j in (0, 1):
             np.multiply(hat, _real(along[j]), out=_real(tmp))
             np.subtract(vectors[j], tmp, out=rows[j])
-        _cross(hat, _real(vectors[2]), out=_real(rows[2]), tmp=_real(tmp))
+        _cross(hat, _real(vectors[2]), out=_real(rows[2]), tmp=_real(tmp[0]))
         g = self._gather(self._inv[1], 9)
         trans = w[3:12].reshape(3, 3, -1)
         for i in range(3):
@@ -401,7 +403,7 @@ class FlatFlows:
             for j in range(3):
                 dest += np.multiply(g[j, i], trans[j], out=tmp)
         # xi^ x (xi^ x B~) = -B~_perp
-        y[MAG] -= _cross(hat, _real(row), out=_real(lon), tmp=_real(tmp)).view(complex)
+        y[MAG] -= _cross(hat, _real(row), out=_real(lon), tmp=_real(tmp[0])).view(complex)
         return y.reshape(self.shape)
 
 
@@ -584,12 +586,12 @@ def integrate_fixed(
     dt_max may be a constant or a callable recomputed from the state at each
     cadence chunk (e.g. a CFL bound); within a chunk the step is uniform and
     chosen to land exactly on the boundary, and an infinite bound means one
-    step per chunk.  flows go to every step, and after_step, if given, maps
-    the state after each one.  Yields the initial state first.  A step bound
-    that is NaN or not positive raises NonFiniteStateError, and one that
-    would need more than MAX_CHUNK_STEPS steps in a chunk raises
-    StepCollapseError before any of them is taken; both carry the time on
-    this function's own clock.
+    step per chunk.  flows go to every step and bound it by their max_step;
+    after_step, if given, maps the state after each one.  Yields the initial
+    state first.  A step bound that is NaN or not positive raises
+    NonFiniteStateError, and one that would need more than MAX_CHUNK_STEPS
+    steps in a chunk raises StepCollapseError before any of them is taken;
+    both carry the time on this function's own clock.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -604,6 +606,8 @@ def integrate_fixed(
         cap = dt_max(y) if callable(dt_max) else float(dt_max)
         if not cap > 0.0:
             raise NonFiniteStateError((chunk - 1) * cadence, cap)
+        if flows is not None:
+            cap = min(cap, flows.max_step)
         if cadence / cap > MAX_CHUNK_STEPS:
             raise StepCollapseError((chunk - 1) * cadence, cap)
         steps = max(1, int(np.ceil(cadence / cap - 1e-12)))

@@ -42,19 +42,22 @@ def tendency(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.ndarray:
     return tail.band.embed(dyn.rhs_symmetric(grid, gamma, tail.take(state_hat), tail))
 
 
-def integrate_band(grid: GridSpec, gamma: float, y0_hat, t_end, dt_max, cadence=None):
+def integrate_band(grid: GridSpec, gamma: float, y0_hat, t_end, dt_max, cadence=None, reset=None):
     """integrate_fixed on the two-thirds band of the rfft stack y0_hat, as
     emlab evolve runs it: exponential steps over the flat linear flows, with
     the Gauss reset after each; yields (tau, full rfft stack) at cadence
     points.
 
     dt_max is a constant or a callable on the full stack (e.g. cfl_dt).
+    reset, a GaussReset built on y0_hat, may be passed to read its count
+    and the largest drift it removed afterwards.
     """
     tail = dyn.BandTail(grid, y0_hat)
     rhs = lambda y_band: dyn.rhs_symmetric(grid, gamma, y_band, tail)
     cap = (lambda y_band: dt_max(tail.full(y_band))) if callable(dt_max) else dt_max
     flows = dyn.FlatFlows(grid, gamma)
-    reset = dyn.GaussReset(grid, gamma, y0_hat)
+    if reset is None:
+        reset = dyn.GaussReset(grid, gamma, y0_hat)
     steps = dyn.integrate_fixed(tail.take(y0_hat), rhs, t_end, cap, cadence, flows, reset)
     for tau, y_band in steps:
         yield tau, tail.full(y_band)
@@ -83,7 +86,7 @@ def oracle_rhs_symmetric(grid: GridSpec, gamma: float, state_hat: np.ndarray) ->
     prods[0] = (v * grad_sigma).sum(axis=0)
     prods[1] = sigma * div_v
     prods[2] = 0.5 * (v * v).sum(axis=0) + (w**2 - 1.0) / (gamma - 1.0)
-    prods[3:6] = dyn._cross(v, omega - mag)
+    prods[3:6] = np.cross(v, omega - mag, axis=0)
     prods[6:9] = dyn.n_of_sigma(sigma, gamma) * v
 
     band = grid.two_thirds
@@ -121,7 +124,7 @@ def rhs_primitive(grid: GridSpec, gamma: float, state: np.ndarray) -> np.ndarray
     ke_h = 0.5 * (u * u).sum(axis=0) + gamma / (gamma - 1.0) * (n ** (gamma - 1.0) - 1.0)
     prods = np.empty((7,) + grid.shape)
     prods[0] = ke_h
-    prods[1:4] = dyn._cross(u, omega - state[MAG])
+    prods[1:4] = np.cross(u, omega - state[MAG], axis=0)
     prods[4:7] = n * u
     ph = grid.transform(prods)
 
@@ -194,7 +197,7 @@ def nonlinear_sources(
 
     stack = np.empty((10,) + grid.shape)
     stack[0] = ke
-    stack[1:4] = dyn._cross(u, omega - pert[MAG]) - pres
+    stack[1:4] = np.cross(u, omega - pert[MAG], axis=0) - pres
     stack[4:7] = rho_tot * u
     stack[7:10] = 0.0
     sh = grid.transform(stack)

@@ -280,7 +280,8 @@ class TestEvolvePipeline:
         assert manifest.checks["gauss_laws_transported"]
 
     def test_flat_state_takes_one_step_per_chunk(self, tmp_path):
-        # no flow but the exactly solved waves: the step bound is infinite
+        # no flow but the exactly solved waves: cfl_dt is infinite, and the
+        # accuracy bound, one period of the fastest flat wave, is a chunk and more
         out = tmp_path / "flat"
         code = main(["evolve", "--grid-n", "16", "--box-l", "10", "--eps", "0",
                      "--init", "stationary-exact", "--t-end", "1", "--out-dir", str(out)])
@@ -289,6 +290,28 @@ class TestEvolvePipeline:
         assert manifest["checks"]["equilibrium_fixed"] is True
         assert manifest["notes"]["steps"] == manifest["notes"]["samples"] - 1 == 2
         assert manifest["notes"]["max_norm_v"] == 0.0
+
+    def test_long_cadence_only_thins_the_samples(self, tmp_path):
+        # cadence decides sampling, not accuracy: a chunk of 2 sqrt(g) is
+        # longer than one period of the fastest flat wave (1.15 on this
+        # grid), so it takes three steps, and the run matches the cadence
+        # 0.5 run at their shared times
+        series, notes = {}, {}
+        for cadence in (0.5, 2.0):
+            name = f"c{cadence}"
+            cfg = small_cfg(tmp_path, name, command="evolve", t_end=4, cadence=cadence)
+            manifest = run_experiment(cfg)
+            assert manifest.passed
+            notes[cadence] = manifest.notes
+            series[cadence] = np.genfromtxt(tmp_path / name / "series.csv", delimiter=",", names=True)
+        assert notes[0.5]["steps"] == 8 and notes[2.0]["steps"] == 6
+        fine, coarse = series[0.5], series[2.0]
+        shared = np.isin(fine["t"], coarse["t"])
+        assert np.array_equal(fine["t"][shared], coarse["t"])
+        for name in ("energy_full", "dissipation_full", "energy_high", "dissipation_high",
+                     "norm_sigma", "norm_v", "norm_e", "norm_b"):
+            ref = fine[name][shared]
+            assert np.abs(coarse[name] - ref).max() <= 1e-4 * np.abs(ref).max(), name
 
     def test_noise_run_is_bit_deterministic(self, tmp_path):
         outs = []

@@ -365,12 +365,18 @@ class TestConstraintTransport:
         tau_end = 2.5 * np.sqrt(GAMMA)
         worst_band = 0.0
         worst_full = 0.0
-        for _, y in integrate_band(grid, GAMMA, y0, tau_end, cap, tau_end / 4):
+        reset = dyn.GaussReset(grid, GAMMA, y0)
+        for _, y in integrate_band(grid, GAMMA, y0, tau_end, cap, tau_end / 4, reset):
             res = dyn.constraint_residuals(grid, GAMMA, y, n_b)
             worst_band = max(worst_band, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
             worst_full = max(worst_full, res["gauss_e_l2"], res["gauss_b_l2"])
         assert worst_band <= 5e-9
         assert worst_band <= worst_full
+        # the reset restores the defect after each step; the steps themselves
+        # must transport it too, up to the drift of one exponential step
+        # (1.5e-8 here)
+        assert reset.steps == 4
+        assert 0.0 < reset.max_drift <= 5e-8
 
 
 def band_linear_rhs(band, gamma):
@@ -433,6 +439,20 @@ class TestExponentialSteps:
         one = dyn.step_rk4(y, rhs, 1.0, flows)
         assert flows.h == 1.0
         assert np.abs(one - two_halves).max() <= 1e-12 * np.abs(one).max()
+
+    def test_step_bound_is_one_period_of_the_fastest_flat_wave(self):
+        # the sound wave at the band's largest radius is the fastest: on the
+        # tau clock its angular frequency is sqrt(3/4 + g r^2) / sqrt(g)
+        grid = GridSpec(n=16, box=10.0)
+        flows = dyn.FlatFlows(grid, GAMMA)
+        omega = np.sqrt(0.75 + GAMMA * flows.radii.max() ** 2) / np.sqrt(GAMMA)
+        assert flows.max_step == pytest.approx(2.0 * np.pi / omega, rel=1e-12)
+        # an unbounded state still takes equal steps no longer than that
+        calls = []
+        rhs = lambda y: calls.append(y) or np.zeros_like(y)
+        y0 = np.zeros(flows.shape, dtype=complex)
+        list(dyn.integrate_fixed(y0, rhs, 2.5 * flows.max_step, np.inf, None, flows))
+        assert len(calls) == 4 * 3
 
     def test_stationary_state_stays_put(self, equilibrium):
         grid, _, _, prim = equilibrium
