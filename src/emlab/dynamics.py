@@ -557,19 +557,20 @@ MAX_CHUNK_STEPS = 1_000_000
 class StepCollapseError(ValueError):
     """A cadence chunk needs more than MAX_CHUNK_STEPS steps of size h.
 
-    t is the chunk's start time; max_speed, when the caller supplies it, is
-    the largest |v| of the state there, the usual cause.
+    t is the chunk's start time; cause, when known, names the bound that
+    set h: the flat-wave period, or the largest |v| of the state for the
+    CFL bound.
     """
 
-    def __init__(self, t: float, h: float, max_speed: float | None = None) -> None:
-        speed = "" if max_speed is None else f" (max |v| = {max_speed:.6g})"
+    def __init__(self, t: float, h: float, cause: str | None = None) -> None:
+        because = "" if cause is None else f" ({cause})"
         super().__init__(
-            f"step size collapsed at t={t:.12g}: h = {h:.6g}{speed} would need "
+            f"step size collapsed at t={t:.12g}: h = {h:.6g}{because} would need "
             f"more than {MAX_CHUNK_STEPS} steps per cadence chunk"
         )
         self.t = t
         self.h = h
-        self.max_speed = max_speed
+        self.cause = cause
 
 
 def integrate_fixed(
@@ -606,10 +607,11 @@ def integrate_fixed(
         cap = dt_max(y) if callable(dt_max) else float(dt_max)
         if not cap > 0.0:
             raise NonFiniteStateError((chunk - 1) * cadence, cap)
-        if flows is not None:
-            cap = min(cap, flows.max_step)
+        cause = None
+        if flows is not None and flows.max_step < cap:
+            cap, cause = flows.max_step, "the flat-wave period"
         if cadence / cap > MAX_CHUNK_STEPS:
-            raise StepCollapseError((chunk - 1) * cadence, cap)
+            raise StepCollapseError((chunk - 1) * cadence, cap, cause)
         steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
         h = cadence / steps
         for _ in range(steps):

@@ -263,15 +263,11 @@ class GridSpec(_Derivatives):
     # ---- differential operators (spectral in, spectral out) -------------
     # grad, div, curl, laplacian and longitudinal come from _Derivatives
 
-    # ---- integrals, inner products, norms -------------------------------
+    # ---- integrals and norms --------------------------------------------
 
     def integral(self, f: np.ndarray) -> float:
         """Integral of a real grid field over the box (exact for band-limited f)."""
         return float(f.sum(axis=(-3, -2, -1)) * self.dx**3)
-
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """L^2(box) inner product of two real fields (vectors sum over components)."""
-        return float(np.sum(f * g) * self.dx**3)
 
     def l2_norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(f * f) * self.dx**3))

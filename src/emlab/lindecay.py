@@ -14,14 +14,18 @@ The flow conserves the Gauss functionals i xi . E + rho and i xi . B, so
 the compatible subspace (both zero) is invariant.  Rotation equivariance
 splits A(xi) exactly into blocks that depend on r = |xi| alone:
 
-  longitudinal (rho, u . xi^, E . xi^): the Gauss defect c = rho + i r E_l
-      is conserved, and the rest is a damped oscillator with eigenvalues
-      -1/2 +- i sqrt(3/4 + gamma r^2), solved in closed form;
+  longitudinal (rho, u . xi^, E . xi^): eigenvalue 0, whose mode is the
+      conserved Gauss defect rho + i r E . xi^, and the damped oscillator
+      pair -1/2 +- i sqrt(3/4 + gamma r^2);
   transverse (u_perp, E_perp, xi^ x B): two identical 3x3 blocks with
       characteristic polynomial lam^3 + lam^2 + (1 + r^2) lam + r^2, whose
       three roots are always distinct; the slow root behaves like
       -r^2 / (1 + r^2), so magnetic energy leaks out only diffusively;
   B . xi^: constant.
+
+Both 3x3 blocks have distinct eigenvalues at every radius, so one
+eigendecomposition per radius (_block_eig) gives every flow this module
+and the exponential integrator of emlab.dynamics need.
 
 The resulting whole-space L2 decay exponents (heat-kernel integrals of the
 slow branch against the initial profile) are what this module measures:
@@ -35,8 +39,11 @@ reported in the Fourier-side normalization ( integral |f^|^2 dxi )^{1/2};
 physical-space norms differ by the constant (2 pi)^{-3/2}, which is
 immaterial for exponents and ratios.  Because every block depends on r
 alone, the angular part of each norm reduces to one Gram matrix of the
-initial block coordinates per radius; a time sample then costs O(radii),
-not O(nodes), and no per-node propagator is built.  propagate applies
+initial eigen-coordinates per radius; a time sample then costs O(radii),
+not O(nodes), and no per-node propagator is built.  The norms are taken
+on the Gauss-compatible subspace, where both conserved defects vanish, so
+every channel decays at its own rate instead of flooring at the
+roundoff of a defect.  propagate applies
 the same per-radius block flows to amplitudes, for callers that need the
 propagated amplitudes themselves; it evaluates each flow once per distinct
 |xi|, so the shells of a grid's frequencies share one.  All reductions run
@@ -58,11 +65,8 @@ __all__ = [
     "decay_trajectory",
     "fit_decay",
     "initial_modes",
-    "initial_norms_analytic",
     "phi_tables",
     "propagate",
-    "spectral_stability_report",
-    "symbol_matrix",
 ]
 
 RHO = slice(0, 1)
@@ -72,61 +76,16 @@ B = slice(7, 10)
 
 
 # ---------------------------------------------------------------------------
-# symbol and propagation
-
-
-def _cross_matrix(xi: np.ndarray) -> np.ndarray:
-    """Matrix X with X w = xi x w, batched over leading axes of xi (.., 3)."""
-    z = np.zeros(xi.shape[:-1])
-    x1, x2, x3 = xi[..., 0], xi[..., 1], xi[..., 2]
-    return np.stack(
-        [
-            np.stack([z, -x3, x2], axis=-1),
-            np.stack([x3, z, -x1], axis=-1),
-            np.stack([-x2, x1, z], axis=-1),
-        ],
-        axis=-2,
-    )
-
-
-def symbol_matrix(xi: np.ndarray, gamma: float) -> np.ndarray:
-    """Generator matrices A(xi), shape (..., 10, 10) complex; one for xi (3,)."""
-    xi = np.asarray(xi, dtype=float)
-    a = np.zeros(xi.shape[:-1] + (10, 10), dtype=complex)
-    ix = 1j * xi
-    a[..., 0, 1:4] = -ix
-    a[..., 1:4, 0] = -gamma * ix
-    a[..., 1:4, 1:4] = -np.eye(3)
-    a[..., 1:4, 4:7] = -np.eye(3)
-    a[..., 4:7, 1:4] = np.eye(3)
-    cross = _cross_matrix(xi)
-    a[..., 4:7, 7:10] = 1j * cross
-    a[..., 7:10, 4:7] = -1j * cross
-    return a
-
-
-def constraint_matrix(xi: np.ndarray) -> np.ndarray:
-    """Rows evaluating (i xi . E + rho, i xi . B), shape (..., 2, 10)."""
-    xi = np.asarray(xi, dtype=float)
-    c = np.zeros(xi.shape[:-1] + (2, 10), dtype=complex)
-    c[..., 0, 0] = 1.0
-    c[..., 0, 4:7] = 1j * xi
-    c[..., 1, 7:10] = 1j * xi
-    return c
-
-
-# Block coordinates, with xi^ = xi / r (any unit vector at xi = 0, where A
-# is isotropic): the conserved Gauss defect c = rho + i r E_l; the pair
-# (u_l, E_l - E*), E* = -i gamma r c / (1 + gamma r^2), which obeys
-# x'' + x' + (1 + gamma r^2) x = 0; the constant B_l; and the transverse
-# rows (u_perp, E_perp, xi^ x B).  The transverse discriminant
-# -3 + 4 s - 20 s^2 - 4 s^3 (s = r^2) is negative, so its roots never meet
-# and the per-radius eigendecomposition needs no fallback: its eigenvector
-# matrix has condition number below 2.6 at r = 0 and on r in [1e-8, 1e8].
+# block flows
 
 
 def _transverse_generator(r: np.ndarray) -> np.ndarray:
-    """The transverse block on (u_perp, E_perp, xi^ x B), shape r.shape + (3, 3)."""
+    """The transverse block on (u_perp, E_perp, xi^ x B), shape r.shape + (3, 3).
+
+    Its discriminant -3 + 4 s - 20 s^2 - 4 s^3 (s = r^2) is negative, so its
+    three roots never meet: its eigenvector matrix has condition number
+    below 2.6 at r = 0 and on r in [1e-8, 1e8].
+    """
     gen = np.zeros(np.shape(r) + (3, 3), dtype=complex)
     gen[..., 0, 0] = -1.0
     gen[..., 0, 1] = -1.0
@@ -134,66 +93,6 @@ def _transverse_generator(r: np.ndarray) -> np.ndarray:
     gen[..., 1, 2] = 1j * r
     gen[..., 2, 1] = 1j * r
     return gen
-
-
-def _split_modes(
-    xi: np.ndarray, y: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Block coordinates of amplitudes y (..., 10) at frequencies xi (..., 3).
-
-    Returns r, xi^, the longitudinal vector (c, u_l, E_l - E*, B_l) of
-    shape (..., 4), and the transverse rows (u_perp, E_perp, xi^ x B) of
-    shape (..., 3, 3).
-    """
-    r = np.sqrt((xi**2).sum(axis=-1))
-    hat = np.divide(xi, r[..., None], out=np.zeros_like(xi), where=r[..., None] > 0)
-    hat[r == 0.0, 2] = 1.0
-    u_l, e_l, b_l = (np.einsum("...i,...i->...", hat, y[..., sl]) for sl in (U, E, B))
-    c = y[..., 0] + 1j * r * e_l
-    e_star = -1j * gamma * r * c / (1.0 + gamma * r**2)
-    lon = np.stack([c, u_l, e_l - e_star, b_l], axis=-1)
-    trans = np.stack(
-        [y[..., U] - u_l[..., None] * hat, y[..., E] - e_l[..., None] * hat, np.cross(hat, y[..., B])],
-        axis=-2,
-    )
-    return r, hat, lon, trans
-
-
-def _block_flow(r: np.ndarray, gamma: float, t) -> tuple[np.ndarray, np.ndarray]:
-    """e^{tA} on the longitudinal and the transverse block, at radii r and times t >= 0.
-
-    The longitudinal flow, shape t.shape + r.shape + (4, 4), is closed-form
-    and maps (c, u_l, E_l - E*, B_l) at time 0 to (rho, u_l, E_l, B_l) at
-    time t.  The transverse flow, shape t.shape + r.shape + (3, 3), comes
-    from the eigendecomposition of the transverse generator at each radius.
-    """
-    t = np.asarray(t, dtype=float)
-    if (t < 0.0).any():
-        raise ValueError(f"propagation time must be >= 0, got {t.min()}")
-    lam, vecs = np.linalg.eig(_transverse_generator(r))
-    trans = vecs @ (np.exp(lam * t[..., None, None])[..., None] * np.linalg.inv(vecs))
-
-    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), t[..., None])
-    stiff = 1.0 + gamma * r**2
-    omega = np.sqrt(stiff - 0.25)
-    decay = np.exp(-0.5 * t)
-    cos = decay * np.cos(omega * t)
-    sin = decay * np.sin(omega * t) / omega
-    # the oscillator (u_l, e) -> (u_l, e) block of the flow
-    m_uu, m_ue = cos - 0.5 * sin, -stiff * sin
-    m_eu, m_ee = sin, cos + 0.5 * sin
-    lon = np.zeros(r.shape + (4, 4), dtype=complex)
-    # rho = c / stiff - i r e and E_l = e + E*
-    lon[..., 0, 0] = 1.0 / stiff
-    lon[..., 0, 1] = -1j * r * m_eu
-    lon[..., 0, 2] = -1j * r * m_ee
-    lon[..., 1, 1] = m_uu
-    lon[..., 1, 2] = m_ue
-    lon[..., 2, 0] = -1j * gamma * r / stiff
-    lon[..., 2, 1] = m_eu
-    lon[..., 2, 2] = m_ee
-    lon[..., 3, 3] = 1.0
-    return lon, trans
 
 
 def _longitudinal_generator(r: np.ndarray, gamma: float) -> np.ndarray:
@@ -209,6 +108,40 @@ def _longitudinal_generator(r: np.ndarray, gamma: float) -> np.ndarray:
     gen[..., 1, 2] = -1.0
     gen[..., 2, 1] = 1.0
     return gen
+
+
+def _block_eig(r: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecomposition of the longitudinal (0) and transverse (1) blocks at radii r.
+
+    Returns the eigenvalues lam, shape (2, R, 3), the eigenvector matrices
+    V and their inverses, shape (2, R, 3, 3), so that a block's generator
+    is V diag(lam) V^{-1} and its flow V diag(e^{t lam}) V^{-1}.
+    """
+    r = np.asarray(r, dtype=float)
+    gens = np.stack([_longitudinal_generator(r, gamma), _transverse_generator(r)])
+    lam, vecs = np.linalg.eig(gens)
+    return lam, vecs, np.linalg.inv(vecs)
+
+
+def _split_modes(
+    xi: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Block coordinates of amplitudes y (..., 10) at frequencies xi (..., 3).
+
+    Returns r, xi^ (e_z at xi = 0, where A is isotropic), the longitudinal
+    vector (rho, u_l, E_l) of shape (..., 3), the constant B_l, and the
+    transverse rows (u_perp, E_perp, xi^ x B) of shape (..., 3, 3).
+    """
+    r = np.sqrt((xi**2).sum(axis=-1))
+    hat = np.divide(xi, r[..., None], out=np.zeros_like(xi), where=r[..., None] > 0)
+    hat[r == 0.0, 2] = 1.0
+    u_l, e_l, b_l = (np.einsum("...i,...i->...", hat, y[..., sl]) for sl in (U, E, B))
+    lon = np.stack([y[..., 0], u_l, e_l], axis=-1)
+    trans = np.stack(
+        [y[..., U] - u_l[..., None] * hat, y[..., E] - e_l[..., None] * hat, np.cross(hat, y[..., B])],
+        axis=-2,
+    )
+    return r, hat, lon, b_l, trans
 
 
 # Taylor terms of phi_k inside the unit disc; the first one dropped is below 1e-18
@@ -252,27 +185,29 @@ def phi_tables(
     phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2 and
     phi_3(z) = (e^z - 1 - z - z^2/2)/z^3.
     """
-    r = np.asarray(r, dtype=float)
-    gens = np.stack([_longitudinal_generator(r, gamma), _transverse_generator(r)])
-    lam, vecs = np.linalg.eig(gens)
+    lam, vecs, inv = _block_eig(r, gamma)
     z = t * lam
     whole, half = _phi_functions(z), _phi_functions(0.5 * z)
     tables = np.stack([whole[0], half[0], half[1], whole[1], whole[2], whole[3]])
-    return vecs, np.linalg.inv(vecs), z, tables
+    return vecs, inv, z, tables
 
 
 def propagate(xi: np.ndarray, y0: np.ndarray, gamma: float, t: float) -> np.ndarray:
     """e^{t A(xi)} y0 for amplitudes y0 (..., 10) at frequencies xi (..., 3).
 
     The block flows are evaluated once per distinct |xi| and gathered to
-    the nodes, then recombined with each node's direction.
+    the nodes, then recombined with each node's direction.  Every mode is
+    kept, so Gauss-incompatible amplitudes keep their conserved defects.
     """
+    if t < 0.0:
+        raise ValueError(f"propagation time must be >= 0, got {t}")
     shape = np.shape(y0)
     xi = np.asarray(xi, dtype=float).reshape(-1, 3)
     y0 = np.reshape(y0, (-1, 10))
-    r, hat, lon, trans = _split_modes(xi, y0, gamma)
+    r, hat, lon, b_l, trans = _split_modes(xi, y0)
     radii, node_radius = np.unique(r, return_inverse=True)
-    lon_flow, trans_flow = _block_flow(radii, gamma, t)
+    lam, vecs, inv = _block_eig(radii, gamma)
+    lon_flow, trans_flow = vecs @ (np.exp(t * lam)[..., None] * inv)
     lon = np.einsum("kab,kb->ka", lon_flow[node_radius], lon)
     trans = trans_flow[node_radius] @ trans
     y = np.empty(y0.shape, dtype=complex)
@@ -280,7 +215,7 @@ def propagate(xi: np.ndarray, y0: np.ndarray, gamma: float, t: float) -> np.ndar
     y[:, U] = lon[:, 1, None] * hat + trans[:, 0]
     y[:, E] = lon[:, 2, None] * hat + trans[:, 1]
     # xi^ x (xi^ x B) = -B_perp
-    y[:, B] = lon[:, 3, None] * hat - np.cross(hat, trans[:, 2])
+    y[:, B] = b_l[:, None] * hat - np.cross(hat, trans[:, 2])
     return y.reshape(shape)
 
 
@@ -468,29 +403,6 @@ def _upper_gamma_q72(x: float) -> float:
     return math.erfc(root) + math.exp(-x) * (2.0 / math.sqrt(math.pi)) * root * poly
 
 
-def initial_norms_analytic(family: GaussianFamily) -> dict[str, float]:
-    """Closed-form t = 0 norms of the family (Gaussian moment integrals)."""
-    w = family.width
-    vu = np.asarray(family.dir_u)
-    ve = np.asarray(family.dir_e)
-    vb = np.asarray(family.dir_b)
-    m = lambda p: _gaussian_moment(p, w)
-    out = {
-        "rho": family.rho_amp**2 * m(4),
-        "u": float(vu @ vu) * m(0),
-        "e": (2.0 / 3.0) * float(ve @ ve) * m(0) + family.rho_amp**2 * m(2),
-    }
-    if family.b_profile == "transverse":
-        out["b"] = (2.0 / 3.0) * float(vb @ vb) * m(0)
-        out["grad_b"] = (2.0 / 3.0) * float(vb @ vb) * m(2)
-    elif family.b_profile == "solenoidal-curl":
-        out["b"] = (2.0 / 3.0) * float(vb @ vb) * m(2)
-        out["grad_b"] = (2.0 / 3.0) * float(vb @ vb) * m(4)
-    else:
-        raise ValueError("no closed-form norms for an incompatible descriptor")
-    return {k: float(np.sqrt(v)) for k, v in out.items()}
-
-
 def quadrature_tail_bound(family: GaussianFamily, scheme: QuadratureScheme) -> float:
     """Upper estimate of the squared-norm mass beyond r_max at t = 0.
 
@@ -543,27 +455,41 @@ def _radial_densities(
     densities[component][j, i] is sum over the directions at radius r_i
     of w |component(e^{t_j A} y0)|^2.  Both blocks of the propagator
     depend on r alone, so the direction sums collapse to one Gram matrix
-    per radius and block: with G = sum_dirs w v v^H over the initial block
-    coordinates v, the propagated sums are the diagonal of L(r, t) G L^H.
+    per radius and block: with G = V^{-1} (sum_dirs w v v^H) V^{-H} the
+    Gram matrix of the eigen-coordinates of the initial block coordinates
+    v, the propagated sums are the diagonal of (V D) G (V D)^H, where
+    D = diag(e^{t lam}).
+
+    The family is Gauss-compatible, so both conserved defects, the
+    longitudinal lam = 0 mode and B . xi^, vanish analytically.  They are
+    dropped, not carried at roundoff: a roundoff defect never decays, and
+    it would floor rho near 4e-17 from t ~ 75 on.
     """
     xi, wq = scheme.nodes()
     r, _ = scheme.radial_rule()
-    _, _, lon, trans = _split_modes(xi, initial_modes(family, xi), gamma)
+    lam, vecs, inv = _block_eig(r, gamma)
+    _, _, lon, _, trans = _split_modes(xi, initial_modes(family, xi))
     # nodes are radius-major: (radius, direction)
     w = wq.reshape(r.size, -1)
-    lon = lon.reshape(w.shape + (4,))
+    lon = lon.reshape(w.shape + (3,))
     trans = trans.reshape(w.shape + (3, 3))
-    gram_lon = np.einsum("rd,rda,rdb->rab", w, lon, lon.conj())
-    gram_trans = np.einsum("rd,rdak,rdbk->rab", w, trans, trans.conj())
+    grams = np.stack([
+        np.einsum("rd,rda,rdb->rab", w, lon, lon.conj()),
+        np.einsum("rd,rdak,rdbk->rab", w, trans, trans.conj()),
+    ])
+    # to eigen-coordinates; the defect mode has lam = 0, the oscillator
+    # pair |lam|^2 = 1 + gamma r^2
+    grams = inv @ grams @ inv.conj().swapaxes(-1, -2)
+    keep = np.abs(lam[0]) > 0.5
+    grams[0] *= keep[:, :, None] & keep[:, None, :]
 
-    lon_t, trans_t = _block_flow(r, gamma, times)
-    d_lon = np.einsum("trab,rbc,trac->tra", lon_t, gram_lon, lon_t.conj()).real
-    d_trans = np.einsum("trab,rbc,trac->tra", trans_t, gram_trans, trans_t.conj()).real
+    flows = vecs * np.exp(times[:, None, None, None] * lam)[..., None, :]
+    d_lon, d_trans = np.einsum("tbrij,brjk,tbrik->btri", flows, grams, flows.conj()).real
     return r, {
         "rho": d_lon[..., 0],
         "u": d_lon[..., 1] + d_trans[..., 0],
         "e": d_lon[..., 2] + d_trans[..., 1],
-        "b": d_lon[..., 3] + d_trans[..., 2],
+        "b": d_trans[..., 2],
     }
 
 
@@ -645,51 +571,3 @@ def fit_decay(
     return DecayFit(
         float(slope), float(intercept), (lo, hi), resid, int(mask.sum()), kind, target, tolerance
     )
-
-
-# ---------------------------------------------------------------------------
-# spectral stability of the symbol
-
-
-def spectral_stability_report(
-    gamma: float, n_samples: int = 1000, k_max: float = 30.0, seed: int = 0
-) -> dict[str, float]:
-    """Spectrum scan over random frequencies |xi| <= k_max.
-
-    Checks that no eigenvalue has positive real part and fits the gap
-    constant c in max Re(lambda | compatible) <= -c |xi|^2 / (1 + |xi|^2)
-    on the constraint-consistent subspace.  Half the radii are drawn
-    log-uniformly to probe the slow-mode regime near xi = 0.
-    """
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n_samples, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    n_log = n_samples // 2
-    radii = np.concatenate(
-        [
-            np.exp(rng.uniform(np.log(1e-2), np.log(k_max), n_log)),
-            k_max * rng.uniform(0.0, 1.0, n_samples - n_log) ** (1.0 / 3.0),
-        ]
-    )
-    xi = dirs * radii[:, None]
-    a = symbol_matrix(xi, gamma)
-    eigs = np.linalg.eigvals(a)
-    max_re_all = float(eigs.real.max())
-
-    c = constraint_matrix(xi)
-    # orthonormal basis of the compatible subspace: null space of the
-    # 2x10 constraint matrix, via its right singular vectors
-    _, _, vh = np.linalg.svd(c)
-    q = np.conj(np.swapaxes(vh[:, 2:, :], -1, -2))  # (n, 10, 8)
-    a_restr = np.einsum("nij,njk,nkl->nil", np.conj(np.swapaxes(q, -1, -2)), a, q)
-    eigs_c = np.linalg.eigvals(a_restr)
-    max_re_compat = eigs_c.real.max(axis=1)
-    k2 = radii**2
-    c_samples = -max_re_compat * (1.0 + k2) / k2
-    return {
-        "max_real_part": max_re_all,
-        "max_real_part_compatible": float(max_re_compat.max()),
-        "c_fit": float(c_samples.min()),
-        "n_samples": float(n_samples),
-        "k_max": float(k_max),
-    }

@@ -337,8 +337,11 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
         emit_series(series_path, SERIES_COLUMNS, rows)
         if isinstance(err, NonFiniteStateError):
             raise NonFiniteStateError(err.t / root_g, err.bound / root_g) from None
-        speed = np.sqrt((grid.inverse(y_final[VEL]) ** 2).sum(axis=0)).max()
-        raise StepCollapseError(err.t / root_g, err.h / root_g, float(speed)) from None
+        cause = err.cause
+        if cause is None:
+            speed = np.sqrt((grid.inverse(y_final[VEL]) ** 2).sum(axis=0)).max()
+            cause = f"max |v| = {speed:.6g}"
+        raise StepCollapseError(err.t / root_g, err.h / root_g, cause) from None
 
     final_path = os.path.join(out_dir, "state_final.emxf")
     emit_series(series_path, SERIES_COLUMNS, rows)

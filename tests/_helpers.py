@@ -1,7 +1,9 @@
 """Shared helpers for the test suite, and the references the package is
 checked against: the inverse symmetrization, a full-layout symmetrized
 tendency, the primitive system and the Duhamel crosscheck of the shipped
-integrator."""
+integrator; and for lindecay, the dense symbol and its constraint rows,
+a spectrum scan, the closed-form initial norms and the closed-form flow
+on the Gauss-compatible subspace."""
 from __future__ import annotations
 
 import numpy as np
@@ -9,7 +11,7 @@ import numpy as np
 from emlab import dynamics as dyn
 from emlab.dynamics import ELEC, MAG, SCALAR, VEL
 from emlab.grid import GridSpec
-from emlab.lindecay import propagate
+from emlab.lindecay import GaussianFamily, _gaussian_moment, _transverse_generator, propagate
 
 
 def random_field(grid: GridSpec, seed: int, band: int | None = None, amp: float = 1.0) -> np.ndarray:
@@ -276,3 +278,151 @@ def duhamel_crosscheck(
 
     g_full, g_half = gap(amp), gap(0.5 * amp)
     return {"gap": g_full, "gap_half": g_half, "ratio": g_half / g_full if g_full > 0.0 else 0.0}
+
+
+# ---------------------------------------------------------------------------
+# references for lindecay: the dense 10 x 10 flat-state symbol A(xi) on
+# (rho, u, E, B)^, which the package only ever handles split into blocks
+
+
+def _cross_matrix(xi: np.ndarray) -> np.ndarray:
+    """Matrix X with X w = xi x w, batched over leading axes of xi (.., 3)."""
+    z = np.zeros(xi.shape[:-1])
+    x1, x2, x3 = xi[..., 0], xi[..., 1], xi[..., 2]
+    return np.stack(
+        [
+            np.stack([z, -x3, x2], axis=-1),
+            np.stack([x3, z, -x1], axis=-1),
+            np.stack([-x2, x1, z], axis=-1),
+        ],
+        axis=-2,
+    )
+
+
+def symbol_matrix(xi: np.ndarray, gamma: float) -> np.ndarray:
+    """Generator matrices A(xi), shape (..., 10, 10) complex; one for xi (3,)."""
+    xi = np.asarray(xi, dtype=float)
+    a = np.zeros(xi.shape[:-1] + (10, 10), dtype=complex)
+    ix = 1j * xi
+    a[..., 0, 1:4] = -ix
+    a[..., 1:4, 0] = -gamma * ix
+    a[..., 1:4, 1:4] = -np.eye(3)
+    a[..., 1:4, 4:7] = -np.eye(3)
+    a[..., 4:7, 1:4] = np.eye(3)
+    cross = _cross_matrix(xi)
+    a[..., 4:7, 7:10] = 1j * cross
+    a[..., 7:10, 4:7] = -1j * cross
+    return a
+
+
+def constraint_matrix(xi: np.ndarray) -> np.ndarray:
+    """Rows evaluating (i xi . E + rho, i xi . B), shape (..., 2, 10)."""
+    xi = np.asarray(xi, dtype=float)
+    c = np.zeros(xi.shape[:-1] + (2, 10), dtype=complex)
+    c[..., 0, 0] = 1.0
+    c[..., 0, 4:7] = 1j * xi
+    c[..., 1, 7:10] = 1j * xi
+    return c
+
+
+def spectral_stability_report(
+    gamma: float, n_samples: int = 1000, k_max: float = 30.0, seed: int = 0
+) -> dict[str, float]:
+    """Spectrum scan over random frequencies |xi| <= k_max.
+
+    Checks that no eigenvalue has positive real part and fits the gap
+    constant c in max Re(lambda | compatible) <= -c |xi|^2 / (1 + |xi|^2)
+    on the constraint-consistent subspace.  Half the radii are drawn
+    log-uniformly to probe the slow-mode regime near xi = 0.
+    """
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n_samples, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    n_log = n_samples // 2
+    radii = np.concatenate(
+        [
+            np.exp(rng.uniform(np.log(1e-2), np.log(k_max), n_log)),
+            k_max * rng.uniform(0.0, 1.0, n_samples - n_log) ** (1.0 / 3.0),
+        ]
+    )
+    xi = dirs * radii[:, None]
+    a = symbol_matrix(xi, gamma)
+    eigs = np.linalg.eigvals(a)
+    max_re_all = float(eigs.real.max())
+
+    c = constraint_matrix(xi)
+    # orthonormal basis of the compatible subspace: null space of the
+    # 2x10 constraint matrix, via its right singular vectors
+    _, _, vh = np.linalg.svd(c)
+    q = np.conj(np.swapaxes(vh[:, 2:, :], -1, -2))  # (n, 10, 8)
+    a_restr = np.einsum("nij,njk,nkl->nil", np.conj(np.swapaxes(q, -1, -2)), a, q)
+    eigs_c = np.linalg.eigvals(a_restr)
+    max_re_compat = eigs_c.real.max(axis=1)
+    k2 = radii**2
+    c_samples = -max_re_compat * (1.0 + k2) / k2
+    return {
+        "max_real_part": max_re_all,
+        "max_real_part_compatible": float(max_re_compat.max()),
+        "c_fit": float(c_samples.min()),
+        "n_samples": float(n_samples),
+        "k_max": float(k_max),
+    }
+
+
+def initial_norms_analytic(family: GaussianFamily) -> dict[str, float]:
+    """Closed-form t = 0 norms of the family (Gaussian moment integrals)."""
+    w = family.width
+    vu = np.asarray(family.dir_u)
+    ve = np.asarray(family.dir_e)
+    vb = np.asarray(family.dir_b)
+    m = lambda p: _gaussian_moment(p, w)
+    out = {
+        "rho": family.rho_amp**2 * m(4),
+        "u": float(vu @ vu) * m(0),
+        "e": (2.0 / 3.0) * float(ve @ ve) * m(0) + family.rho_amp**2 * m(2),
+    }
+    if family.b_profile == "transverse":
+        out["b"] = (2.0 / 3.0) * float(vb @ vb) * m(0)
+        out["grad_b"] = (2.0 / 3.0) * float(vb @ vb) * m(2)
+    elif family.b_profile == "solenoidal-curl":
+        out["b"] = (2.0 / 3.0) * float(vb @ vb) * m(2)
+        out["grad_b"] = (2.0 / 3.0) * float(vb @ vb) * m(4)
+    else:
+        raise ValueError("no closed-form norms for an incompatible descriptor")
+    return {k: float(np.sqrt(v)) for k, v in out.items()}
+
+
+def compatible_flow(xi: np.ndarray, y0: np.ndarray, gamma: float, t: float) -> np.ndarray:
+    """e^{t A(xi)} y0 for Gauss-compatible amplitudes y0 (K, 10) at nonzero
+    frequencies xi (K, 3), node by node: the reference for the norms of
+    lindecay.decay_trajectory, which drops both conserved defects.
+
+    With the defect rho + i r E_l set to 0, rho = -i r E_l, and the
+    longitudinal pair (u_l, E_l) = (u . xi^, E . xi^) is the damped
+    oscillator x'' + x' + (1 + g r^2) x = 0, solved in closed form.  The
+    transverse block on (u_perp, E_perp, xi^ x B) is diagonalized per node,
+    and B . xi^ is carried unchanged.
+    """
+    r = np.sqrt((xi**2).sum(axis=1))
+    hat = xi / r[:, None]
+    u_l, e_l, b_l = (np.einsum("ki,ki->k", hat, y0[:, sl]) for sl in (VEL, ELEC, MAG))
+    stiff = 1.0 + gamma * r**2
+    omega = np.sqrt(stiff - 0.25)
+    cos = np.exp(-0.5 * t) * np.cos(omega * t)
+    sin = np.exp(-0.5 * t) * np.sin(omega * t) / omega
+    u_t = (cos - 0.5 * sin) * u_l - stiff * sin * e_l
+    e_t = sin * u_l + (cos + 0.5 * sin) * e_l
+
+    trans = np.stack(
+        [y0[:, VEL] - u_l[:, None] * hat, y0[:, ELEC] - e_l[:, None] * hat, np.cross(hat, y0[:, MAG])],
+        axis=1,
+    )
+    lam, vecs = np.linalg.eig(_transverse_generator(r))
+    trans = vecs @ (np.exp(lam * t)[..., None] * np.linalg.inv(vecs)) @ trans
+    y = np.empty(y0.shape, dtype=complex)
+    y[:, 0] = -1j * r * e_t
+    y[:, VEL] = u_t[:, None] * hat + trans[:, 0]
+    y[:, ELEC] = e_t[:, None] * hat + trans[:, 1]
+    # xi^ x (xi^ x B) = -B_perp
+    y[:, MAG] = b_l[:, None] * hat - np.cross(hat, trans[:, 2])
+    return y

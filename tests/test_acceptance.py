@@ -26,13 +26,10 @@ from emlab.grid import GridSpec
 from emlab.lindecay import (
     GaussianFamily,
     QuadratureScheme,
-    constraint_matrix,
     decay_trajectory,
     fit_decay,
     initial_modes,
     propagate,
-    spectral_stability_report,
-    symbol_matrix,
 )
 from emlab.pipelines import run_experiment
 from emlab.snapshot import read_snapshot, write_snapshot
@@ -43,7 +40,13 @@ from emlab.stationary import (
     yukawa_convolve,
 )
 
-from _helpers import duhamel_crosscheck, integrate_band
+from _helpers import (
+    constraint_matrix,
+    duhamel_crosscheck,
+    integrate_band,
+    spectral_stability_report,
+    symbol_matrix,
+)
 
 GAMMA = 5.0 / 3.0
 ROOT_G = np.sqrt(GAMMA)

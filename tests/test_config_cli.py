@@ -656,6 +656,14 @@ FAILURES = {
             tmp, custom_snapshot(tmp, fast_v), "--eps", "0"), ["step size collapsed"]),
         1, True,
     ),
+    # a box far wider than its grid resolves: the flat-wave period, not the CFL
+    # bound, sets h, and no step of that size could fill the chunk
+    "flat-wave-collapse": (
+        lambda tmp, mp: (["evolve", "--grid-n", "8", "--box-l", "1000", "--eps", "0",
+                          "--t-end", "3e7", "--cadence", "3e7", "--out-dir", str(tmp / "ev")],
+                         ["step size collapsed", "flat-wave period"]),
+        1, True,
+    ),
     "non-finite-state": (
         lambda tmp, mp: (evolve_custom_argv(
             tmp, custom_snapshot(tmp, big_sheared_b), "--eps", "0"), ["state non-finite"]),

@@ -60,7 +60,7 @@ class TestOperators:
         h /= g.l2_norm(h)
         d1f = g.inverse(g.grad(g.transform(f))[0])
         d1h = g.inverse(g.grad(g.transform(h))[0])
-        assert abs(g.inner(d1f, h) + g.inner(f, d1h)) < 1e-10
+        assert abs(g.integral(d1f * h) + g.integral(f * d1h)) < 1e-10
 
     def test_laplacian_is_div_grad(self):
         g = GridSpec(n=16, box=9.0)
@@ -320,7 +320,7 @@ class TestProperties:
         h = random_field(g, seed=seed + 1)
         d1f = g.inverse(g.grad(g.transform(f))[0])
         d1h = g.inverse(g.grad(g.transform(h))[0])
-        assert abs(g.inner(d1f, h) + g.inner(f, d1h)) < 1e-10
+        assert abs(g.integral(d1f * h) + g.integral(f * d1h)) < 1e-10
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)
