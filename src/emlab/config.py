@@ -17,8 +17,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .dynamics import MAX_CHUNK_STEPS
+from .dynamics import MAX_CHUNK_STEPS, flat_wave_period
 from .energy import EnergyWeights
+from .grid import GridSpec
 from .lindecay import GaussianFamily, QuadratureScheme
 
 __all__ = ["ExperimentConfig", "parse_config", "canonical_text", "config_hash", "KEY_SECTIONS"]
@@ -128,6 +129,14 @@ class ExperimentConfig:
         req(
             self.cadence * math.sqrt(self.gamma) <= cap, "cadence",
             f"* sqrt(gamma) must not exceed {MAX_CHUNK_STEPS} * cfl * box_l / grid_n = {cap:.6g}",
+            self.cadence,
+        )
+        # no state lengthens that period, so a chunk of more than MAX_CHUNK_STEPS
+        # of them is refused here, not after the run has started
+        cap = MAX_CHUNK_STEPS * flat_wave_period(GridSpec(self.grid_n, self.box_l), self.gamma)
+        req(
+            self.cadence * math.sqrt(self.gamma) <= cap, "cadence",
+            f"* sqrt(gamma) must not exceed {MAX_CHUNK_STEPS} flat-wave periods = {cap:.6g}",
             self.cadence,
         )
         # constructing the dependent objects runs their own named checks

@@ -37,19 +37,20 @@ linear part exactly, mode by mode, from lindecay's block decomposition of
 the symbol, and step_rk4 takes it as the exponential integrator ETDRK4,
 so cfl_dt bounds the step by the speed of the remainder alone: advection
 and the departure of the sound speed w(sigma) from 1.  The remainder
-still oscillates with the waves it rides on, so FlatFlows.max_step, one
-period of the fastest flat wave on the band, bounds the step for
+still oscillates with the waves it rides on, so one period of the
+fastest flat wave on the band (flat_wave_period) bounds the step for
 accuracy whatever the state and the sampling cadence.  A GaussReset
 after each step holds the in-band Gauss defect at its initial value.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .grid import GridSpec
-from .lindecay import phi_tables
+from .lindecay import block_eig
 
 __all__ = [
     "MAX_CHUNK_STEPS",
@@ -61,6 +62,7 @@ __all__ = [
     "cfl_dt",
     "compatible_perturbation",
     "constraint_residuals",
+    "flat_wave_period",
     "integrate_fixed",
     "n_of_sigma",
     "phi_of_sigma",
@@ -141,8 +143,8 @@ class BandTail:
         self.fields = _inverse_fields(grid, state_hat)
 
     def take(self, state_hat: np.ndarray) -> np.ndarray:
-        """The band coefficients an integration carries."""
-        return self.band.take(state_hat)
+        """The band coefficients an integration carries, in C order."""
+        return np.ascontiguousarray(self.band.take(state_hat))
 
     def full(self, state_band: np.ndarray) -> np.ndarray:
         """The (10, n, n, n//2+1) stack: band coefficients over the fixed tail."""
@@ -268,6 +270,20 @@ def cfl_dt(grid: GridSpec, gamma: float, state_hat: np.ndarray, cfl: float) -> f
     return float(cfl * grid.dx / speed) if speed != 0.0 else np.inf
 
 
+def flat_wave_period(grid: GridSpec, gamma: float) -> float:
+    """One period of the fastest flat wave on grid's two-thirds band, on the tau clock.
+
+    Both blocks' frequencies grow with the radius, so the fastest wave sits
+    at the band's corner, integer index (b, b, b) with b = n // 3; the
+    period is 2 pi over the largest |Im| of L's eigenvalues there, which are
+    lindecay's lambda / sqrt(g).
+    """
+    b = grid.n // 3
+    radius = 2.0 * np.pi / grid.box * np.sqrt(np.array([3 * b * b]))
+    lam, _, _ = block_eig(radius, gamma)
+    return float(2.0 * np.pi / np.abs(((1.0 / np.sqrt(gamma)) * lam).imag).max())
+
+
 class FlatFlows:
     """The flat linear part of rhs_symmetric on the two-thirds band, solved exactly.
 
@@ -284,10 +300,10 @@ class FlatFlows:
     tabulated per distinct radius for one step size at a time (at) and
     gathered to the modes at each use.
 
-    max_step is one period of the fastest flat wave on the band, 2 pi over
-    the largest |Im| of L's eigenvalues.  The waves themselves are exact at
-    any step, but the remainder they drive oscillates with them and is
-    sampled once per stage, so integrate_fixed takes no longer step.
+    max_step is flat_wave_period, one period of the fastest flat wave on
+    the band.  The waves themselves are exact at any step, but the
+    remainder they drive oscillates with them and is sampled once per
+    stage, so integrate_fixed takes no longer step.
     """
 
     def __init__(self, grid: GridSpec, gamma: float) -> None:
@@ -306,10 +322,7 @@ class FlatFlows:
         squares, self._radius = np.unique(index_sq, return_inverse=True)
         self.radii = dk * np.sqrt(squares)
         self.gamma = gamma
-        # z = h lambda at h = 1, the eigenvalues of L on the tau clock, at the
-        # largest radius: both blocks' frequencies grow with the radius
-        _, _, z, _ = phi_tables(self.radii[-1:], gamma, 1.0 / np.sqrt(gamma))
-        self.max_step = float(2.0 * np.pi / np.abs(z.imag).max())
+        self.max_step = flat_wave_period(grid, gamma)
         self.h: float | None = None
         # scratch rows for split, join and weigh; no call leaves data in them
         self._work = np.empty((24, r.size), dtype=complex)
@@ -318,19 +331,17 @@ class FlatFlows:
         """These flows with their weights tabulated for step size h."""
         if h != self.h:
             root_g = np.sqrt(self.gamma)
-            vecs, inv, z, tab = phi_tables(self.radii, self.gamma, h / root_g)
+            lam, vecs, inv = block_eig(self.radii, self.gamma)
             # conjugate the longitudinal block by D
             vecs[0, :, 1:] /= root_g
             inv[0, :, :, 1:] *= root_g
             # per radius 3 longitudinal and 3 transverse rows, (10, 6, R)
-            weights = _etd_weights(h, z, tab)
+            weights = _etd_weights(h, (h / root_g) * lam)
             self._weights = np.ascontiguousarray(
                 np.concatenate([weights[:, 0], weights[:, 1]], axis=-1).transpose(0, 2, 1)
             )
-            # B~ . xi^ is constant: its weights are those at z = 0, from
-            # e^0 = phi_1(0) = 1, phi_2(0) = 1/2 and phi_3(0) = 1/6
-            at_zero = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 1.0 / 6.0])
-            self._weights_b = _etd_weights(h, np.zeros(()), at_zero)
+            # B~ . xi^ is constant: its weights are those at z = 0
+            self._weights_b = _etd_weights(h, np.zeros(1))[:, 0].real
             # (block, j, i, R): entry i, j of V or V^{-1}, gathered along the last axis
             self._vecs = np.ascontiguousarray(np.moveaxis(vecs, (1, 2, 3), (3, 2, 1)))
             self._inv = np.ascontiguousarray(np.moveaxis(inv, (1, 2, 3), (3, 2, 1)))
@@ -412,16 +423,45 @@ class FlatFlows:
 _A, _B0, _BA, _C0, _CA, _CB, _Y0, _YA, _YB, _YC = range(10)
 
 
-def _etd_weights(h: float, z: np.ndarray, tab: np.ndarray) -> np.ndarray:
-    """The stage weights of step_rk4 at z = h lambda, shape (10,) + z.shape.
+# Taylor terms of phi_k inside the unit disc; the first one dropped is below 1e-18
+_PHI_TERMS = 20
 
-    tab holds e^z, e^{z/2}, phi_1(z/2), phi_1(z), phi_2(z), phi_3(z) (see
-    lindecay.phi_tables).  With p = h/2 phi_1(z/2), d = e^{z/2} - 1
-    = z/2 phi_1(z/2) and the Cox-Matthews weights g_1 = h (phi_1 - 3 phi_2
-    + 4 phi_3), g_2 = h (2 phi_2 - 4 phi_3), g_3 = h (4 phi_3 - phi_2),
-    eliminating N = F - lambda y from the stages leaves these.
+
+def _phi_functions(z: np.ndarray) -> np.ndarray:
+    """phi_0 .. phi_3 at complex z (at least 1-d), shape (4,) + z.shape.
+
+    phi_0(z) = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z, so
+    phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2 and
+    phi_3(z) = (e^z - 1 - z - z^2/2)/z^3.  That recurrence cancels as
+    z -> 0, so inside the unit disc the series phi_k(z) = sum_j z^j / (j + k)!
+    is summed instead.
     """
-    _, _, phi_half, phi1, phi2, phi3 = tab
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((4,) + z.shape, dtype=complex)
+    small = np.abs(z) < 1.0
+    large = ~small
+    out[0] = np.exp(z)
+    for k in range(3):
+        out[k + 1][large] = (out[k][large] - 1.0 / math.factorial(k)) / z[large]
+    zs = z[small]
+    for k in range(4):
+        acc = np.full(zs.shape, 1.0 / math.factorial(_PHI_TERMS + k), dtype=complex)
+        for j in range(_PHI_TERMS - 1, -1, -1):
+            acc = acc * zs + 1.0 / math.factorial(j + k)
+        out[k][small] = acc
+    return out
+
+
+def _etd_weights(h: float, z: np.ndarray) -> np.ndarray:
+    """The stage weights of step_rk4 at z = h lambda (at least 1-d), shape (10,) + z.shape.
+
+    With p = h/2 phi_1(z/2), d = e^{z/2} - 1 = z/2 phi_1(z/2) and the
+    Cox-Matthews weights g_1 = h (phi_1 - 3 phi_2 + 4 phi_3),
+    g_2 = h (2 phi_2 - 4 phi_3), g_3 = h (4 phi_3 - phi_2), eliminating
+    N = F - lambda y from the stages leaves these.
+    """
+    _, phi1, phi2, phi3 = _phi_functions(z)
+    phi_half = _phi_functions(0.5 * z)[1]
     p = 0.5 * h * phi_half
     d = 0.5 * z * phi_half
     g1 = h * (phi1 - 3.0 * phi2 + 4.0 * phi3)
@@ -436,32 +476,14 @@ def _etd_weights(h: float, z: np.ndarray, tab: np.ndarray) -> np.ndarray:
     ])
 
 
-class _NoFlows:
-    """L = 0: step_rk4 is then classical RK4, its weights plain numbers."""
-
-    def __init__(self, h: float) -> None:
-        self._weights = (0.5 * h, 0.0, 0.5 * h, 0.0, 0.0, h, h / 6.0, h / 3.0, h / 3.0, h / 6.0)
-
-    def weigh(self, row: int, f_hat: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-        out = self._weights[row] * f_hat
-        return out if acc is None else acc + out
-
-    def split(self, y: np.ndarray) -> np.ndarray:
-        return y
-
-    join = split
-
-
 def step_rk4(
-    y: np.ndarray,
-    rhs: Callable[[np.ndarray], np.ndarray],
-    h: float,
-    flows: FlatFlows | None = None,
+    y: np.ndarray, rhs: Callable[[np.ndarray], np.ndarray], h: float, flows: FlatFlows
 ) -> np.ndarray:
     """One fourth-order Runge-Kutta step of y' = rhs(y) = L y + N(y).
 
-    flows solve the linear part L exactly, and the step is the exponential
-    integrator ETDRK4 (Cox & Matthews, J. Comput. Phys. 176, 2002):
+    y holds band coefficients (see BandTail); flows solve the flat linear
+    part L exactly, and the step is the exponential integrator ETDRK4
+    (Cox & Matthews, J. Comput. Phys. 176, 2002):
 
         a   = e^{hL/2} y + h/2 phi_1(hL/2) N(y)
         b   = e^{hL/2} y + h/2 phi_1(hL/2) N(a)
@@ -472,14 +494,12 @@ def step_rk4(
     f_3 = 4 phi_3 - phi_2 of hL.  With N = rhs - L y substituted, each
     stage is y plus weighted tendencies (see _etd_weights), summed in the
     eigen-coordinates of L as the tendencies are made; so a state at rest
-    stays at rest.  Without flows L = 0: then
-    e^{hL} = phi_1 = 1, phi_2 = 1/2 and phi_3 = 1/6, and this is the
-    classical step.
+    stays at rest.
     """
-    fl = _NoFlows(h) if flows is None else flows.at(h)
+    fl = flows.at(h)
 
     def stage(acc: np.ndarray) -> np.ndarray:
-        out = fl.join(acc)  # an array no one else holds, on both paths
+        out = fl.join(acc)  # a new array, no one else holds it
         out += y
         return out
 
@@ -578,21 +598,22 @@ def integrate_fixed(
     rhs: Callable[[np.ndarray], np.ndarray],
     t_end: float,
     dt_max: Callable[[np.ndarray], float] | float,
-    cadence: float | None = None,
-    flows: FlatFlows | None = None,
+    cadence: float | None,
+    flows: FlatFlows,
     after_step: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> Iterator[tuple[float, np.ndarray]]:
     """Fixed-step integration by step_rk4, yielding (t, state) at cadence boundaries.
 
     dt_max may be a constant or a callable recomputed from the state at each
     cadence chunk (e.g. a CFL bound); within a chunk the step is uniform and
-    chosen to land exactly on the boundary, and an infinite bound means one
-    step per chunk.  flows go to every step and bound it by their max_step;
-    after_step, if given, maps the state after each one.  Yields the initial
-    state first.  A step bound that is NaN or not positive raises
-    NonFiniteStateError, and one that would need more than MAX_CHUNK_STEPS
-    steps in a chunk raises StepCollapseError before any of them is taken;
-    both carry the time on this function's own clock.
+    chosen to land exactly on the boundary; a cadence of None makes one
+    chunk.  flows go to every step and bound it by their max_step, so an
+    infinite dt_max means steps of that length; after_step, if given, maps
+    the state after each one.  Yields the initial state first.  A step bound
+    that is NaN or not positive raises NonFiniteStateError, and one that
+    would need more than MAX_CHUNK_STEPS steps in a chunk raises
+    StepCollapseError before any of them is taken; both carry the time on
+    this function's own clock.
     """
     if t_end <= 0.0:
         raise ValueError(f"t_end must be positive, got {t_end}")
@@ -608,7 +629,7 @@ def integrate_fixed(
         if not cap > 0.0:
             raise NonFiniteStateError((chunk - 1) * cadence, cap)
         cause = None
-        if flows is not None and flows.max_step < cap:
+        if flows.max_step < cap:
             cap, cause = flows.max_step, "the flat-wave period"
         if cadence / cap > MAX_CHUNK_STEPS:
             raise StepCollapseError((chunk - 1) * cadence, cap, cause)

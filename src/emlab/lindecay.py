@@ -24,8 +24,8 @@ splits A(xi) exactly into blocks that depend on r = |xi| alone:
   B . xi^: constant.
 
 Both 3x3 blocks have distinct eigenvalues at every radius, so one
-eigendecomposition per radius (_block_eig) gives every flow this module
-and the exponential integrator of emlab.dynamics need.
+eigendecomposition per radius (block_eig) gives every flow this module
+needs; emlab.dynamics builds its exponential integrator on it too.
 
 The resulting whole-space L2 decay exponents (heat-kernel integrals of the
 slow branch against the initial profile) are what this module measures:
@@ -43,12 +43,8 @@ initial eigen-coordinates per radius; a time sample then costs O(radii),
 not O(nodes), and no per-node propagator is built.  The norms are taken
 on the Gauss-compatible subspace, where both conserved defects vanish, so
 every channel decays at its own rate instead of flooring at the
-roundoff of a defect.  propagate applies
-the same per-radius block flows to amplitudes, for callers that need the
-propagated amplitudes themselves; it evaluates each flow once per distinct
-|xi|, so the shells of a grid's frequencies share one.  All reductions run
-over fixed-shape arrays in a fixed order, so results are bit-reproducible
-across runs.
+roundoff of a defect.  All reductions run over fixed-shape arrays in a
+fixed order, so results are bit-reproducible across runs.
 """
 from __future__ import annotations
 
@@ -62,11 +58,10 @@ __all__ = [
     "DecayTrajectory",
     "GaussianFamily",
     "QuadratureScheme",
+    "block_eig",
     "decay_trajectory",
     "fit_decay",
     "initial_modes",
-    "phi_tables",
-    "propagate",
 ]
 
 RHO = slice(0, 1)
@@ -110,113 +105,19 @@ def _longitudinal_generator(r: np.ndarray, gamma: float) -> np.ndarray:
     return gen
 
 
-def _block_eig(r: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def block_eig(r: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecomposition of the longitudinal (0) and transverse (1) blocks at radii r.
 
-    Returns the eigenvalues lam, shape (2, R, 3), the eigenvector matrices
-    V and their inverses, shape (2, R, 3, 3), so that a block's generator
-    is V diag(lam) V^{-1} and its flow V diag(e^{t lam}) V^{-1}.
+    Block 0 acts on (rho, u . xi^, E . xi^), block 1 on the transverse rows
+    (u_perp, E_perp, xi^ x B); B . xi^ is constant.  Returns the
+    eigenvalues lam, shape (2, R, 3), the eigenvector matrices V and their
+    inverses, shape (2, R, 3, 3), so that a block's generator is
+    V diag(lam) V^{-1} and its flow V diag(e^{t lam}) V^{-1}.
     """
     r = np.asarray(r, dtype=float)
     gens = np.stack([_longitudinal_generator(r, gamma), _transverse_generator(r)])
     lam, vecs = np.linalg.eig(gens)
     return lam, vecs, np.linalg.inv(vecs)
-
-
-def _split_modes(
-    xi: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Block coordinates of amplitudes y (..., 10) at frequencies xi (..., 3).
-
-    Returns r, xi^ (e_z at xi = 0, where A is isotropic), the longitudinal
-    vector (rho, u_l, E_l) of shape (..., 3), the constant B_l, and the
-    transverse rows (u_perp, E_perp, xi^ x B) of shape (..., 3, 3).
-    """
-    r = np.sqrt((xi**2).sum(axis=-1))
-    hat = np.divide(xi, r[..., None], out=np.zeros_like(xi), where=r[..., None] > 0)
-    hat[r == 0.0, 2] = 1.0
-    u_l, e_l, b_l = (np.einsum("...i,...i->...", hat, y[..., sl]) for sl in (U, E, B))
-    lon = np.stack([y[..., 0], u_l, e_l], axis=-1)
-    trans = np.stack(
-        [y[..., U] - u_l[..., None] * hat, y[..., E] - e_l[..., None] * hat, np.cross(hat, y[..., B])],
-        axis=-2,
-    )
-    return r, hat, lon, b_l, trans
-
-
-# Taylor terms of phi_k inside the unit disc; the first one dropped is below 1e-18
-_PHI_TERMS = 20
-
-
-def _phi_functions(z: np.ndarray) -> np.ndarray:
-    """phi_0 .. phi_3 at complex z, shape (4,) + z.shape.
-
-    phi_0(z) = e^z and phi_{k+1}(z) = (phi_k(z) - 1/k!) / z.  That recurrence
-    cancels as z -> 0, so inside the unit disc the series
-    phi_k(z) = sum_j z^j / (j + k)! is summed instead.
-    """
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((4,) + z.shape, dtype=complex)
-    small = np.abs(z) < 1.0
-    large = ~small
-    out[0] = np.exp(z)
-    for k in range(3):
-        out[k + 1][large] = (out[k][large] - 1.0 / math.factorial(k)) / z[large]
-    zs = z[small]
-    for k in range(4):
-        acc = np.full(zs.shape, 1.0 / math.factorial(_PHI_TERMS + k), dtype=complex)
-        for j in range(_PHI_TERMS - 1, -1, -1):
-            acc = acc * zs + 1.0 / math.factorial(j + k)
-        out[k][small] = acc
-    return out
-
-
-def phi_tables(
-    r: np.ndarray, gamma: float, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """What an exponential integrator needs of e^{t A(xi)}, at radii r.
-
-    Block 0 is the longitudinal block on (rho, u . xi^, E . xi^), block 1
-    the transverse block on (u_perp, E_perp, xi^ x B); B . xi^ is constant.
-    Each is diagonalized at each radius, f(t A) = V diag(f(z)) V^{-1} with
-    z = t lambda.  Returns V and V^{-1}, shape (2, R, 3, 3); z, shape
-    (2, R, 3); and the tables, shape (6, 2, R, 3), of e^z, e^{z/2},
-    phi_1(z/2), phi_1(z), phi_2(z) and phi_3(z), where
-    phi_1(z) = (e^z - 1)/z, phi_2(z) = (e^z - 1 - z)/z^2 and
-    phi_3(z) = (e^z - 1 - z - z^2/2)/z^3.
-    """
-    lam, vecs, inv = _block_eig(r, gamma)
-    z = t * lam
-    whole, half = _phi_functions(z), _phi_functions(0.5 * z)
-    tables = np.stack([whole[0], half[0], half[1], whole[1], whole[2], whole[3]])
-    return vecs, inv, z, tables
-
-
-def propagate(xi: np.ndarray, y0: np.ndarray, gamma: float, t: float) -> np.ndarray:
-    """e^{t A(xi)} y0 for amplitudes y0 (..., 10) at frequencies xi (..., 3).
-
-    The block flows are evaluated once per distinct |xi| and gathered to
-    the nodes, then recombined with each node's direction.  Every mode is
-    kept, so Gauss-incompatible amplitudes keep their conserved defects.
-    """
-    if t < 0.0:
-        raise ValueError(f"propagation time must be >= 0, got {t}")
-    shape = np.shape(y0)
-    xi = np.asarray(xi, dtype=float).reshape(-1, 3)
-    y0 = np.reshape(y0, (-1, 10))
-    r, hat, lon, b_l, trans = _split_modes(xi, y0)
-    radii, node_radius = np.unique(r, return_inverse=True)
-    lam, vecs, inv = _block_eig(radii, gamma)
-    lon_flow, trans_flow = vecs @ (np.exp(t * lam)[..., None] * inv)
-    lon = np.einsum("kab,kb->ka", lon_flow[node_radius], lon)
-    trans = trans_flow[node_radius] @ trans
-    y = np.empty(y0.shape, dtype=complex)
-    y[:, 0] = lon[:, 0]
-    y[:, U] = lon[:, 1, None] * hat + trans[:, 0]
-    y[:, E] = lon[:, 2, None] * hat + trans[:, 1]
-    # xi^ x (xi^ x B) = -B_perp
-    y[:, B] = b_l[:, None] * hat - np.cross(hat, trans[:, 2])
-    return y.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +334,6 @@ class DecayTrajectory:
     times: np.ndarray
     norms: dict[str, np.ndarray]
     tail_bound: float
-    family: GaussianFamily
-    scheme: QuadratureScheme
-    gamma: float
 
 
 _CHANNELS: tuple[tuple[str, str, int], ...] = (
@@ -467,8 +365,19 @@ def _radial_densities(
     """
     xi, wq = scheme.nodes()
     r, _ = scheme.radial_rule()
-    lam, vecs, inv = _block_eig(r, gamma)
-    _, _, lon, _, trans = _split_modes(xi, initial_modes(family, xi))
+    lam, vecs, inv = block_eig(r, gamma)
+    # block coordinates of the initial amplitudes: the longitudinal vector
+    # (rho, u . xi^, E . xi^) and the transverse rows (u_perp, E_perp, xi^ x B);
+    # every node lies off xi = 0
+    y0 = initial_modes(family, xi)
+    hat = xi / np.sqrt((xi**2).sum(axis=-1))[:, None]
+    u_l, e_l = (np.einsum("...i,...i->...", hat, y0[..., sl]) for sl in (U, E))
+    lon = np.stack([y0[..., 0], u_l, e_l], axis=-1)
+    trans = np.stack([
+        y0[..., U] - u_l[..., None] * hat,
+        y0[..., E] - e_l[..., None] * hat,
+        np.cross(hat, y0[..., B]),
+    ], axis=-2)
     # nodes are radius-major: (radius, direction)
     w = wq.reshape(r.size, -1)
     lon = lon.reshape(w.shape + (3,))
@@ -510,9 +419,7 @@ def decay_trajectory(
     norms = {
         name: np.sqrt(np.sum(r ** (2 * s) * dens[comp], axis=1)) for name, comp, s in _CHANNELS
     }
-    return DecayTrajectory(
-        times, norms, quadrature_tail_bound(family, scheme), family, scheme, gamma
-    )
+    return DecayTrajectory(times, norms, quadrature_tail_bound(family, scheme))
 
 
 # ---------------------------------------------------------------------------

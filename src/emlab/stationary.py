@@ -103,8 +103,6 @@ def background_profile(grid: GridSpec, kind: str, eps: float, width: float = 1.0
 class StationaryState:
     """Constructed stationary state plus convergence diagnostics."""
 
-    grid: GridSpec
-    gamma: float
     potential: np.ndarray          # Q, (n, n, n)
     n_st: np.ndarray               # (n, n, n)
     sigma_st: np.ndarray           # symmetrized density perturbation, (n, n, n)
@@ -189,8 +187,6 @@ def picard_iterate(
     curl_e = grid.inverse(grid.curl(e_hat))
 
     return StationaryState(
-        grid=grid,
-        gamma=gamma,
         potential=q,
         n_st=n_st,
         sigma_st=sigma_st,

@@ -1,17 +1,20 @@
 """Shared helpers for the test suite, and the references the package is
 checked against: the inverse symmetrization, a full-layout symmetrized
-tendency, the primitive system and the Duhamel crosscheck of the shipped
-integrator; and for lindecay, the dense symbol and its constraint rows,
-a spectrum scan, the closed-form initial norms and the closed-form flow
-on the Gauss-compatible subspace."""
+tendency, classical RK4, the primitive system and the Duhamel crosscheck
+of the shipped integrator; the dense 10 x 10 flat-state symbol, whose
+scipy expm is the reference flow for both FlatFlows and the Duhamel
+crosscheck, with its constraint rows and a spectrum scan; and for
+lindecay, the closed-form initial norms and the closed-form flow on the
+Gauss-compatible subspace."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg import expm
 
 from emlab import dynamics as dyn
 from emlab.dynamics import ELEC, MAG, SCALAR, VEL
 from emlab.grid import GridSpec
-from emlab.lindecay import GaussianFamily, _gaussian_moment, _transverse_generator, propagate
+from emlab.lindecay import GaussianFamily, _gaussian_moment, _transverse_generator
 
 
 def random_field(grid: GridSpec, seed: int, band: int | None = None, amp: float = 1.0) -> np.ndarray:
@@ -63,6 +66,67 @@ def integrate_band(grid: GridSpec, gamma: float, y0_hat, t_end, dt_max, cadence=
     steps = dyn.integrate_fixed(tail.take(y0_hat), rhs, t_end, cap, cadence, flows, reset)
     for tau, y_band in steps:
         yield tau, tail.full(y_band)
+
+
+def rk4_step(y: np.ndarray, rhs, h: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step: the reference integrator."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_flow(y: np.ndarray, rhs, t_end: float, dt_max, cadence: float | None = None):
+    """Classical RK4 yielding (t, y) at t = 0 and each cadence point, in equal
+    steps per chunk no longer than dt_max, a constant or a callable on the
+    state at the chunk's start."""
+    cadence = t_end if cadence is None else cadence
+    yield 0.0, y
+    for chunk in range(1, int(round(t_end / cadence)) + 1):
+        cap = dt_max(y) if callable(dt_max) else dt_max
+        steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
+        for _ in range(steps):
+            y = rk4_step(y, rhs, cadence / steps)
+        yield chunk * cadence, y
+
+
+def band_linear_rhs(band, gamma: float):
+    """The flat linear part L of rhs_symmetric on band coefficients."""
+    sg = np.sqrt(gamma)
+
+    def rhs(y):
+        out = np.empty_like(y)
+        out[0] = -band.div(y[1:4])
+        out[1:4] = -band.grad(y[0]) - (y[4:7] + y[1:4]) / sg
+        out[4:7] = (band.curl(y[7:10]) + y[1:4]) / sg
+        out[7:10] = -band.curl(y[4:7]) / sg
+        return out
+
+    return rhs
+
+
+def band_frequencies(grid: GridSpec) -> np.ndarray:
+    """The frequencies of the two-thirds band's modes, (modes, 3)."""
+    return np.moveaxis(grid.two_thirds.k, 0, -1).reshape(-1, 3)
+
+
+def _symmetrizer(gamma: float) -> np.ndarray:
+    """The diagonal of D = diag(1, I_9 / sqrt(g)): symmetrized amplitudes are
+    D times primitive ones, and on the tau clock the flat linear part of
+    rhs_symmetric is L = D A(xi) D^{-1} / sqrt(g)."""
+    return np.r_[1.0, np.full(9, 1.0 / np.sqrt(gamma))]
+
+
+def flat_flow(grid: GridSpec, gamma: float, y0: np.ndarray, t: float) -> np.ndarray:
+    """e^{t A(xi)} y0 for primitive amplitudes y0 (modes, 10) at the band
+    frequencies, by the shipped integrator: one step_rk4 over FlatFlows
+    with zero remainder and h = sqrt(g) t, on the symmetrized D y0."""
+    d = _symmetrizer(gamma)
+    flows = dyn.FlatFlows(grid, gamma)
+    y = (y0 * d).T.reshape(flows.shape)
+    out = dyn.step_rk4(y, band_linear_rhs(grid.two_thirds, gamma), np.sqrt(gamma) * t, flows)
+    return out.reshape(10, -1).T / d
 
 
 def oracle_rhs_symmetric(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.ndarray:
@@ -236,8 +300,8 @@ def band_flow(grid: GridSpec, gamma: float, state: np.ndarray, t_end: float, dt:
 
 
 def primitive_flow(grid: GridSpec, gamma: float, state: np.ndarray, t_end: float, dt: float):
-    """The same run by the primitive reference: rhs_primitive under RK4."""
-    *_, (_, y) = dyn.integrate_fixed(state, lambda s: rhs_primitive(grid, gamma, s), t_end, dt)
+    """The same run by the primitive reference: rhs_primitive under classical RK4."""
+    *_, (_, y) = rk4_flow(state, lambda s: rhs_primitive(grid, gamma, s), t_end, dt)
     return y
 
 
@@ -254,26 +318,25 @@ def duhamel_crosscheck(
 
     Runs flow (by default the shipped integrator) from (primitive base
     state) + a * (unit perturbation shape) and from the same shape at a/2,
-    subtracts the mode-wise linear solution e^{tA} applied to each
-    perturbation, and reports the L2 gaps and their ratio.  About the flat
-    state the sources are quadratic, so gap(a/2)/gap(a) ~ 1/4; a nonflat
-    base state injects an O(a * delta) linear-in-a mismatch and drags the
-    ratio toward 1/2.
+    subtracts the linear solution of each perturbation, a times the
+    mode-wise dense e^{tA} of the shape, and reports the L2 gaps and their
+    ratio.  About the flat state the sources are quadratic, so
+    gap(a/2)/gap(a) ~ 1/4; a nonflat base state injects an O(a * delta)
+    linear-in-a mismatch and drags the ratio toward 1/2.
     """
     if base_state is None:
         base_state = np.zeros((10,) + grid.shape)
         base_state[SCALAR] = 1.0
 
     shape = compatible_perturbation_primitive(grid, amp=1.0)
+    # mode-wise e^{tA} of the shape on the grid's (Nyquist-zeroed) frequencies
     xi = np.moveaxis(grid.k, 0, -1).reshape(-1, 3)
+    y0 = grid.transform(shape).reshape(10, -1).T
+    lin = grid.inverse(linear_flow(xi, y0, gamma, t_end).T.reshape((10,) + grid.spectral_shape))
 
     def gap(a: float) -> float:
-        pert0 = a * shape
-        y = flow(grid, gamma, base_state + pert0, t_end, dt)
-        # mode-wise e^{tA} on the grid's (Nyquist-zeroed) frequencies
-        y0 = grid.transform(pert0).reshape(10, -1).T
-        lin = grid.inverse(propagate(xi, y0, gamma, t_end).T.reshape((10,) + grid.spectral_shape))
-        diff = (y - base_state) - lin
+        y = flow(grid, gamma, base_state + a * shape, t_end, dt)
+        diff = (y - base_state) - a * lin
         return float(np.sqrt(sum(grid.l2_norm(diff[i]) ** 2 for i in range(10))))
 
     g_full, g_half = gap(amp), gap(0.5 * amp)
@@ -281,8 +344,8 @@ def duhamel_crosscheck(
 
 
 # ---------------------------------------------------------------------------
-# references for lindecay: the dense 10 x 10 flat-state symbol A(xi) on
-# (rho, u, E, B)^, which the package only ever handles split into blocks
+# the dense 10 x 10 flat-state symbol A(xi) on (rho, u, E, B)^, which the
+# package only ever handles split into blocks
 
 
 def _cross_matrix(xi: np.ndarray) -> np.ndarray:
@@ -313,6 +376,20 @@ def symbol_matrix(xi: np.ndarray, gamma: float) -> np.ndarray:
     a[..., 4:7, 7:10] = 1j * cross
     a[..., 7:10, 4:7] = -1j * cross
     return a
+
+
+def linear_flow(xi: np.ndarray, y0: np.ndarray, gamma: float, t: float) -> np.ndarray:
+    """e^{t A(xi)} y0 for amplitudes y0 (K, 10) at frequencies xi (K, 3),
+    from scipy's dense expm of each node's symbol."""
+    return (expm(symbol_matrix(xi, gamma) * t) @ y0[..., None])[..., 0]
+
+
+def dense_band_flow(grid: GridSpec, gamma: float, y: np.ndarray, h: float) -> np.ndarray:
+    """e^{hL} y for symmetrized band coefficients y (10, band shape) on the
+    tau clock, by linear_flow: e^{hL} = D e^{(h / sqrt(g)) A} D^{-1}."""
+    d = _symmetrizer(gamma)
+    ref = linear_flow(band_frequencies(grid), y.reshape(10, -1).T / d, gamma, h / np.sqrt(gamma))
+    return (ref * d).T.reshape(y.shape)
 
 
 def constraint_matrix(xi: np.ndarray) -> np.ndarray:

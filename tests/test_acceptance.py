@@ -29,7 +29,6 @@ from emlab.lindecay import (
     decay_trajectory,
     fit_decay,
     initial_modes,
-    propagate,
 )
 from emlab.pipelines import run_experiment
 from emlab.snapshot import read_snapshot, write_snapshot
@@ -44,6 +43,7 @@ from _helpers import (
     constraint_matrix,
     duhamel_crosscheck,
     integrate_band,
+    linear_flow,
     spectral_stability_report,
     symbol_matrix,
 )
@@ -244,10 +244,10 @@ def test_6_symbol_structure():
     worst_con = 0.0
     for _ in range(5):
         xi = rng.standard_normal(3) * rng.uniform(0.1, 5.0)
-        y0 = initial_modes(fam, xi.reshape(1, 3))[0]
+        y0 = initial_modes(fam, xi.reshape(1, 3))
         cmat = constraint_matrix(xi)
         for t in (0.0, 1.0, 10.0, 100.0, 1000.0):
-            yt = propagate(xi, y0, GAMMA, t)
+            yt = linear_flow(xi.reshape(1, 3), y0, GAMMA, t)[0]
             worst_con = max(worst_con, float(np.abs(cmat @ yt).max()))
 
     scan = spectral_stability_report(GAMMA, n_samples=1000)

@@ -132,6 +132,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="rho_fit_window"):
             parse_config(overrides={"command": "lindecay", "t_grid": "50:500:16"})
 
+    def test_chunk_bound_counts_flat_wave_periods(self):
+        # a box far wider than its grid resolves: a chunk may hold at most
+        # MAX_CHUNK_STEPS of the steps FlatFlows.max_step allows
+        from emlab.dynamics import MAX_CHUNK_STEPS, FlatFlows
+
+        period = FlatFlows(GridSpec(8, 1000.0), 5.0 / 3.0).max_step
+        longest = MAX_CHUNK_STEPS * period / np.sqrt(5.0 / 3.0)
+        for factor, ok in ((0.99, True), (1.01, False)):
+            cadence = repr(float(factor * longest))
+            overrides = {"grid_n": "8", "box_l": "1000", "t_end": cadence, "cadence": cadence}
+            if ok:
+                parse_config(overrides=overrides)
+            else:
+                with pytest.raises(ValueError, match="cadence .* flat-wave periods"):
+                    parse_config(overrides=overrides)
+
     def test_unreadable_file_rejected_with_path(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read config file"):
             parse_config(tmp_path / "missing.ini")
@@ -657,12 +673,12 @@ FAILURES = {
         1, True,
     ),
     # a box far wider than its grid resolves: the flat-wave period, not the CFL
-    # bound, sets h, and no step of that size could fill the chunk
+    # bound, would set h, and no step of that size could fill the chunk
     "flat-wave-collapse": (
         lambda tmp, mp: (["evolve", "--grid-n", "8", "--box-l", "1000", "--eps", "0",
                           "--t-end", "3e7", "--cadence", "3e7", "--out-dir", str(tmp / "ev")],
-                         ["step size collapsed", "flat-wave period"]),
-        1, True,
+                         ["cadence", "must not exceed", "flat-wave periods"]),
+        2, False,
     ),
     "non-finite-state": (
         lambda tmp, mp: (evolve_custom_argv(

@@ -7,15 +7,25 @@ from hypothesis import strategies as st
 from emlab import dynamics as dyn
 from emlab.energy import energy_report
 from emlab.grid import GridSpec
-from emlab.lindecay import propagate
 from emlab.stationary import background_profile, picard_iterate
 
 from _helpers import (
-    compatible_perturbation_primitive, from_symmetric, integrate_band, linear_rhs_symmetric,
-    nonlinear_sources, oracle_rhs_symmetric, random_field, rhs_primitive, tendency,
+    band_linear_rhs, compatible_perturbation_primitive, dense_band_flow, from_symmetric,
+    integrate_band, linear_rhs_symmetric, nonlinear_sources, oracle_rhs_symmetric, random_field,
+    rhs_primitive, rk4_flow, rk4_step, tendency,
 )
 
 GAMMA = 5.0 / 3.0
+
+
+def small_band_state(seed: int = 0):
+    """A random band state of GridSpec(8, 5.0), with the grid, its FlatFlows
+    and the flat linear part L of rhs_symmetric on it."""
+    grid = GridSpec(n=8, box=5.0)
+    flows = dyn.FlatFlows(grid, GAMMA)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal(flows.shape) + 1j * rng.standard_normal(flows.shape)
+    return grid, flows, y, band_linear_rhs(grid.two_thirds, GAMMA)
 
 
 def linearized_primitive(grid, gamma, p):
@@ -159,24 +169,27 @@ class TestSources:
 
 class TestTimeStepping:
     def test_rk4_local_error_order(self):
-        # y' = -y from y = 1: local error should scale like h^5
+        # y' = L y - y: the remainder commutes with L, so the flow is
+        # e^{-h} e^{hL} y, and the local error should scale like h^5
+        grid, flows, y, lin = small_band_state(seed=1)
         hs = np.array([0.1, 0.05, 0.025, 0.0125])
         errs = [
-            abs(float(dyn.step_rk4(np.array(1.0), lambda y: -y, h)) - np.exp(-h))
+            np.abs(dyn.step_rk4(y, lambda z: lin(z) - z, h, flows)
+                   - np.exp(-h) * dense_band_flow(grid, GAMMA, y, h)).max()
             for h in hs
         ]
         slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
         assert slope == pytest.approx(5.0, abs=0.2)
 
     def test_zero_tendency_keeps_state(self):
-        grid = GridSpec(n=8, box=5.0)
-        y = random_field(grid, seed=5)
-        out = dyn.step_rk4(y, lambda z: np.zeros_like(z), 0.3)
+        _, flows, y, _ = small_band_state(seed=5)
+        out = dyn.step_rk4(y, lambda z: np.zeros_like(z), 0.3, flows)
         assert np.array_equal(out, y)
 
     def test_transform_equivariance_of_one_step(self):
-        # stepping the symmetrized system by h equals symmetrizing a
-        # primitive step of h/sqrt(gamma)
+        # an exponential step of the symmetrized system by h equals the
+        # symmetrized classical step of the primitive one by h/sqrt(gamma),
+        # up to both steps' local errors
         grid = GridSpec(n=16, box=10.0)
         sym0 = dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-4, seed=2)
         prim0 = from_symmetric(sym0, GAMMA)
@@ -184,31 +197,38 @@ class TestTimeStepping:
         y0 = grid.transform(sym0)
         tail = dyn.BandTail(grid, y0)
         rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
-        sym1 = grid.inverse(tail.full(dyn.step_rk4(tail.take(y0), rhs, h)))
-        prim1 = dyn.step_rk4(
-            prim0, lambda y: rhs_primitive(grid, GAMMA, y), h / np.sqrt(GAMMA)
-        )
+        sym1 = grid.inverse(tail.full(
+            dyn.step_rk4(tail.take(y0), rhs, h, dyn.FlatFlows(grid, GAMMA))
+        ))
+        prim1 = rk4_step(prim0, lambda y: rhs_primitive(grid, GAMMA, y), h / np.sqrt(GAMMA))
         assert np.abs(dyn.to_symmetric(prim1, GAMMA) - sym1).max() <= 1e-9
+
+    @staticmethod
+    def linear_band_flow(grid, y, damping, dt):
+        """integrate_fixed to t = 1 of linear_rhs_symmetric on the band
+        coefficients of the physical state y; returns the energies of the
+        band state before and after."""
+        band = grid.two_thirds
+        physical = lambda y_band: grid.inverse(band.embed(y_band))
+        energy = lambda y_band: 0.5 * sum(grid.l2_norm(f) ** 2 for f in physical(y_band))
+        rhs = lambda z: band.take(grid.transform(
+            linear_rhs_symmetric(grid, GAMMA, physical(z), damping=damping)
+        ))
+        y0 = band.take(grid.transform(y))
+        *_, (_, y1) = dyn.integrate_fixed(y0, rhs, 1.0, dt, 1.0, dyn.FlatFlows(grid, GAMMA))
+        return energy(y0), energy(y1)
 
     def test_undamped_linear_flow_conserves_energy(self):
         grid = GridSpec(n=16, box=10.0)
         y = dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-2, seed=5)
-        energy = lambda z: 0.5 * sum(grid.l2_norm(z[i]) ** 2 for i in range(10))
-        e0 = energy(y)
-        rhs = lambda z: linear_rhs_symmetric(grid, GAMMA, z, damping=False)
-        for _, y in dyn.integrate_fixed(y, rhs, t_end=1.0, dt_max=0.005, cadence=1.0):
-            pass
-        assert abs(energy(y) - e0) / e0 <= 1e-8
+        e0, e1 = self.linear_band_flow(grid, y, damping=False, dt=0.005)
+        assert abs(e1 - e0) / e0 <= 1e-8
 
     def test_damped_linear_flow_loses_energy(self):
         grid = GridSpec(n=8, box=5.0)
         y = dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-2, seed=6)
-        energy = lambda z: 0.5 * sum(grid.l2_norm(z[i]) ** 2 for i in range(10))
-        e0 = energy(y)
-        rhs = lambda z: linear_rhs_symmetric(grid, GAMMA, z, damping=True)
-        for _, y in dyn.integrate_fixed(y, rhs, t_end=1.0, dt_max=0.01, cadence=1.0):
-            pass
-        assert energy(y) < e0
+        e0, e1 = self.linear_band_flow(grid, y, damping=True, dt=0.01)
+        assert e1 < e0
 
     def test_cfl_formula_and_validation(self):
         grid = GridSpec(n=16, box=8.0)
@@ -223,31 +243,34 @@ class TestTimeStepping:
             dyn.cfl_dt(grid, GAMMA, state_hat, 1.5)
 
     def test_flat_state_has_no_step_bound(self):
-        # nothing but the exactly solved linear waves moves: one step per chunk
-        grid = GridSpec(n=8, box=5.0)
+        # nothing but the exactly solved linear waves moves: one step per
+        # chunk, since the flat-wave period exceeds the cadence here
+        grid, flows, y, lin = small_band_state(seed=8)
         flat = np.zeros((10,) + grid.spectral_shape, dtype=complex)
         assert dyn.cfl_dt(grid, GAMMA, flat, 0.4) == np.inf
+        assert flows.max_step > 0.5
+        calls = []
         out = list(dyn.integrate_fixed(
-            np.array(1.0), lambda y: -y, t_end=1.0, cadence=0.5,
-            dt_max=lambda y: dyn.cfl_dt(grid, GAMMA, flat, 0.4),
+            y, lambda z: calls.append(z) or lin(z), t_end=1.0, cadence=0.5,
+            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, flat, 0.4), flows=flows,
         ))
         assert [t for t, _ in out] == [0.0, 0.5, 1.0]
+        assert len(calls) == 2 * 4
         flat[0, 1, 2, 3] = np.nan
         assert np.isnan(dyn.cfl_dt(grid, GAMMA, flat, 0.4))
 
     def test_integrate_cadence_must_divide_horizon(self):
-        grid = GridSpec(n=8, box=5.0)
-        y = np.zeros((10,) + grid.shape)
+        _, flows, y, _ = small_band_state()
         with pytest.raises(ValueError, match="cadence"):
-            list(dyn.integrate_fixed(y, lambda z: z, t_end=1.0, dt_max=0.1, cadence=0.3))
+            list(dyn.integrate_fixed(y, lambda z: z, t_end=1.0, dt_max=0.1, cadence=0.3,
+                                     flows=flows))
 
     def test_integrate_rejects_non_finite_state(self):
-        grid = GridSpec(n=8, box=5.0)
-        y = np.zeros((10,) + grid.shape)
-        y[0, 1, 2, 3] = np.nan
+        grid, flows, y, _ = small_band_state()
+        y[0, 1, 2, 1] = np.nan
         steps = dyn.integrate_fixed(
             y, lambda z: np.zeros_like(z), t_end=1.0, cadence=0.5,
-            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, grid.transform(z), 0.4),
+            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, grid.two_thirds.embed(z), 0.4), flows=flows,
         )
         with pytest.raises(ValueError, match="state non-finite at t=0"):
             list(steps)
@@ -256,6 +279,7 @@ class TestTimeStepping:
         # a finite, admissible state with |v| = 1e12 gives a step bound of
         # about 1e-12: the plan for one chunk is refused before any step
         grid = GridSpec(n=16, box=20.0)
+        band = grid.two_thirds
         y = np.zeros((10,) + grid.shape)
         y[1] = 1e12
         calls = []
@@ -265,23 +289,45 @@ class TestTimeStepping:
             return z
 
         steps = dyn.integrate_fixed(
-            grid.transform(y), rhs, t_end=1.0, cadence=0.5,
-            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, z, 0.9),
+            band.take(grid.transform(y)), rhs, t_end=1.0, cadence=0.5,
+            dt_max=lambda z: dyn.cfl_dt(grid, GAMMA, band.embed(z), 0.9),
+            flows=dyn.FlatFlows(grid, GAMMA),
         )
         assert next(steps)[0] == 0.0
         with pytest.raises(dyn.StepCollapseError, match="collapsed at t=0:") as info:
             next(steps)
         assert isinstance(info.value, ValueError)
-        assert info.value.t == 0.0
+        assert info.value.t == 0.0 and info.value.cause is None
         assert info.value.h == pytest.approx(0.9 * grid.dx / 1e12, rel=1e-12)
         assert calls == []
 
+    def test_flat_wave_step_collapse_raised_from_the_plan(self):
+        # with no CFL bound, the flat-wave period sets h; a chunk of more
+        # than MAX_CHUNK_STEPS periods is refused before any step
+        _, flows, y, _ = small_band_state()
+        calls = []
+        chunk = 1.5 * dyn.MAX_CHUNK_STEPS * flows.max_step
+        steps = dyn.integrate_fixed(y, lambda z: calls.append(z) or z, chunk, np.inf, chunk, flows)
+        assert next(steps)[0] == 0.0
+        with pytest.raises(dyn.StepCollapseError, match=r"\(the flat-wave period\)") as info:
+            next(steps)
+        assert info.value.h == flows.max_step
+        assert calls == []
+
     def test_integrate_yields_cadence_points(self):
-        y0 = np.array(1.0)
-        out = list(dyn.integrate_fixed(y0, lambda y: -y, t_end=1.0, dt_max=0.024, cadence=0.25))
+        # a longitudinal B~ is constant under L, so y' = L y - y is y' = -y
+        # mode by mode, stepped with the weights of z = 0: classical RK4's
+        grid, flows, f, lin = small_band_state(seed=7)
+        y0 = np.zeros_like(f)
+        y0[7:10] = grid.two_thirds.grad(f[0])
+        y0 /= np.abs(y0).max()
+        assert np.abs(lin(y0)).max() <= 1e-15
+        out = list(dyn.integrate_fixed(
+            y0, lambda y: lin(y) - y, t_end=1.0, dt_max=0.024, cadence=0.25, flows=flows
+        ))
         times = [t for t, _ in out]
         assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert float(out[-1][1]) == pytest.approx(np.exp(-1.0), abs=1e-9)
+        assert np.abs(out[-1][1] - np.exp(-1.0) * y0).max() <= 1e-9
 
 
 class TestPerturbationBuilders:
@@ -379,21 +425,6 @@ class TestConstraintTransport:
         assert 0.0 < reset.max_drift <= 5e-8
 
 
-def band_linear_rhs(band, gamma):
-    """The flat linear part L of rhs_symmetric on band coefficients."""
-    sg = np.sqrt(gamma)
-
-    def rhs(y):
-        out = np.empty_like(y)
-        out[0] = -band.div(y[1:4])
-        out[1:4] = -band.grad(y[0]) - (y[4:7] + y[1:4]) / sg
-        out[4:7] = (band.curl(y[7:10]) + y[1:4]) / sg
-        out[7:10] = -band.curl(y[4:7]) / sg
-        return out
-
-    return rhs
-
-
 def classical_cfl(grid, gamma, y_hat, cfl):
     """The step bound of explicit RK4, whose speed includes the flat waves."""
     phys = grid.inverse(y_hat[0:4])
@@ -422,11 +453,7 @@ class TestExponentialSteps:
         rng = np.random.default_rng(2)
         y = rng.standard_normal(flows.shape) + 1j * rng.standard_normal(flows.shape)
         out = dyn.step_rk4(y, band_linear_rhs(band, GAMMA), h, flows)
-        # lindecay's flow of the primitive amplitudes D^{-1} y for h / sqrt(g)
-        d = np.r_[1.0, np.full(9, 1.0 / np.sqrt(GAMMA))]
-        xi = np.moveaxis(band.k, 0, -1).reshape(-1, 3)
-        ref = propagate(xi, y.reshape(10, -1).T / d, GAMMA, h / np.sqrt(GAMMA)) * d
-        ref = ref.T.reshape(y.shape)
+        ref = dense_band_flow(grid, GAMMA, y, h)
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_tables_follow_the_step_size(self):
@@ -447,6 +474,9 @@ class TestExponentialSteps:
         flows = dyn.FlatFlows(grid, GAMMA)
         omega = np.sqrt(0.75 + GAMMA * flows.radii.max() ** 2) / np.sqrt(GAMMA)
         assert flows.max_step == pytest.approx(2.0 * np.pi / omega, rel=1e-12)
+        # the band's corner, integer index (5, 5, 5), is its largest radius
+        assert flows.radii[-1] == pytest.approx(2.0 * np.pi / 10.0 * np.sqrt(75.0), rel=1e-15)
+        assert flows.max_step == dyn.flat_wave_period(grid, GAMMA)
         # an unbounded state still takes equal steps no longer than that
         calls = []
         rhs = lambda y: calls.append(y) or np.zeros_like(y)
@@ -513,7 +543,7 @@ class TestExponentialSteps:
             tail = dyn.BandTail(grid, y0)
             rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
             cap = lambda y: fraction * classical_cfl(grid, GAMMA, tail.full(y), 0.4)
-            steps = dyn.integrate_fixed(tail.take(y0), rhs, tau_end, cap, cadence)
+            steps = rk4_flow(tail.take(y0), rhs, tau_end, cap, cadence)
             return series((t, tail.full(y)) for t, y in steps)
 
         ref = rk4(1.0 / 8.0)
@@ -564,6 +594,18 @@ class TestSpectralState:
         assert np.all(f_hat[:, outside] == 0.0)
         assert np.abs(f_hat[:, ~outside]).max() > 0.0
 
+    def test_band_state_is_in_c_order(self, equilibrium, rough_state):
+        # the band's gather puts the field axis innermost; the integrator's
+        # state and every tendency made from it are in C order from the start
+        grid = equilibrium[0]
+        y = grid.transform(rough_state)
+        tail = dyn.BandTail(grid, y)
+        y_band = tail.take(y)
+        assert not tail.band.take(y).flags.c_contiguous
+        assert y_band.flags.c_contiguous
+        assert np.array_equal(y_band, tail.band.take(y))
+        assert dyn.rhs_symmetric(grid, GAMMA, y_band, tail).flags.c_contiguous
+
     def test_out_of_band_tail_carried_unchanged(self, equilibrium, rough_state):
         # integrate_band rebuilds the full stack from the band the RK4 carries
         grid = equilibrium[0]
@@ -594,8 +636,8 @@ class TestSpectralState:
         tail = dyn.BandTail(grid, y0)
         y_band, y_ref = tail.take(y0), y0
         for _ in range(3):
-            y_band = dyn.step_rk4(y_band, lambda z: dyn.rhs_symmetric(grid, GAMMA, z, tail), h)
-            y_ref = dyn.step_rk4(y_ref, lambda z: oracle_rhs_symmetric(grid, GAMMA, z), h)
+            y_band = rk4_step(y_band, lambda z: dyn.rhs_symmetric(grid, GAMMA, z, tail), h)
+            y_ref = rk4_step(y_ref, lambda z: oracle_rhs_symmetric(grid, GAMMA, z), h)
         y_end = tail.full(y_band)
         assert np.abs(y_end - y_ref).max() <= 1e-13 * np.abs(y_ref).max()
         # the steps moved the band by far more than the bound
@@ -619,20 +661,6 @@ class TestSpectralState:
             monkeypatch.setattr(GridSpec, name, counted)
         dyn.rhs_symmetric(grid, GAMMA, y_band, tail)
         assert counts == {"inverse": [11, 1], "transform": [8, 1]}
-
-    def test_rk4_accumulator_matches_classical_formula(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 6))
-        y = rng.standard_normal(6)
-        rhs = lambda z: a @ z
-        for h in (0.01, 0.1, 0.3):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            classical = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out = dyn.step_rk4(y, rhs, h)
-            assert np.abs(out - classical).max() <= 1e-15 * np.abs(classical).max()
 
     def test_one_residual_call_reproduces_both_passes(self, equilibrium, rough_state):
         grid, n_b = equilibrium[0], equilibrium[1]

@@ -19,32 +19,35 @@ from scipy.optimize import linear_sum_assignment
 from scipy.special import gamma as scipy_gamma
 from scipy.special import gammaincc
 
+from emlab import dynamics as dyn
+from emlab.dynamics import _phi_functions
 from emlab.grid import GridSpec
 from emlab.lindecay import (
     GaussianFamily,
     QuadratureScheme,
+    block_eig,
     decay_trajectory,
     fit_decay,
     initial_modes,
-    phi_tables,
-    propagate,
     quadrature_tail_bound,
 )
 from emlab.lindecay import (
     _gaussian_moment,
     _longitudinal_generator,
     _moment_gamma,
-    _phi_functions,
     _transverse_generator,
     _upper_gamma_q72,
 )
 from emlab.stationary import background_profile, picard_iterate
 
 from _helpers import (
+    band_frequencies,
     compatible_flow,
     constraint_matrix,
     duhamel_crosscheck,
+    flat_flow,
     initial_norms_analytic,
+    linear_flow,
     primitive_flow,
     spectral_stability_report,
     symbol_matrix,
@@ -122,59 +125,57 @@ class TestSymbol:
 
 
 class TestPropagation:
-    def test_time_zero_is_identity(self):
-        rng = np.random.default_rng(2)
-        xi = rng.standard_normal((5, 3))
-        y0 = rng.standard_normal((5, 10)) + 1j * rng.standard_normal((5, 10))
-        assert np.abs(propagate(xi, y0, GAMMA, 0.0) - y0).max() < 1e-12
+    # the flat flow e^{tA} as the shipped integrator applies it: one
+    # zero-remainder step_rk4 over FlatFlows at the band frequencies of a grid
 
-    def test_semigroup_property(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            xi = rng.standard_normal(3) * 3
-            y0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-            s, t = rng.uniform(0.1, 5.0, 2)
-            once = propagate(xi, y0, GAMMA, s + t)
-            twice = propagate(xi, propagate(xi, y0, GAMMA, s), GAMMA, t)
-            assert np.abs(once - twice).max() < 1e-9
+    @staticmethod
+    def random_amplitudes(grid, seed):
+        """Gauss-incompatible amplitudes (modes, 10) on the grid's band: they
+        exercise every block, the conserved defect and B . xi^ included."""
+        rng = np.random.default_rng(seed)
+        shape = (band_frequencies(grid).shape[0], 10)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_time_zero_is_identity(self):
+        grid = GridSpec(16, 10.0)
+        y0 = self.random_amplitudes(grid, 2)
+        assert np.abs(flat_flow(grid, GAMMA, y0, 0.0) - y0).max() < 1e-12
 
     def test_small_step_taylor_order(self):
-        xi = np.array([1.3, -0.7, 2.1])
-        a = symbol_matrix(xi, GAMMA)
-        rng = np.random.default_rng(4)
-        y0 = rng.standard_normal(10) + 1j * rng.standard_normal(10)
+        grid = GridSpec(16, 10.0)
+        a = symbol_matrix(band_frequencies(grid), GAMMA)
+        y0 = self.random_amplitudes(grid, 4)
+        ay0 = (a @ y0[..., None])[..., 0]
+        aay0 = (a @ ay0[..., None])[..., 0]
         hs = np.array([0.1, 0.05, 0.025, 0.0125])
         errs = [
-            np.linalg.norm(
-                propagate(xi, y0, GAMMA, h) - (y0 + h * (a @ y0) + 0.5 * h**2 * (a @ (a @ y0)))
-            )
+            np.linalg.norm(flat_flow(grid, GAMMA, y0, h) - (y0 + h * ay0 + 0.5 * h**2 * aay0))
             for h in hs
         ]
         slopes = np.diff(np.log(errs)) / np.diff(np.log(hs))
         assert abs(slopes[-1] - 3.0) < 0.1
 
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            propagate(np.ones((1, 3)), np.ones((1, 10), dtype=complex), GAMMA, -1.0)
-
     def test_block_split_matches_dense_expm(self):
-        # Gauss-incompatible data exercise every block, including the
-        # conserved defect c and the constant B . xi^
+        # the band of GridSpec(48, 5.0) reaches |xi| = 34.8; the samples are
+        # xi = 0, the first mode on each axis, the modes nearest |xi| = 30
+        # and random ones
+        grid = GridSpec(48, 5.0)
+        xi = band_frequencies(grid)
+        r = np.linalg.norm(xi, axis=1)
         rng = np.random.default_rng(8)
-        dirs = rng.standard_normal((2, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        xi = np.concatenate([
-            np.zeros((1, 3)),
-            [[0.0, 0.0, 2.5], [0.0, -0.7, 0.0], [30.0, 0.0, 0.0]],
-            30.0 * dirs,
-            rng.standard_normal((6, 3)) * rng.uniform(0.01, 10.0, (6, 1)),
+        dk = 2.0 * np.pi / grid.box
+        axes = [int(np.flatnonzero(np.all(np.isclose(xi, dk * e), axis=1))[0]) for e in np.eye(3)]
+        sample = np.concatenate([
+            [int(np.argmin(r))], axes, np.argsort(np.abs(r - 30.0))[:4],
+            rng.choice(len(xi), 6, replace=False),
         ])
-        y0 = rng.standard_normal((len(xi), 10)) + 1j * rng.standard_normal((len(xi), 10))
+        assert r[sample[0]] == 0.0 and abs(r[sample[4]] - 30.0) < 0.1
+        y0 = self.random_amplitudes(grid, 8)
         for t in [0.0, 0.3, 5.0, 40.0, 400.0]:
-            y = propagate(xi, y0, GAMMA, t)
-            for k in range(len(xi)):
-                ref = expm(symbol_matrix(xi[k], GAMMA) * t) @ y0[k]
-                assert np.linalg.norm(y[k] - ref) <= 1e-10 * np.linalg.norm(ref), (k, t)
+            y = flat_flow(grid, GAMMA, y0, t)[sample]
+            ref = linear_flow(xi[sample], y0[sample], GAMMA, t)
+            err = np.linalg.norm(y - ref, axis=1)
+            assert (err <= 1e-10 * np.linalg.norm(ref, axis=1)).all(), (t, err)
 
     def test_transverse_roots_stay_distinct(self):
         # at xi = r e_z the block (u_x, E_x, B_y) of the symbol is closed
@@ -199,34 +200,29 @@ class TestPropagation:
         assert np.linalg.cond(vecs).max() <= 10.0
 
     def test_grid_shells_match_dense_expm(self):
-        # many grid frequencies share a radius and so share one block flow;
-        # the samples include xi = 0 and a mode whose Nyquist component is
-        # zeroed, which shares its radius with unzeroed modes
+        # many band modes share a radius and so share one block flow; every
+        # mode, xi = 0 included, is checked
         grid = GridSpec(16, 20.0)
-        xi = np.moveaxis(grid.k, 0, -1).reshape(-1, 3)
-        rng = np.random.default_rng(9)
-        y0 = rng.standard_normal((len(xi), 10)) + 1j * rng.standard_normal((len(xi), 10))
-        nyquist = np.ravel_multi_index((8, 3, 2), grid.spectral_shape)
-        assert xi[nyquist, 0] == 0.0 and xi[nyquist, 1] != 0.0
-        assert np.abs(xi[0]).max() == 0.0
-        sample = np.concatenate([[0, nyquist], rng.choice(len(xi), 30, replace=False)])
+        xi = band_frequencies(grid)
+        flows = dyn.FlatFlows(grid, GAMMA)
+        assert flows.radii.size < len(xi)
+        assert np.allclose(flows.radii[flows._radius], np.linalg.norm(xi, axis=1),
+                           rtol=1e-15, atol=0.0)
+        y0 = self.random_amplitudes(grid, 9)
         for t in [0.0, 0.7, 5.0, 60.0]:
-            y = propagate(xi, y0, GAMMA, t)
-            for k in sample:
-                ref = expm(symbol_matrix(xi[k], GAMMA) * t) @ y0[k]
-                assert np.linalg.norm(y[k] - ref) <= 1e-10 * np.linalg.norm(ref), (k, t)
-                assert np.array_equal(propagate(xi[k], y0[k], GAMMA, t), y[k]), (k, t)
+            y = flat_flow(grid, GAMMA, y0, t)
+            ref = linear_flow(xi, y0, GAMMA, t)
+            err = np.linalg.norm(y - ref, axis=1)
+            assert (err <= 1e-10 * np.linalg.norm(ref, axis=1)).all(), (t, err.max())
 
     def test_constraints_invariant_to_late_times(self):
-        rng = np.random.default_rng(6)
-        fam = GaussianFamily()
-        for _ in range(5):
-            xi = rng.standard_normal(3) * rng.uniform(0.1, 5.0)
-            y0 = initial_modes(fam, xi.reshape(1, 3))[0]
-            c = constraint_matrix(xi)
-            for t in [1.0, 10.0, 100.0, 1000.0]:
-                yt = propagate(xi, y0, GAMMA, t)
-                assert np.abs(c @ yt).max() < 1e-10
+        grid = GridSpec(16, 10.0)
+        xi = band_frequencies(grid)
+        y0 = initial_modes(GaussianFamily(), xi)
+        c = constraint_matrix(xi)
+        for t in [1.0, 10.0, 100.0, 1000.0]:
+            yt = flat_flow(grid, GAMMA, y0, t)
+            assert np.abs(c @ yt[..., None]).max() < 1e-10
 
 
 class TestQuadrature:
@@ -473,6 +469,16 @@ class TestStability:
         assert a == b
 
 
+def phi_tables(r: np.ndarray, t: float):
+    """V, V^{-1} and z = t lambda of both blocks at radii r, and the tables
+    e^z, e^{z/2}, phi_1(z/2), phi_1(z), phi_2(z), phi_3(z) that FlatFlows
+    builds its step weights from."""
+    lam, vecs, inv = block_eig(r, GAMMA)
+    z = t * lam
+    whole, half = _phi_functions(z), _phi_functions(0.5 * z)
+    return vecs, inv, z, (whole[0], half[0], half[1], whole[1], whole[2], whole[3])
+
+
 def phi_reference(gen: np.ndarray, t: float) -> list[np.ndarray]:
     """e^{tG}, phi_1(tG), phi_2(tG), phi_3(tG) of a 3x3 block: the top row of
     expm of the augmented matrix [[tG, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I], 0]."""
@@ -493,7 +499,7 @@ class TestPhiTables:
     def test_tables_match_augmented_expm(self, r, t):
         # the longitudinal eigenvalue 0 and the slow transverse root
         # (about -r^2) sit at z = 0 here, where closed forms would cancel
-        vecs, inv, z, tables = phi_tables(np.array([r]), GAMMA, t)
+        vecs, inv, z, tables = phi_tables(np.array([r]), t)
         gens = [_longitudinal_generator(np.array(r), GAMMA), _transverse_generator(np.array(r))]
         for block, gen in enumerate(gens):
             assert np.allclose(vecs[block, 0] @ np.diag(z[block, 0]) @ inv[block, 0], t * gen,
@@ -508,7 +514,7 @@ class TestPhiTables:
 
     def test_longitudinal_eigenvalues_closed_form(self):
         r = np.array([0.0, 0.3, 2.5])
-        _, _, z, _ = phi_tables(r, GAMMA, 1.0)
+        _, _, z, _ = phi_tables(r, 1.0)
         root = np.sqrt(0.75 + GAMMA * r**2)
         for k in range(r.size):
             assert match_eigs(z[0, k], [0.0, -0.5 + 1j * root[k], -0.5 - 1j * root[k]]) <= 1e-13
