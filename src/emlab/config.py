@@ -119,24 +119,20 @@ class ExperimentConfig:
             abs(chunks - round(chunks)) < 1e-9 and round(chunks) >= 1,
             "cadence", f"must divide t_end = {self.t_end}", self.cadence,
         )
-        # Steps are at most cfl * dx over the remainder's speed max|v| + max|w - 1|
-        # on the clock tau = sqrt(gamma) t; where that speed reaches 1, a longer
-        # chunk would need more than MAX_CHUNK_STEPS steps.  The bound ignores
-        # the state, so it is only conservative: flatter states take longer
-        # steps, up to one period of the fastest flat wave (about sqrt(3) dx
-        # on the tau clock unless the box is far wider than the grid is fine)
-        cap = MAX_CHUNK_STEPS * self.cfl * self.box_l / self.grid_n
-        req(
-            self.cadence * math.sqrt(self.gamma) <= cap, "cadence",
-            f"* sqrt(gamma) must not exceed {MAX_CHUNK_STEPS} * cfl * box_l / grid_n = {cap:.6g}",
-            self.cadence,
+        # On the clock tau = sqrt(gamma) t a step is at most cfl * dx over the
+        # remainder's speed max|v| + max|w - 1|, and at most one period of the
+        # fastest flat wave.  A chunk is refused if more than MAX_CHUNK_STEPS
+        # steps of the smaller of cfl * dx and that period would not fill it:
+        # exact for the period, which no state lengthens, and conservative
+        # for the CFL part, which takes the remainder's speed to be 1
+        step = min(
+            self.cfl * self.box_l / self.grid_n,
+            flat_wave_period(GridSpec(self.grid_n, self.box_l), self.gamma),
         )
-        # no state lengthens that period, so a chunk of more than MAX_CHUNK_STEPS
-        # of them is refused here, not after the run has started
-        cap = MAX_CHUNK_STEPS * flat_wave_period(GridSpec(self.grid_n, self.box_l), self.gamma)
         req(
-            self.cadence * math.sqrt(self.gamma) <= cap, "cadence",
-            f"* sqrt(gamma) must not exceed {MAX_CHUNK_STEPS} flat-wave periods = {cap:.6g}",
+            self.cadence * math.sqrt(self.gamma) <= MAX_CHUNK_STEPS * step, "cadence",
+            f"* sqrt(gamma) must not exceed {MAX_CHUNK_STEPS} * min(cfl * box_l / grid_n, "
+            f"flat-wave period) = {MAX_CHUNK_STEPS * step:.6g}",
             self.cadence,
         )
         # constructing the dependent objects runs their own named checks

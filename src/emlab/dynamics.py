@@ -577,20 +577,17 @@ MAX_CHUNK_STEPS = 1_000_000
 class StepCollapseError(ValueError):
     """A cadence chunk needs more than MAX_CHUNK_STEPS steps of size h.
 
-    t is the chunk's start time; cause, when known, names the bound that
-    set h: the flat-wave period, or the largest |v| of the state for the
-    CFL bound.
+    t is the chunk's start time.  The config check refuses every chunk the
+    flat-wave period could not fill, so in a run the CFL bound set h.
     """
 
-    def __init__(self, t: float, h: float, cause: str | None = None) -> None:
-        because = "" if cause is None else f" ({cause})"
+    def __init__(self, t: float, h: float) -> None:
         super().__init__(
-            f"step size collapsed at t={t:.12g}: h = {h:.6g}{because} would need "
+            f"step size collapsed at t={t:.12g}: h = {h:.6g} would need "
             f"more than {MAX_CHUNK_STEPS} steps per cadence chunk"
         )
         self.t = t
         self.h = h
-        self.cause = cause
 
 
 def integrate_fixed(
@@ -628,11 +625,9 @@ def integrate_fixed(
         cap = dt_max(y) if callable(dt_max) else float(dt_max)
         if not cap > 0.0:
             raise NonFiniteStateError((chunk - 1) * cadence, cap)
-        cause = None
-        if flows.max_step < cap:
-            cap, cause = flows.max_step, "the flat-wave period"
+        cap = min(cap, flows.max_step)
         if cadence / cap > MAX_CHUNK_STEPS:
-            raise StepCollapseError((chunk - 1) * cadence, cap, cause)
+            raise StepCollapseError((chunk - 1) * cadence, cap)
         steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
         h = cadence / steps
         for _ in range(steps):

@@ -292,7 +292,8 @@ class GridSpec(_Derivatives):
         return w
 
     def sobolev_norm(self, f: np.ndarray, m: int) -> float:
-        """(sum_{|alpha| <= m} ||d^alpha f||_{L^2}^2)^{1/2} for a real field."""
+        """(sum_{|alpha| <= m} ||d^alpha f||_{L^2}^2)^{1/2} for a real field;
+        leading axes are summed over, so a vector field gets its total norm."""
         fh = self.transform(f)
         return self.sobolev_norm_spectral(fh, m)
 
@@ -301,21 +302,6 @@ class GridSpec(_Derivatives):
         return float(
             np.sqrt(self.box**3 * np.sum(w * (fh.real**2 + fh.imag**2)))
         )
-
-    @functools.lru_cache(maxsize=None)
-    def _radial_weight(self, k: int) -> np.ndarray:
-        return np.asarray((1.0 + self.radius) ** k)
-
-    def weighted_norm(self, f: np.ndarray, m: int = 0, k: int = 0) -> float:
-        """Spatially weighted Sobolev norm of a real scalar field.
-
-        (sum_{|alpha| <= m} integral (1 + |x - c|)^k |d^alpha f|^2 dx)^{1/2}
-        with c the box center.
-        """
-        if m < 0 or k < 0:
-            raise ValueError(f"orders must be >= 0, got m={m}, k={k}")
-        total, _ = self.derivative_square_sum(self.transform(f), m)
-        return float(np.sqrt(self.integral(self._radial_weight(k) * total)))
 
 
 class SpectralBand(_Derivatives):

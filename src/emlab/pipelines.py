@@ -1,7 +1,8 @@
 """Experiment pipelines: the work behind each CLI subcommand.
 
-Each pipeline takes a validated ExperimentConfig, writes its outputs under
-cfg.out_dir, and returns a RunManifest summarizing the in-run checks.  All
+run_experiment prepares cfg.out_dir, runs the pipeline of cfg.command and
+writes the one RunManifest of the run, whose checks, outputs and notes the
+pipeline fills in; a run that raises leaves it with status "failed".  All
 physics is deterministic; the seed only shapes initial perturbation noise,
 so rerunning a config reproduces every CSV byte for byte in serial mode.
 """
@@ -41,16 +42,7 @@ from .lindecay import decay_trajectory, fit_decay
 from .snapshot import atomic_write, read_snapshot, write_snapshot
 from .stationary import StationaryState, background_profile, picard_iterate, verify_smallness_bounds
 
-__all__ = [
-    "RunManifest",
-    "emit_series",
-    "emit_report",
-    "run_stationary",
-    "run_evolve",
-    "run_lyapunov",
-    "run_lindecay",
-    "run_experiment",
-]
+__all__ = ["RunManifest", "emit_series", "emit_report", "run_experiment"]
 
 SERIES_COLUMNS = (
     "t",
@@ -151,13 +143,6 @@ def emit_report(path: str | os.PathLike, payload: dict) -> None:
         raise OSError(f"cannot write report {path}: {err}") from err
 
 
-def _prepare_out_dir(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    resolved = os.path.join(cfg.out_dir, "config.resolved.ini")
-    atomic_write(resolved, [canonical_text(cfg).encode("utf-8")])
-    return cfg.out_dir
-
-
 def _solve_background(cfg: ExperimentConfig) -> tuple[GridSpec, np.ndarray, StationaryState]:
     grid = GridSpec(cfg.grid_n, cfg.box_l)
     n_b = background_profile(grid, cfg.profile, cfg.eps, cfg.width)
@@ -177,9 +162,7 @@ def _state_fields(state: np.ndarray) -> dict[str, np.ndarray]:
 # ---- subcommand pipelines ---------------------------------------------
 
 
-def run_stationary(cfg: ExperimentConfig) -> RunManifest:
-    out_dir = _prepare_out_dir(cfg)
-    manifest = RunManifest("stationary", config_hash(cfg), __version__)
+def _run_stationary(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     grid, n_b, state = _solve_background(cfg)
 
     # sweeps that moved nothing mean the trivial solution was already exact
@@ -201,8 +184,8 @@ def run_stationary(cfg: ExperimentConfig) -> RunManifest:
     else:
         report["ratios"] = verify_smallness_bounds(grid, n_b, state)
 
-    snap_path = cfg.out or os.path.join(out_dir, "stationary.emxf")
-    report_path = cfg.report or os.path.join(out_dir, "stationary.json")
+    snap_path = cfg.out or os.path.join(cfg.out_dir, "stationary.emxf")
+    report_path = cfg.report or os.path.join(cfg.out_dir, "stationary.json")
     write_snapshot(snap_path, grid, state.fields())
     emit_report(report_path, report)
 
@@ -214,7 +197,6 @@ def run_stationary(cfg: ExperimentConfig) -> RunManifest:
     }
     manifest.outputs = [snap_path, report_path]
     manifest.notes = {"iterations": corrective, "trivial_solution": trivial}
-    return manifest
 
 
 # Bound on the band-limited Gauss defects.  The flow conserves them, so a
@@ -254,9 +236,7 @@ def _custom_init(cfg: ExperimentConfig, grid: GridSpec, n_b: np.ndarray) -> np.n
     return state_hat
 
 
-def run_evolve(cfg: ExperimentConfig) -> RunManifest:
-    out_dir = _prepare_out_dir(cfg)
-    manifest = RunManifest("evolve", config_hash(cfg), __version__)
+def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     grid, n_b, state = _solve_background(cfg)
     # the base state (n_st, u = 0, E_st, B = 0), symmetrized; the integrator
     # carries rfft coefficients (see emlab.dynamics)
@@ -302,7 +282,7 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
     weights = cfg.energy_weights()
     norm = lambda f_hat: np.sqrt(grid.spectral_l2_sq(f_hat))
 
-    series_path = os.path.join(out_dir, "series.csv")
+    series_path = os.path.join(cfg.out_dir, "series.csv")
     rows = []
     max_v_norm = 0.0
     max_gauss = 0.0
@@ -337,13 +317,9 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
         emit_series(series_path, SERIES_COLUMNS, rows)
         if isinstance(err, NonFiniteStateError):
             raise NonFiniteStateError(err.t / root_g, err.bound / root_g) from None
-        cause = err.cause
-        if cause is None:
-            speed = np.sqrt((grid.inverse(y_final[VEL]) ** 2).sum(axis=0)).max()
-            cause = f"max |v| = {speed:.6g}"
-        raise StepCollapseError(err.t / root_g, err.h / root_g, cause) from None
+        raise StepCollapseError(err.t / root_g, err.h / root_g) from None
 
-    final_path = os.path.join(out_dir, "state_final.emxf")
+    final_path = os.path.join(cfg.out_dir, "state_final.emxf")
     emit_series(series_path, SERIES_COLUMNS, rows)
     write_snapshot(final_path, grid, _state_fields(grid.inverse(y_final)))
 
@@ -365,12 +341,9 @@ def run_evolve(cfg: ExperimentConfig) -> RunManifest:
         "rhs_calls": rhs_calls,
         "max_gauss_reset": gauss_reset.max_drift,
     }
-    return manifest
 
 
-def run_lyapunov(cfg: ExperimentConfig) -> RunManifest:
-    out_dir = _prepare_out_dir(cfg)
-    manifest = RunManifest("lyapunov", config_hash(cfg), __version__)
+def _run_lyapunov(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     if not cfg.series:
         raise ValueError("lyapunov requires series = <path to a series.csv>")
     try:
@@ -410,7 +383,7 @@ def run_lyapunov(cfg: ExperimentConfig) -> RunManifest:
             "certified": cert.certified,
         }
 
-    report_path = cfg.report or os.path.join(out_dir, "lyapunov.json")
+    report_path = cfg.report or os.path.join(cfg.out_dir, "lyapunov.json")
     emit_report(report_path, {"series": str(cfg.series), **results})
     manifest.checks = {
         "full_pair_certified": results["full"]["certified"],
@@ -418,12 +391,9 @@ def run_lyapunov(cfg: ExperimentConfig) -> RunManifest:
     }
     manifest.outputs = [report_path]
     manifest.notes = {"samples": int(data.size)}
-    return manifest
 
 
-def run_lindecay(cfg: ExperimentConfig) -> RunManifest:
-    out_dir = _prepare_out_dir(cfg)
-    manifest = RunManifest("lindecay", config_hash(cfg), __version__)
+def _run_lindecay(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     times = cfg.time_grid()
     traj = decay_trajectory(cfg.family(), cfg.gamma, times, cfg.quadrature())
 
@@ -432,21 +402,11 @@ def run_lindecay(cfg: ExperimentConfig) -> RunManifest:
     for channel, (kind, window_key, target, tolerance) in DECAY_TARGETS.items():
         window = windows[window_key]
         fit = fit_decay(times, traj.norms[channel], window, target, tolerance, kind)
-        fits[channel] = {
-            "exponent": fit.exponent,
-            "intercept": fit.intercept,
-            "residual": fit.residual,
-            "window": list(window),
-            "n_samples": fit.n_samples,
-            "kind": kind,
-            "target": target,
-            "tolerance": tolerance,
-            "verdict": "pass" if fit.passed else "fail",
-        }
+        fits[channel] = {**asdict(fit), "verdict": "pass" if fit.passed else "fail"}
         manifest.checks[f"fit_{channel}"] = bool(fit.passed)
 
-    csv_path = cfg.out or os.path.join(out_dir, "norms.csv")
-    report_path = cfg.report or os.path.join(out_dir, "decay_fits.json")
+    csv_path = cfg.out or os.path.join(cfg.out_dir, "norms.csv")
+    report_path = cfg.report or os.path.join(cfg.out_dir, "decay_fits.json")
     channels = tuple(DECAY_TARGETS)
     rows = [
         (t, *(traj.norms[c][i] for c in channels)) for i, t in enumerate(times)
@@ -456,37 +416,36 @@ def run_lindecay(cfg: ExperimentConfig) -> RunManifest:
 
     manifest.outputs = [csv_path, report_path]
     manifest.notes = {"samples": int(times.size), "tail_bound": traj.tail_bound}
-    return manifest
 
 
 _PIPELINES = {
-    "stationary": run_stationary,
-    "evolve": run_evolve,
-    "lyapunov": run_lyapunov,
-    "lindecay": run_lindecay,
+    "stationary": _run_stationary,
+    "evolve": _run_evolve,
+    "lyapunov": _run_lyapunov,
+    "lindecay": _run_lindecay,
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:
-    """Dispatch to the configured subcommand and write the manifest.
+    """Prepare the out-dir, run the configured subcommand and write the manifest.
 
     A run that raises still leaves a manifest with status "failed", the
     error text and the elapsed wall time; the exception then propagates.
     """
     start = time.perf_counter()
+    manifest = RunManifest(cfg.command, config_hash(cfg), __version__)
     manifest_path = os.path.join(cfg.out_dir, "manifest.json")
     try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        resolved = os.path.join(cfg.out_dir, "config.resolved.ini")
+        atomic_write(resolved, [canonical_text(cfg).encode("utf-8")])
         with fft_workers(cfg.threads):
-            manifest = _PIPELINES[cfg.command](cfg)
+            _PIPELINES[cfg.command](cfg, manifest)
     except Exception as err:
-        failed = RunManifest(
-            cfg.command, config_hash(cfg), __version__,
-            wall_clock_s=time.perf_counter() - start,
-            status="failed", error=f"{type(err).__name__}: {err}",
-        )
+        manifest.status, manifest.error = "failed", f"{type(err).__name__}: {err}"
+        manifest.wall_clock_s = time.perf_counter() - start
         try:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            failed.write(manifest_path)
+            manifest.write(manifest_path)
         except OSError:
             pass  # the run's own error is the one to report
         raise

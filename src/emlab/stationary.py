@@ -109,7 +109,6 @@ class StationaryState:
     e_st: np.ndarray               # (3, n, n, n)
     residual_history: list[float] = field(default_factory=list)
     contraction_factors: list[float] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
     elliptic_residual_l2: float = np.nan
     elliptic_residual_max: float = np.nan
@@ -154,8 +153,7 @@ def picard_iterate(
     residuals: list[float] = []
     factors: list[float] = []
     converged = False
-    its = 0
-    for its in range(1, max_iter + 1):
+    for _ in range(max_iter):
         phi_next = yukawa_convolve(grid, g_nonlinearity(phi, gamma) - source, gamma)
         diff = grid.sobolev_norm(phi_next - phi, 2)
         residuals.append(diff)
@@ -193,7 +191,6 @@ def picard_iterate(
         e_st=e_st,
         residual_history=residuals,
         contraction_factors=factors,
-        iterations=its,
         converged=converged,
         elliptic_residual_l2=grid.l2_norm(res),
         elliptic_residual_max=float(np.abs(res).max()),
@@ -202,22 +199,16 @@ def picard_iterate(
 
 
 def verify_smallness_bounds(
-    grid: GridSpec,
-    n_b: np.ndarray,
-    state: StationaryState,
-    m: int = 2,
-    k: int = 0,
+    grid: GridSpec, n_b: np.ndarray, state: StationaryState
 ) -> dict[str, float]:
     """Measured stability ratios of the constructed state.
 
-    r1 = ||n_st - 1||_{W_k^{m,2}} / ||n_b - 1||_{W_k^{m,2}}
-    r2 = ||E_st||_{W_k^{m-1,2}} / ||n_b - 1||_{W_k^{m,2}}
+    r1 = ||n_st - 1||_{H^2} / ||n_b - 1||_{H^2}
+    r2 = ||E_st||_{H^1} / ||n_b - 1||_{H^2}
     """
-    src = grid.weighted_norm(np.asarray(n_b, float) - 1.0, m=m, k=k)
+    src = grid.sobolev_norm(np.asarray(n_b, float) - 1.0, 2)
     if src == 0.0:
         raise ValueError("background equals vacuum; smallness ratios are undefined")
-    r1 = grid.weighted_norm(state.n_st - 1.0, m=m, k=k) / src
-    e_total = np.sqrt(
-        sum(grid.weighted_norm(state.e_st[c], m=m - 1, k=k) ** 2 for c in range(3))
-    )
-    return {"r1": r1, "r2": float(e_total / src), "source_norm": src}
+    r1 = grid.sobolev_norm(state.n_st - 1.0, 2) / src
+    r2 = grid.sobolev_norm(state.e_st, 1) / src
+    return {"r1": r1, "r2": r2, "source_norm": src}

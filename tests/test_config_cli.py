@@ -133,20 +133,24 @@ class TestConfigValidation:
             parse_config(overrides={"command": "lindecay", "t_grid": "50:500:16"})
 
     def test_chunk_bound_counts_flat_wave_periods(self):
-        # a box far wider than its grid resolves: a chunk may hold at most
-        # MAX_CHUNK_STEPS of the steps FlatFlows.max_step allows
+        # a chunk may hold at most MAX_CHUNK_STEPS steps of the smaller of
+        # cfl * dx and FlatFlows.max_step: a box far wider than its grid
+        # resolves is limited by the period, grid 16 on box 10 by the CFL
+        # part, 0.4 * 10 / 16 on tau
         from emlab.dynamics import MAX_CHUNK_STEPS, FlatFlows
 
         period = FlatFlows(GridSpec(8, 1000.0), 5.0 / 3.0).max_step
-        longest = MAX_CHUNK_STEPS * period / np.sqrt(5.0 / 3.0)
-        for factor, ok in ((0.99, True), (1.01, False)):
-            cadence = repr(float(factor * longest))
-            overrides = {"grid_n": "8", "box_l": "1000", "t_end": cadence, "cadence": cadence}
-            if ok:
-                parse_config(overrides=overrides)
-            else:
-                with pytest.raises(ValueError, match="cadence .* flat-wave periods"):
+        for n, box, bound in ((8, 1000, MAX_CHUNK_STEPS * period), (16, 10, 250000)):
+            longest = bound / np.sqrt(5.0 / 3.0)
+            for factor, ok in ((0.99, True), (1.01, False)):
+                cadence = repr(float(factor * longest))
+                overrides = {"grid_n": str(n), "box_l": str(box), "t_end": cadence,
+                             "cadence": cadence}
+                if ok:
                     parse_config(overrides=overrides)
+                else:
+                    with pytest.raises(ValueError, match="cadence .* flat-wave period"):
+                        parse_config(overrides=overrides)
 
     def test_unreadable_file_rejected_with_path(self, tmp_path):
         with pytest.raises(ValueError, match="cannot read config file"):
@@ -530,7 +534,7 @@ class TestCli:
         manifest = strict_json(tmp_path / "ly" / "manifest.json")
         assert manifest["status"] == "failed" and "data row 3" in manifest["error"]
 
-    def test_step_collapse_exits_one_naming_t_h_and_speed(self, tmp_path, capsys, monkeypatch):
+    def test_step_collapse_exits_one_naming_t_and_h(self, tmp_path, capsys, monkeypatch):
         grid = GridSpec(16, 20.0)
         snap = custom_snapshot(tmp_path, fast_v, grid)
 
@@ -546,7 +550,6 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("emlab: ")
         assert "Traceback" not in captured.err + captured.out
         assert "step size collapsed at t=0:" in lines[0]
-        assert "max |v| = 1e+12" in lines[0]
         h = float(lines[0].split("h = ")[1].split()[0])
         gamma = parse_config().gamma
         assert h == pytest.approx(0.9 * grid.dx / 1e12 / np.sqrt(gamma), rel=1e-5)
@@ -677,7 +680,7 @@ FAILURES = {
     "flat-wave-collapse": (
         lambda tmp, mp: (["evolve", "--grid-n", "8", "--box-l", "1000", "--eps", "0",
                           "--t-end", "3e7", "--cadence", "3e7", "--out-dir", str(tmp / "ev")],
-                         ["cadence", "must not exceed", "flat-wave periods"]),
+                         ["cadence", "must not exceed", "flat-wave period"]),
         2, False,
     ),
     "non-finite-state": (

@@ -262,33 +262,6 @@ class TestNorms:
         total = g.integral(g.derivative_square_sum(g.transform(f), 2)[0])
         assert g.sobolev_norm(f, 2) == pytest.approx(np.sqrt(total), rel=1e-12)
 
-    def test_weighted_norm_gaussian_against_radial_quadrature(self):
-        # ||f||_{W_2^{0,2}} for f = exp(-r^2/(2 w^2)):
-        # integral (1+r)^2 f^2 dx = 4 pi * int r^2 (1+r)^2 exp(-r^2/w^2) dr
-        # = 4 pi [ (sqrt(pi)/4) s^{-3/2} + s^{-2} + (3 sqrt(pi)/8) s^{-5/2} ],
-        # s = 1/w^2 (Gaussian moments).
-        w = 2.5
-        s = 1.0 / w**2
-        oracle = np.sqrt(
-            4.0
-            * np.pi
-            * (
-                np.sqrt(np.pi) / 4.0 * s**-1.5
-                + s**-2.0
-                + 3.0 * np.sqrt(np.pi) / 8.0 * s**-2.5
-            )
-        )
-        g = GridSpec(n=128, box=24.0)
-        f = np.exp(-(g.radius**2) / (2 * w**2))
-        assert g.weighted_norm(f, m=0, k=2) == pytest.approx(oracle, rel=1e-6)
-
-    def test_weighted_norm_without_weight_is_sobolev(self):
-        g = GridSpec(n=16, box=9.0)
-        f = random_field(g, seed=16, band=5)
-        assert g.weighted_norm(f, m=1, k=0) == pytest.approx(
-            g.sobolev_norm(f, 1), rel=1e-12
-        )
-
 
 class TestMultiIndices:
     def test_counts(self):

@@ -108,7 +108,7 @@ class TestPicard:
         g = GridSpec(n=16, box=9.0)
         state = picard_iterate(g, np.ones(g.shape), gamma=5.0 / 3.0)
         assert state.converged
-        assert state.iterations == 1
+        assert len(state.residual_history) == 1
         assert np.abs(state.potential).max() == 0.0
         assert np.abs(state.n_st - 1.0).max() == 0.0
         assert np.abs(state.e_st).max() == 0.0
@@ -119,7 +119,7 @@ class TestPicard:
         n_b = background_profile(g, "gaussian", eps=0.02, width=1.5)
         state = picard_iterate(g, n_b, gamma=2.0)
         assert state.converged
-        assert state.iterations == 2
+        assert len(state.residual_history) == 2
         expect = yukawa_convolve(g, 1.0 - n_b, 2.0)
         assert np.abs(state.potential - expect).max() < 1e-14
 
