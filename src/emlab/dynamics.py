@@ -41,15 +41,17 @@ still oscillates with the waves it rides on, so one period of the
 fastest flat wave on the band (flat_wave_period) bounds the step for
 accuracy whatever the state and the sampling cadence.  A GaussReset
 after each step holds the in-band Gauss defect at its initial value.
+These are the parts; the loop that joins them over cadence chunks, the
+one emlab evolve runs, is pipelines.evolve_band.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from .grid import GridSpec
+from .grid import GridSpec, SpectralBand
 from .lindecay import block_eig
 
 __all__ = [
@@ -63,13 +65,11 @@ __all__ = [
     "compatible_perturbation",
     "constraint_residuals",
     "flat_wave_period",
-    "integrate_fixed",
     "n_of_sigma",
     "phi_of_sigma",
     "rhs_symmetric",
     "sigma_of_n",
     "step_rk4",
-    "to_symmetric",
 ]
 
 SCALAR = 0
@@ -98,17 +98,6 @@ def n_of_sigma(sigma: np.ndarray | float, gamma: float) -> np.ndarray:
 
 def sigma_of_n(n: np.ndarray | float, gamma: float) -> np.ndarray:
     return 2.0 / (gamma - 1.0) * (np.asarray(n, dtype=float) ** (0.5 * (gamma - 1.0)) - 1.0)
-
-
-def to_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
-    """Primitive (n, u, E, B) -> symmetrized (sigma, v, E~, B~).
-
-    The time axes differ: a symmetrized trajectory runs on tau = sqrt(g) t.
-    """
-    out = np.empty_like(state)
-    out[SCALAR] = sigma_of_n(state[SCALAR], gamma)
-    out[1:] = state[1:] / np.sqrt(gamma)
-    return out
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -241,9 +230,9 @@ def constraint_residuals(
     target = (np.asarray(n_b) - 1.0 - phi_of_sigma(scalar, gamma) - scalar) / np.sqrt(gamma)
     res_hat = grid.div(state_hat[ELEC]) - grid.transform(target)
     div_b_hat = grid.div(state_hat[MAG])
-    defects = grid.inverse(
-        np.stack([res_hat, div_b_hat, grid.dealias(res_hat), grid.dealias(div_b_hat)])
-    )
+    pair = np.stack([res_hat, div_b_hat])
+    band = grid.two_thirds
+    defects = grid.inverse(np.concatenate([pair, band.embed(band.take(pair))]))
     out = {}
     for suffix, (res, div_b) in (("", defects[0:2]), ("_band", defects[2:4])):
         out["gauss_e_l2" + suffix] = grid.l2_norm(res)
@@ -303,7 +292,7 @@ class FlatFlows:
     max_step is flat_wave_period, one period of the fastest flat wave on
     the band.  The waves themselves are exact at any step, but the
     remainder they drive oscillates with them and is sampled once per
-    stage, so integrate_fixed takes no longer step.
+    stage, so a step should be no longer.
     """
 
     def __init__(self, grid: GridSpec, gamma: float) -> None:
@@ -590,59 +579,13 @@ class StepCollapseError(ValueError):
         self.h = h
 
 
-def integrate_fixed(
-    y0: np.ndarray,
-    rhs: Callable[[np.ndarray], np.ndarray],
-    t_end: float,
-    dt_max: Callable[[np.ndarray], float] | float,
-    cadence: float | None,
-    flows: FlatFlows,
-    after_step: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Fixed-step integration by step_rk4, yielding (t, state) at cadence boundaries.
-
-    dt_max may be a constant or a callable recomputed from the state at each
-    cadence chunk (e.g. a CFL bound); within a chunk the step is uniform and
-    chosen to land exactly on the boundary; a cadence of None makes one
-    chunk.  flows go to every step and bound it by their max_step, so an
-    infinite dt_max means steps of that length; after_step, if given, maps
-    the state after each one.  Yields the initial state first.  A step bound
-    that is NaN or not positive raises NonFiniteStateError, and one that
-    would need more than MAX_CHUNK_STEPS steps in a chunk raises
-    StepCollapseError before any of them is taken; both carry the time on
-    this function's own clock.
-    """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if cadence is None:
-        cadence = t_end
-    n_chunks = int(round(t_end / cadence))
-    if abs(n_chunks * cadence - t_end) > 1e-9 * t_end or n_chunks < 1:
-        raise ValueError(f"cadence {cadence} does not divide t_end {t_end}")
-    y = y0.copy()
-    yield 0.0, y
-    for chunk in range(1, n_chunks + 1):
-        cap = dt_max(y) if callable(dt_max) else float(dt_max)
-        if not cap > 0.0:
-            raise NonFiniteStateError((chunk - 1) * cadence, cap)
-        cap = min(cap, flows.max_step)
-        if cadence / cap > MAX_CHUNK_STEPS:
-            raise StepCollapseError((chunk - 1) * cadence, cap)
-        steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
-        h = cadence / steps
-        for _ in range(steps):
-            y = step_rk4(y, rhs, h, flows)
-            if after_step is not None:
-                y = after_step(y)
-        yield chunk * cadence, y
-
-
 def _shaped_noise(grid: GridSpec, rng: np.random.Generator, env: np.ndarray) -> np.ndarray:
     """Centered noise under an envelope, band-limited after enveloping so the
     result is fully resolvable (no content beyond |index| = n // 3 - 1)."""
-    keep = grid.band_mask(grid.n // 3 - 1)
-    f = grid.inverse(keep * grid.transform(rng.standard_normal(grid.shape)))
-    out = grid.inverse(keep * grid.transform(env * f))
+    band = SpectralBand(grid, grid.n // 3 - 1)
+    keep = lambda fh: band.embed(band.take(fh))
+    f = grid.inverse(keep(grid.transform(rng.standard_normal(grid.shape))))
+    out = grid.inverse(keep(grid.transform(env * f)))
     return out / np.abs(out).max()
 
 

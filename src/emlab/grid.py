@@ -11,9 +11,9 @@ no sign information for real data, so it is zeroed in every derivative
 multiplier, including the Laplacian symbol; as a consequence div(grad(f))
 equals laplacian(f) and curl(grad(f)) vanishes exactly on the grid.
 
-The two-thirds dealias band is also available as a dense sub-lattice
-(GridSpec.two_thirds, a SpectralBand) on which the same operators act, for
-work whose result is projected onto the band anyway.
+The two-thirds dealias band is a dense sub-lattice (GridSpec.two_thirds,
+a SpectralBand) on which the same operators act, for work whose result is
+projected onto the band anyway; embed(take(fh)) is the projection itself.
 
 The transforms are scipy's, imported by _fft on the first one a process
 makes: a process that transforms nothing (lindecay, lyapunov) never loads
@@ -112,7 +112,7 @@ class GridSpec(_Derivatives):
     """Uniform periodic grid: N points per axis on a box of side L.
 
     N must be even and at least 8 so the real FFT layout and the dealias
-    mask are well defined; L must be positive.
+    band are well defined; L must be positive.
     """
 
     n: int = 48
@@ -186,29 +186,10 @@ class GridSpec(_Derivatives):
         w[..., -1] = 1.0
         return w
 
-    def _band_axes(self, band: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis flags (full axis, half axis): |integer index| <= band."""
-        idx_full = np.abs(np.rint(np.fft.fftfreq(self.n, d=1.0 / self.n)).astype(int))
-        idx_half = np.arange(self.n // 2 + 1)
-        return idx_full <= band, idx_half <= band
-
-    def band_mask(self, band: int) -> np.ndarray:
-        """1.0 on modes with every |integer index| <= band, 0.0 elsewhere."""
-        full, half = self._band_axes(band)
-        keep = full[:, None, None] & full[None, :, None] & half[None, None, :]
-        return keep.astype(float)
-
-    @functools.cached_property
-    def _two_thirds_mask(self) -> np.ndarray:
-        return self.band_mask(self.n // 3)
-
-    def dealias(self, fh: np.ndarray) -> np.ndarray:
-        """Two-thirds-rule projection onto band n // 3; idempotent."""
-        return self._two_thirds_mask * fh
-
     @functools.cached_property
     def two_thirds(self) -> "SpectralBand":
-        """The modes dealias keeps, as a dense sub-lattice (see SpectralBand)."""
+        """The two-thirds dealias band, |integer index| <= n // 3 on every axis,
+        as a dense sub-lattice; embed(take(fh)) is the dealiasing projection."""
         return SpectralBand(self, self.n // 3)
 
     # ---- transforms ----------------------------------------------------
@@ -316,8 +297,10 @@ class SpectralBand(_Derivatives):
     """
 
     def __init__(self, grid: GridSpec, band: int) -> None:
-        full, half = grid._band_axes(band)
-        self.index = np.ix_(np.flatnonzero(full), np.flatnonzero(full), np.flatnonzero(half))
+        index = np.abs(np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n)).astype(int))
+        full = np.flatnonzero(index <= band)
+        half = np.flatnonzero(np.arange(grid.n // 2 + 1) <= band)
+        self.index = np.ix_(full, full, half)
         self.spectral_shape = grid.spectral_shape
         self.k = grid.k[(slice(None),) + self.index]
         self.k_sq = grid.k_sq[self.index]

@@ -2,9 +2,11 @@
 
 run_experiment prepares cfg.out_dir, runs the pipeline of cfg.command and
 writes the one RunManifest of the run, whose checks, outputs and notes the
-pipeline fills in; a run that raises leaves it with status "failed".  All
-physics is deterministic; the seed only shapes initial perturbation noise,
-so rerunning a config reproduces every CSV byte for byte in serial mode.
+pipeline fills in; a run that raises leaves it with status "failed".
+evolve_band is the loop that integrates evolve's state over its cadence
+chunks.  All physics is deterministic; the seed only shapes initial
+perturbation noise, so rerunning a config reproduces every CSV byte for
+byte in serial mode.
 """
 from __future__ import annotations
 
@@ -13,14 +15,16 @@ import os
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dynamics
 from .config import ExperimentConfig, canonical_text, config_hash
 from .dynamics import (
     ELEC,
     MAG,
+    MAX_CHUNK_STEPS,
     SCALAR,
     VEL,
     BandTail,
@@ -31,9 +35,7 @@ from .dynamics import (
     cfl_dt,
     compatible_perturbation,
     constraint_residuals,
-    integrate_fixed,
     rhs_symmetric,
-    to_symmetric,
     w_of_sigma,
 )
 from .energy import energy_report, lyapunov_certify
@@ -42,7 +44,7 @@ from .lindecay import decay_trajectory, fit_decay
 from .snapshot import atomic_write, read_snapshot, write_snapshot
 from .stationary import StationaryState, background_profile, picard_iterate, verify_smallness_bounds
 
-__all__ = ["RunManifest", "emit_series", "emit_report", "run_experiment"]
+__all__ = ["RunManifest", "emit_series", "emit_report", "evolve_band", "run_experiment"]
 
 SERIES_COLUMNS = (
     "t",
@@ -236,14 +238,74 @@ def _custom_init(cfg: ExperimentConfig, grid: GridSpec, n_b: np.ndarray) -> np.n
     return state_hat
 
 
+def evolve_band(
+    grid: GridSpec,
+    gamma: float,
+    y0_hat: np.ndarray,
+    t_end: float,
+    cadence: float,
+    dt_cap: Callable[[np.ndarray], float],
+    counters: dict,
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The symmetrized flow from the rfft stack y0_hat, as emlab evolve runs it.
+
+    Yields (tau, rfft stack) at tau = 0 and at each multiple of cadence up
+    to t_end, all on the tau clock.  The flow carries the two-thirds band
+    over the fixed tail of y0_hat (BandTail) and rebuilds the full stack
+    once per cadence boundary.  Each chunk takes equal step_rk4 steps over
+    FlatFlows, landing on its end, no longer than dt_cap of the stack at
+    its start nor than one flat-wave period; a GaussReset follows each
+    step.  counters holds "steps", "rhs_calls" and "max_gauss_reset" (the
+    largest in-band Gauss drift the reset removed) as the run goes.  A
+    step cap that is NaN or not positive raises NonFiniteStateError, and
+    one that would need more than MAX_CHUNK_STEPS steps in a chunk raises
+    StepCollapseError before any of them is taken; both carry tau.
+    """
+    if t_end <= 0.0:
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    n_chunks = int(round(t_end / cadence))
+    if abs(n_chunks * cadence - t_end) > 1e-9 * t_end or n_chunks < 1:
+        raise ValueError(f"cadence {cadence} does not divide t_end {t_end}")
+    tail = BandTail(grid, y0_hat)
+    flows = FlatFlows(grid, gamma)
+    gauss_reset = GaussReset(grid, gamma, y0_hat)
+    counters.update(steps=0, rhs_calls=0, max_gauss_reset=0.0)
+
+    def rhs(y_band: np.ndarray) -> np.ndarray:
+        counters["rhs_calls"] += 1
+        return rhs_symmetric(grid, gamma, y_band, tail)
+
+    y_band = tail.take(y0_hat)
+    y_hat = tail.full(y_band)
+    yield 0.0, y_hat
+    for chunk in range(1, n_chunks + 1):
+        cap = dt_cap(y_hat)
+        if not cap > 0.0:
+            raise NonFiniteStateError((chunk - 1) * cadence, cap)
+        cap = min(cap, flows.max_step)
+        if cadence / cap > MAX_CHUNK_STEPS:
+            raise StepCollapseError((chunk - 1) * cadence, cap)
+        steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
+        h = cadence / steps
+        for _ in range(steps):
+            # through the module, so that a patched step_rk4 is the one taken
+            y_band = gauss_reset(dynamics.step_rk4(y_band, rhs, h, flows))
+        counters.update(steps=gauss_reset.steps, max_gauss_reset=gauss_reset.max_drift)
+        y_hat = tail.full(y_band)
+        yield chunk * cadence, y_hat
+
+
 def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     grid, n_b, state = _solve_background(cfg)
-    # the base state (n_st, u = 0, E_st, B = 0), symmetrized; the integrator
-    # carries rfft coefficients (see emlab.dynamics)
-    prim = np.zeros((10,) + grid.shape)
-    prim[SCALAR], prim[ELEC] = state.n_st, state.e_st
-    base_hat = grid.transform(to_symmetric(prim, cfg.gamma))
-    del prim  # a full real stack: kept alive, it would raise the run's peak RSS
+    # the symmetric system runs in rescaled time tau = sqrt(gamma) t;
+    # outputs report physical t
+    root_g = np.sqrt(cfg.gamma)
+    # the base state (sigma_st, v = 0, E_st / sqrt(g), B = 0), as the rfft
+    # coefficients the flow carries (see emlab.dynamics)
+    base = np.zeros((10,) + grid.shape)
+    base[SCALAR], base[ELEC] = state.sigma_st, state.e_st / root_g
+    base_hat = grid.transform(base)
+    del base  # a full real stack: kept alive, it would raise the run's peak RSS
 
     if cfg.init == "stationary-exact":
         y0_hat = base_hat.copy()
@@ -254,31 +316,6 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     else:
         y0_hat = _custom_init(cfg, grid, n_b)
 
-    # the symmetric system runs in rescaled time; outputs report physical t.
-    # The integrator carries the two-thirds band only, solves its flat
-    # linear waves exactly and holds its Gauss defect; the full stack is
-    # rebuilt from the fixed tail at cadence boundaries
-    root_g = np.sqrt(cfg.gamma)
-    tail = BandTail(grid, y0_hat)
-    flows = FlatFlows(grid, cfg.gamma)
-    gauss_reset = GaussReset(grid, cfg.gamma, y0_hat)
-    rhs_calls = 0
-
-    def rhs(y_band: np.ndarray) -> np.ndarray:
-        nonlocal rhs_calls
-        rhs_calls += 1
-        return rhs_symmetric(grid, cfg.gamma, y_band, tail)
-
-    # a cadence boundary's state is rebuilt once, for its sample and for the
-    # next chunk's step cap, which integrate_fixed asks with the same array
-    rebuilt: list = [None, None]
-
-    def full(y_band: np.ndarray) -> np.ndarray:
-        if rebuilt[0] is not y_band:
-            rebuilt[:] = [y_band, tail.full(y_band)]
-        return rebuilt[1]
-
-    dt_cap = lambda y_band: cfl_dt(grid, cfg.gamma, full(y_band), cfg.cfl)
     weights = cfg.energy_weights()
     norm = lambda f_hat: np.sqrt(grid.spectral_l2_sq(f_hat))
 
@@ -288,13 +325,14 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     max_gauss = 0.0
     max_gauss_full = 0.0
     y_final = y0_hat
-    trajectory = integrate_fixed(
-        tail.take(y0_hat), rhs, cfg.t_end * root_g, dt_cap, cfg.cadence * root_g,
-        flows, gauss_reset,
+    # the flow's counters go straight into the notes, so a failed run keeps them
+    notes = manifest.notes
+    trajectory = evolve_band(
+        grid, cfg.gamma, y0_hat, cfg.t_end * root_g, cfg.cadence * root_g,
+        lambda y_hat: cfl_dt(grid, cfg.gamma, y_hat, cfg.cfl), notes,
     )
     try:
-        for tau, y_band in trajectory:
-            y_hat = full(y_band)
+        for tau, y_hat in trajectory:
             pert_hat = y_hat - base_hat
             rep = energy_report(grid, pert_hat, state.sigma_st, cfg.gamma, weights)
             res = constraint_residuals(grid, cfg.gamma, y_hat, n_b=n_b)
@@ -327,20 +365,17 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     # the reset holds the in-band defect, so the drift it removed is bounded too
     manifest.checks = {
         "all_samples_finite": bool(finite),
-        "gauss_laws_transported": max(max_gauss, gauss_reset.max_drift) <= GAUSS_TOL,
+        "gauss_laws_transported": max(max_gauss, notes["max_gauss_reset"]) <= GAUSS_TOL,
     }
     if cfg.init == "stationary-exact":
         manifest.checks["equilibrium_fixed"] = max_v_norm <= 1e-8 and max_gauss <= 1e-8
     manifest.outputs = [series_path, final_path]
-    manifest.notes = {
-        "samples": len(rows),
-        "max_norm_v": max_v_norm,
-        "max_gauss": max_gauss,
-        "max_gauss_full_spectrum": max_gauss_full,
-        "steps": gauss_reset.steps,
-        "rhs_calls": rhs_calls,
-        "max_gauss_reset": gauss_reset.max_drift,
-    }
+    notes.update(
+        samples=len(rows),
+        max_norm_v=max_v_norm,
+        max_gauss=max_gauss,
+        max_gauss_full_spectrum=max_gauss_full,
+    )
 
 
 def _run_lyapunov(cfg: ExperimentConfig, manifest: RunManifest) -> None:

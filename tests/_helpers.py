@@ -1,11 +1,11 @@
 """Shared helpers for the test suite, and the references the package is
-checked against: the inverse symmetrization, a full-layout symmetrized
-tendency, classical RK4, the primitive system and the Duhamel crosscheck
-of the shipped integrator; the dense 10 x 10 flat-state symbol, whose
-scipy expm is the reference flow for both FlatFlows and the Duhamel
-crosscheck, with its constraint rows and a spectrum scan; and for
-lindecay, the closed-form initial norms and the closed-form flow on the
-Gauss-compatible subspace."""
+checked against: the dense band mask, the symmetrization and its inverse,
+a full-layout symmetrized tendency, classical RK4, the primitive system
+and the Duhamel crosscheck of the shipped integrator; the dense 10 x 10
+flat-state symbol, whose scipy expm is the reference flow for both
+FlatFlows and the Duhamel crosscheck, with its constraint rows and a
+spectrum scan; and for lindecay, the closed-form initial norms and the
+closed-form flow on the Gauss-compatible subspace."""
 from __future__ import annotations
 
 import numpy as np
@@ -15,6 +15,21 @@ from emlab import dynamics as dyn
 from emlab.dynamics import ELEC, MAG, SCALAR, VEL
 from emlab.grid import GridSpec
 from emlab.lindecay import GaussianFamily, _gaussian_moment, _transverse_generator
+from emlab.pipelines import evolve_band
+
+
+def band_mask(grid: GridSpec, band: int) -> np.ndarray:
+    """1.0 on the rfft modes with every |integer index| <= band, 0.0
+    elsewhere: the dense reference for SpectralBand's sub-lattice."""
+    index = np.abs(np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n)).astype(int))
+    half = np.arange(grid.n // 2 + 1)
+    keep = (index[:, None, None] <= band) & (index[None, :, None] <= band) & (half <= band)
+    return keep.astype(float)
+
+
+def dealias(grid: GridSpec, fh: np.ndarray) -> np.ndarray:
+    """The two-thirds-rule projection by the dense mask of band n // 3."""
+    return band_mask(grid, grid.n // 3) * fh
 
 
 def random_field(grid: GridSpec, seed: int, band: int | None = None, amp: float = 1.0) -> np.ndarray:
@@ -22,9 +37,20 @@ def random_field(grid: GridSpec, seed: int, band: int | None = None, amp: float 
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(grid.shape)
     if band is not None:
-        f = grid.inverse(grid.transform(f) * grid.band_mask(band))
+        f = grid.inverse(grid.transform(f) * band_mask(grid, band))
     scale = np.abs(f).max()
     return amp * f / scale if scale > 0 else f
+
+
+def to_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
+    """Primitive (n, u, E, B) -> symmetrized (sigma, v, E~, B~).
+
+    The time axes differ: a symmetrized trajectory runs on tau = sqrt(g) t.
+    """
+    out = np.empty_like(state)
+    out[SCALAR] = dyn.sigma_of_n(state[SCALAR], gamma)
+    out[1:] = state[1:] / np.sqrt(gamma)
+    return out
 
 
 def gaussian_bump(grid: GridSpec, width: float, amp: float = 1.0) -> np.ndarray:
@@ -34,7 +60,7 @@ def gaussian_bump(grid: GridSpec, width: float, amp: float = 1.0) -> np.ndarray:
 
 def from_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
     """Symmetrized (sigma, v, E~, B~) -> primitive (n, u, E, B), the inverse
-    of dynamics.to_symmetric."""
+    of to_symmetric."""
     out = np.empty_like(state)
     out[SCALAR] = dyn.n_of_sigma(state[SCALAR], gamma)
     out[1:] = state[1:] * np.sqrt(gamma)
@@ -45,27 +71,6 @@ def tendency(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.ndarray:
     """dynamics.rhs_symmetric of a full rfft stack, embedded in the full layout."""
     tail = dyn.BandTail(grid, state_hat)
     return tail.band.embed(dyn.rhs_symmetric(grid, gamma, tail.take(state_hat), tail))
-
-
-def integrate_band(grid: GridSpec, gamma: float, y0_hat, t_end, dt_max, cadence=None, reset=None):
-    """integrate_fixed on the two-thirds band of the rfft stack y0_hat, as
-    emlab evolve runs it: exponential steps over the flat linear flows, with
-    the Gauss reset after each; yields (tau, full rfft stack) at cadence
-    points.
-
-    dt_max is a constant or a callable on the full stack (e.g. cfl_dt).
-    reset, a GaussReset built on y0_hat, may be passed to read its count
-    and the largest drift it removed afterwards.
-    """
-    tail = dyn.BandTail(grid, y0_hat)
-    rhs = lambda y_band: dyn.rhs_symmetric(grid, gamma, y_band, tail)
-    cap = (lambda y_band: dt_max(tail.full(y_band))) if callable(dt_max) else dt_max
-    flows = dyn.FlatFlows(grid, gamma)
-    if reset is None:
-        reset = dyn.GaussReset(grid, gamma, y0_hat)
-    steps = dyn.integrate_fixed(tail.take(y0_hat), rhs, t_end, cap, cadence, flows, reset)
-    for tau, y_band in steps:
-        yield tau, tail.full(y_band)
 
 
 def rk4_step(y: np.ndarray, rhs, h: float) -> np.ndarray:
@@ -199,7 +204,7 @@ def rhs_primitive(grid: GridSpec, gamma: float, state: np.ndarray) -> np.ndarray
     out[VEL] = -grid.grad(ph[0]) + ph[1:4] - sh[ELEC] - sh[VEL]
     out[ELEC] = grid.curl(sh[MAG]) + ph[4:7]
     out[MAG] = -grid.curl(sh[ELEC])
-    return grid.inverse(grid.dealias(out))
+    return grid.inverse(dealias(grid, out))
 
 
 def linear_rhs_symmetric(
@@ -267,8 +272,8 @@ def nonlinear_sources(
     stack[4:7] = rho_tot * u
     stack[7:10] = 0.0
     sh = grid.transform(stack)
-    g2_hat = grid.dealias(-grid.grad(sh[0]) + sh[1:4])
-    g13_hat = grid.dealias(sh[4:7])
+    g2_hat = dealias(grid, -grid.grad(sh[0]) + sh[1:4])
+    g13_hat = dealias(grid, sh[4:7])
     g3 = grid.inverse(g13_hat)
     g1 = grid.inverse(-grid.div(g13_hat))
     return g1, grid.inverse(g2_hat), g3
@@ -290,12 +295,14 @@ def compatible_perturbation_primitive(grid: GridSpec, amp: float, seed: int = 0)
 
 
 def band_flow(grid: GridSpec, gamma: float, state: np.ndarray, t_end: float, dt: float):
-    """The primitive state run to t_end by the integrator emlab evolve ships:
-    symmetrized, carried on the two-thirds band over tau = sqrt(g) t in steps
-    of sqrt(g) dt, and mapped back."""
-    sg = np.sqrt(gamma)
-    y0_hat = grid.transform(dyn.to_symmetric(state, gamma))
-    *_, (_, y_hat) = integrate_band(grid, gamma, y0_hat, sg * t_end, sg * dt)
+    """The primitive state run to t_end by emlab evolve's loop,
+    pipelines.evolve_band, in one chunk: symmetrized, run over
+    tau = sqrt(g) t in steps of at most sqrt(g) dt, and mapped back."""
+    tau_end = np.sqrt(gamma) * t_end
+    y0_hat = grid.transform(to_symmetric(state, gamma))
+    *_, (_, y_hat) = evolve_band(
+        grid, gamma, y0_hat, tau_end, tau_end, lambda y: np.sqrt(gamma) * dt, {}
+    )
     return from_symmetric(grid.inverse(y_hat), gamma)
 
 

@@ -30,7 +30,7 @@ from emlab.lindecay import (
     fit_decay,
     initial_modes,
 )
-from emlab.pipelines import run_experiment
+from emlab.pipelines import evolve_band, run_experiment
 from emlab.snapshot import read_snapshot, write_snapshot
 from emlab.stationary import (
     background_profile,
@@ -42,7 +42,6 @@ from emlab.stationary import (
 from _helpers import (
     constraint_matrix,
     duhamel_crosscheck,
-    integrate_band,
     linear_flow,
     spectral_stability_report,
     symbol_matrix,
@@ -147,7 +146,7 @@ def test_3_equilibrium_fixedness(equilibrium):
     cap = lambda y: cfl_dt(grid, GAMMA, y, 0.4)
     sup_u = 0.0
     sup_gauss = 0.0
-    for _, y in integrate_band(grid, GAMMA, grid.transform(base), 10.0 * ROOT_G, cap, ROOT_G):
+    for _, y in evolve_band(grid, GAMMA, grid.transform(base), 10.0 * ROOT_G, ROOT_G, cap, {}):
         sup_u = max(sup_u, ROOT_G * vec_norm(grid, grid.inverse(y[VEL])))
         res = constraint_residuals(grid, GAMMA, y, n_b=n_b)
         sup_gauss = max(sup_gauss, res["gauss_e_l2"], res["gauss_b_l2"])
@@ -170,7 +169,7 @@ def test_4_lyapunov_certification(equilibrium):
 
     taus, rows = [], []
     ratio_lo, ratio_hi = np.inf, -np.inf
-    for tau, y in integrate_band(grid, GAMMA, y0, 40.0 * ROOT_G, cap, 0.5 * ROOT_G):
+    for tau, y in evolve_band(grid, GAMMA, y0, 40.0 * ROOT_G, 0.5 * ROOT_G, cap, {}):
         rep = energy_report(grid, y - base_hat, state.sigma_st, GAMMA)
         taus.append(tau)
         rows.append((
@@ -305,7 +304,7 @@ def test_8_nonlinear_decay_trend():
     cap = lambda y: cfl_dt(grid, GAMMA, y, 0.4)
 
     ts, fluid, bmag = [], [], []
-    for tau, y in integrate_band(grid, GAMMA, y0, 40.0 * ROOT_G, cap, 0.5 * ROOT_G):
+    for tau, y in evolve_band(grid, GAMMA, y0, 40.0 * ROOT_G, 0.5 * ROOT_G, cap, {}):
         p = grid.inverse(y - base_hat)
         ts.append(tau / ROOT_G)
         fluid.append(np.sqrt(grid.l2_norm(p[SCALAR]) ** 2 + vec_norm(grid, p[VEL]) ** 2))

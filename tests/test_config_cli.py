@@ -299,6 +299,16 @@ class TestEvolvePipeline:
         assert 0.0 < notes["max_gauss_reset"] <= 1e-6
         assert manifest.checks["gauss_laws_transported"]
 
+    def test_manifest_counters_of_the_band_loop(self, tmp_path):
+        # the CI run at default box: four chunks of one step, four RHS calls each
+        cfg = parse_config(overrides={
+            "command": "evolve", "grid_n": "16", "t_end": "0.2", "order": "5",
+            "cadence": "0.05", "out_dir": str(tmp_path / "ev"),
+        })
+        run_experiment(cfg)
+        notes = strict_json(tmp_path / "ev" / "manifest.json")["notes"]
+        assert (notes["steps"], notes["rhs_calls"]) == (4, 16)
+
     def test_flat_state_takes_one_step_per_chunk(self, tmp_path):
         # no flow but the exactly solved waves: cfl_dt is infinite, and the
         # accuracy bound, one period of the fastest flat wave, is a chunk and more
@@ -555,6 +565,8 @@ class TestCli:
         assert h == pytest.approx(0.9 * grid.dx / 1e12 / np.sqrt(gamma), rel=1e-5)
         manifest = strict_json(tmp_path / "ev" / "manifest.json")
         assert manifest["status"] == "failed" and "collapsed" in manifest["error"]
+        # the failed manifest keeps the loop's counters: no step, no RHS call
+        assert (manifest["notes"]["steps"], manifest["notes"]["rhs_calls"]) == (0, 0)
         # the t = 0 sample was taken before the failure and is kept
         assert len((tmp_path / "ev" / "series.csv").read_text().splitlines()) == 2
 

@@ -15,7 +15,6 @@ from emlab.dynamics import (
     compatible_perturbation,
     phi_of_sigma,
     sigma_of_n,
-    to_symmetric,
 )
 from emlab.energy import (
     CertificationResult,
@@ -24,9 +23,10 @@ from emlab.energy import (
     lyapunov_certify,
 )
 from emlab.grid import GridSpec
+from emlab.pipelines import evolve_band
 from emlab.stationary import background_profile, picard_iterate
 
-from _helpers import integrate_band, random_field
+from _helpers import random_field
 
 GAMMA = 5.0 / 3.0
 
@@ -455,7 +455,7 @@ class TestTrajectorySmoke:
         base_hat = grid.transform(base)
 
         times, e_f, d_f, e_h, d_h = [], [], [], [], []
-        for tau, y in integrate_band(grid, GAMMA, y0, t_end=2.0, dt_max=0.05, cadence=0.25):
+        for tau, y in evolve_band(grid, GAMMA, y0, 2.0, 0.25, lambda y: 0.05, {}):
             rep = energy_report(grid, y - base_hat, sigma_st, GAMMA)
             times.append(tau)
             e_f.append(rep["energy_full"])
