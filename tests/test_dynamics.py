@@ -682,3 +682,22 @@ class TestSpectralState:
                 assert value > 1e-6, key + suffix
                 assert res[key + suffix] == pytest.approx(value, rel=1e-12), key + suffix
         assert res["gauss_e_l2_band"] < res["gauss_e_l2"]
+
+    def test_reset_holds_the_defect_the_band_keys_report(self, equilibrium, rough_state):
+        # GaussReset's band defect, with n_b's part added, is the defect whose
+        # L^2 norm gauss_e_l2_band reports, before and after a long step
+        grid, n_b = equilibrium[0], equilibrium[1]
+        y0 = grid.transform(rough_state)
+        tail = dyn.BandTail(grid, y0)
+        band = tail.band
+        reset = dyn.GaussReset(grid, GAMMA, y0)
+        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+        y_step = dyn.step_rk4(tail.take(y0), rhs, 2.0, dyn.FlatFlows(grid, GAMMA))
+        n_b_part = band.take(grid.transform(n_b)) / np.sqrt(GAMMA)
+        weight = grid.box**3 * band.take(grid.mult)
+        for y_band in (tail.take(y0), y_step):
+            defect = reset._defect(y_band) - n_b_part
+            norm = np.sqrt(np.sum(weight * np.abs(defect) ** 2))
+            res = dyn.constraint_residuals(grid, GAMMA, tail.full(y_band), n_b)
+            assert res["gauss_e_l2_band"] > 1e-6
+            assert norm == pytest.approx(res["gauss_e_l2_band"], rel=1e-12)
