@@ -9,10 +9,10 @@ B~ = B/sqrt(g), and w(sigma) = (g-1)/2 sigma + 1:
     dtau v     = -v.grad v - w(sigma) grad sigma - E~/sqrt(g) - v x B~ - v/sqrt(g)
     dtau E~    =  curl B~ / sqrt(g) + (Phi(sigma) + sigma + 1) v / sqrt(g)
     dtau B~    = -curl E~ / sqrt(g)
-    div E~ = (n_b - 1 - Phi(sigma) - sigma)/sqrt(g),  div B~ = 0
+    div E~ = (n_b - n(sigma))/sqrt(g),  div B~ = 0
 
 where Phi(sigma) = w(sigma)^{2/(g-1)} - sigma - 1 so that the density is
-n = Phi(sigma) + sigma + 1.
+n(sigma) = Phi(sigma) + sigma + 1.
 
 Discretization notes.  The symmetrized system evolves spectrally on the
 rfft coefficients of [scalar, vector, vector, vector], a complex stack of
@@ -210,35 +210,35 @@ def rhs_symmetric(
     return out
 
 
-def constraint_residuals(
-    grid: GridSpec,
-    gamma: float,
-    state_hat: np.ndarray,
-    n_b: np.ndarray | float = 1.0,
-) -> dict[str, float]:
-    """L^2 and max norms of the divergence constraints, from spectral input.
+def _gauss_charge(
+    grid: GridSpec, gamma: float, sigma_hat: np.ndarray, n_b: np.ndarray | float
+) -> np.ndarray:
+    """(n(sigma) - n_b)/sqrt(g) from sigma's rfft coefficients, spectrally: the
+    Gauss defect is div E~ plus this charge.  One field goes each way."""
+    density = n_of_sigma(grid.inverse(sigma_hat), gamma)
+    return grid.transform(density - n_b) / np.sqrt(gamma)
 
-    The defects of the symmetrized state, div E~ - (n_b - 1 - Phi(sigma) -
-    sigma)/sqrt(g) and div B~, are the primitive div E - (n_b - n) and
-    div B divided by sqrt(g).  Keys gauss_{e,b}_{l2,max} measure the whole
-    spectrum; the same keys with suffix _band measure the defect projected
-    onto the dealiased band the flow can represent.  The excluded tail
-    measures spectral truncation of the pointwise nonlinearity, not
-    failure of transport.
+
+def constraint_residuals(
+    grid: GridSpec, gamma: float, state_hat: np.ndarray, n_b: np.ndarray | float = 1.0
+) -> dict[str, float]:
+    """L^2 norms of the divergence constraints, from spectral input.
+
+    The defects of the symmetrized state, div E~ + (n(sigma) - n_b)/sqrt(g)
+    and div B~, are the primitive div E - (n_b - n) and div B divided by
+    sqrt(g).  Keys gauss_{e,b}_l2 measure the whole spectrum; the same keys
+    with suffix _band measure the defect's part on the dealiased band the
+    flow can represent, the part GaussReset holds.  The excluded tail
+    measures spectral truncation of the pointwise nonlinearity, not failure
+    of transport.  The norms come from the coefficients (Parseval), so a
+    call transforms one field each way, for the charge.
     """
-    scalar = grid.inverse(state_hat[SCALAR])
-    target = (np.asarray(n_b) - 1.0 - phi_of_sigma(scalar, gamma) - scalar) / np.sqrt(gamma)
-    res_hat = grid.div(state_hat[ELEC]) - grid.transform(target)
-    div_b_hat = grid.div(state_hat[MAG])
-    pair = np.stack([res_hat, div_b_hat])
     band = grid.two_thirds
-    defects = grid.inverse(np.concatenate([pair, band.embed(band.take(pair))]))
+    e_defect = grid.div(state_hat[ELEC]) + _gauss_charge(grid, gamma, state_hat[SCALAR], n_b)
     out = {}
-    for suffix, (res, div_b) in (("", defects[0:2]), ("_band", defects[2:4])):
-        out["gauss_e_l2" + suffix] = grid.l2_norm(res)
-        out["gauss_e_max" + suffix] = float(np.abs(res).max())
-        out["gauss_b_l2" + suffix] = grid.l2_norm(div_b)
-        out["gauss_b_max" + suffix] = float(np.abs(div_b).max())
+    for name, defect in (("gauss_e", e_defect), ("gauss_b", grid.div(state_hat[MAG]))):
+        out[name + "_l2"] = math.sqrt(grid.spectral_l2_sq(defect))
+        out[name + "_l2_band"] = math.sqrt(band.spectral_l2_sq(band.take(defect)))
     return out
 
 
@@ -517,8 +517,10 @@ class GaussReset:
     the integrator's error.  Called after each step, this moves the band's
     longitudinal E~ so that the defect on k != 0 is its value at t = 0
     again, at the cost of one inverse and one forward transform of sigma.
-    It counts the steps and records the largest drift it removed (the L^2
-    norm of the defect's change, as constraint_residuals measures it).
+    The defect is constraint_residuals', from the same _gauss_charge, but
+    taken with n_b = 0: the background is constant along the flow, so its
+    part cancels from the drift.  max_drift is the largest drift removed,
+    in the band L^2 norm of constraint_residuals' _band keys.
     """
 
     def __init__(self, grid: GridSpec, gamma: float, state_hat: np.ndarray) -> None:
@@ -527,25 +529,20 @@ class GaussReset:
         self._band = grid.two_thirds
         # the full sigma: each call scatters the band into it; the tail is fixed
         self._sigma = state_hat[SCALAR].copy()
-        self._weight = grid.box**3 * self._band.take(grid.mult)
         self._defect0 = self._defect(self._band.take(state_hat))
-        self.steps = 0
         self.max_drift = 0.0
 
     def _defect(self, y_band: np.ndarray) -> np.ndarray:
         """div E~ + n(sigma)/sqrt(g) on the band (the defect up to n_b's part)."""
-        grid, band = self._grid, self._band
-        self._sigma[band.index] = y_band[SCALAR]
-        density = n_of_sigma(grid.inverse(self._sigma), self._gamma)
-        return band.div(y_band[ELEC]) + band.take(grid.transform(density)) / np.sqrt(self._gamma)
+        self._sigma[self._band.index] = y_band[SCALAR]
+        charge = self._band.take(_gauss_charge(self._grid, self._gamma, self._sigma, 0.0))
+        return self._band.div(y_band[ELEC]) + charge
 
     def __call__(self, y_band: np.ndarray) -> np.ndarray:
         drift = self._defect0 - self._defect(y_band)
         drift[self._band.k_sq == 0.0] = 0.0  # no field carries the mean charge
         y_band[ELEC] += self._band.longitudinal(drift)
-        norm = float(np.sqrt(np.sum(self._weight * (drift.real**2 + drift.imag**2))))
-        self.max_drift = max(self.max_drift, norm)
-        self.steps += 1
+        self.max_drift = max(self.max_drift, math.sqrt(self._band.spectral_l2_sq(drift)))
         return y_band
 
 

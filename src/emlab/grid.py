@@ -12,8 +12,8 @@ multiplier, including the Laplacian symbol; as a consequence div(grad(f))
 equals laplacian(f) and curl(grad(f)) vanishes exactly on the grid.
 
 The two-thirds dealias band is a dense sub-lattice (GridSpec.two_thirds,
-a SpectralBand) on which the same operators act, for work whose result is
-projected onto the band anyway; embed(take(fh)) is the projection itself.
+a SpectralBand) with the same operators and L^2 norm, for work whose result
+is projected onto the band anyway; embed(take(fh)) is the projection itself.
 
 The transforms are scipy's, imported by _fft on the first one a process
 makes: a process that transforms nothing (lindecay, lyapunov) never loads
@@ -62,11 +62,12 @@ def multi_indices(order: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(out)
 
 
-class _Derivatives:
-    """Derivative multipliers i*xi on a spectral layout.
+class _SpectralLayout:
+    """Derivative multipliers i*xi and the L^2 norm on a spectral layout.
 
-    Subclasses provide k, the wavenumbers of shape (3, ...), and k_sq, their
-    squared magnitudes; coefficient arrays have the layout's trailing shape.
+    Subclasses provide k, the wavenumbers of shape (3, ...), k_sq, their
+    squared magnitudes, mult (see GridSpec.mult) and box; coefficient
+    arrays have the layout's trailing shape.
     """
 
     @functools.cached_property
@@ -106,9 +107,13 @@ class _Derivatives:
         np.divide(src_hat, self.k_sq, out=coef, where=self.k_sq > 0.0)
         return -(self.ik * coef)
 
+    def spectral_l2_sq(self, fh: np.ndarray) -> float:
+        """||f||_{L^2}^2 from coefficients: L^3 * sum mult |fh|^2 (sums leading axes)."""
+        return float(self.box**3 * np.sum(self.mult * (fh.real**2 + fh.imag**2)))
+
 
 @dataclass(frozen=True)
-class GridSpec(_Derivatives):
+class GridSpec(_SpectralLayout):
     """Uniform periodic grid: N points per axis on a box of side L.
 
     N must be even and at least 8 so the real FFT layout and the dealias
@@ -242,7 +247,7 @@ class GridSpec(_Derivatives):
         return total, zero
 
     # ---- differential operators (spectral in, spectral out) -------------
-    # grad, div, curl, laplacian and longitudinal come from _Derivatives
+    # grad, div, curl, laplacian and longitudinal come from _SpectralLayout
 
     # ---- integrals and norms --------------------------------------------
 
@@ -252,10 +257,6 @@ class GridSpec(_Derivatives):
 
     def l2_norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(f * f) * self.dx**3))
-
-    def spectral_l2_sq(self, fh: np.ndarray) -> float:
-        """||f||_{L^2}^2 from coefficients: L^3 * sum mult |fh|^2 (sums leading axes)."""
-        return float(self.box**3 * np.sum(self.mult * (fh.real**2 + fh.imag**2)))
 
     @functools.lru_cache(maxsize=None)
     def sobolev_multiplier(self, m: int) -> np.ndarray:
@@ -276,16 +277,13 @@ class GridSpec(_Derivatives):
         """(sum_{|alpha| <= m} ||d^alpha f||_{L^2}^2)^{1/2} for a real field;
         leading axes are summed over, so a vector field gets its total norm."""
         fh = self.transform(f)
-        return self.sobolev_norm_spectral(fh, m)
-
-    def sobolev_norm_spectral(self, fh: np.ndarray, m: int) -> float:
         w = self.sobolev_multiplier(m) * self.mult
         return float(
             np.sqrt(self.box**3 * np.sum(w * (fh.real**2 + fh.imag**2)))
         )
 
 
-class SpectralBand(_Derivatives):
+class SpectralBand(_SpectralLayout):
     """The rfft modes of a grid with every |integer index| <= band, gathered
     into a dense sub-lattice of shape (2 band + 1, 2 band + 1, band + 1).
 
@@ -304,6 +302,8 @@ class SpectralBand(_Derivatives):
         self.spectral_shape = grid.spectral_shape
         self.k = grid.k[(slice(None),) + self.index]
         self.k_sq = grid.k_sq[self.index]
+        self.mult = grid.mult[self.index]
+        self.box = grid.box
 
     def take(self, fh: np.ndarray) -> np.ndarray:
         """Restrict coefficients (any leading axes) to the band."""

@@ -290,7 +290,8 @@ def evolve_band(
         for _ in range(steps):
             # through the module, so that a patched step_rk4 is the one taken
             y_band = gauss_reset(dynamics.step_rk4(y_band, rhs, h, flows))
-        counters.update(steps=gauss_reset.steps, max_gauss_reset=gauss_reset.max_drift)
+        counters["steps"] += steps
+        counters["max_gauss_reset"] = gauss_reset.max_drift
         y_hat = tail.full(y_band)
         yield chunk * cadence, y_hat
 

@@ -294,15 +294,20 @@ def compatible_perturbation_primitive(grid: GridSpec, amp: float, seed: int = 0)
     return pert
 
 
-def band_flow(grid: GridSpec, gamma: float, state: np.ndarray, t_end: float, dt: float):
+def band_flow(
+    grid: GridSpec, gamma: float, state: np.ndarray, t_end: float, dt: float | None = None
+):
     """The primitive state run to t_end by emlab evolve's loop,
     pipelines.evolve_band, in one chunk: symmetrized, run over
-    tau = sqrt(g) t in steps of at most sqrt(g) dt, and mapped back."""
+    tau = sqrt(g) t in steps of at most sqrt(g) dt, and mapped back.
+    Without dt the step is the one emlab evolve takes, cfl_dt at cfl 0.4."""
     tau_end = np.sqrt(gamma) * t_end
     y0_hat = grid.transform(to_symmetric(state, gamma))
-    *_, (_, y_hat) = evolve_band(
-        grid, gamma, y0_hat, tau_end, tau_end, lambda y: np.sqrt(gamma) * dt, {}
-    )
+    if dt is None:
+        cap = lambda y: dyn.cfl_dt(grid, gamma, y, 0.4)
+    else:
+        cap = lambda y: np.sqrt(gamma) * dt
+    *_, (_, y_hat) = evolve_band(grid, gamma, y0_hat, tau_end, tau_end, cap, {})
     return from_symmetric(grid.inverse(y_hat), gamma)
 
 
@@ -317,19 +322,20 @@ def duhamel_crosscheck(
     gamma: float,
     amp: float,
     t_end: float,
-    dt: float,
+    dt: float | None = None,
     base_state: np.ndarray | None = None,
     flow=band_flow,
 ) -> dict[str, float]:
     """Gap between the nonlinear run and flat-state linear propagation.
 
-    Runs flow (by default the shipped integrator) from (primitive base
-    state) + a * (unit perturbation shape) and from the same shape at a/2,
-    subtracts the linear solution of each perturbation, a times the
-    mode-wise dense e^{tA} of the shape, and reports the L2 gaps and their
-    ratio.  About the flat state the sources are quadratic, so
-    gap(a/2)/gap(a) ~ 1/4; a nonflat base state injects an O(a * delta)
-    linear-in-a mismatch and drags the ratio toward 1/2.
+    Runs flow (by default the shipped integrator, at the step emlab evolve
+    takes unless dt caps it) from (primitive base state) + a * (unit
+    perturbation shape) and from the same shape at a/2, subtracts the
+    linear solution of each perturbation, a times the mode-wise dense
+    e^{tA} of the shape, and reports the L2 gaps and their ratio.  About
+    the flat state the sources are quadratic, so gap(a/2)/gap(a) ~ 1/4; a
+    nonflat base state injects an O(a * delta) linear-in-a mismatch and
+    drags the ratio toward 1/2.
     """
     if base_state is None:
         base_state = np.zeros((10,) + grid.shape)

@@ -526,7 +526,7 @@ class TestExponentialSteps:
         assert drift > 1e-10  # a long step drifts the defect
         y = reset(y)
         assert np.abs(defect(y) - defect(tail.take(y0))).max() <= 1e-6 * drift
-        assert reset.steps == 1 and reset.max_drift > 0.0
+        assert reset.max_drift > 0.0
 
     def test_one_step_per_chunk_beats_rk4_at_its_cfl_step(self, equilibrium):
         # against classical RK4 at an eighth of its CFL step, one exponential
@@ -574,12 +574,7 @@ def _old_residuals(grid, y, n_b, band_limited):
     if band_limited:
         res_hat, div_b_hat = dealias(grid, res_hat), dealias(grid, div_b_hat)
     res, div_b = grid.inverse(res_hat), grid.inverse(div_b_hat)
-    return {
-        "gauss_e_l2": grid.l2_norm(res),
-        "gauss_e_max": np.abs(res).max(),
-        "gauss_b_l2": grid.l2_norm(div_b),
-        "gauss_b_max": np.abs(div_b).max(),
-    }
+    return {"gauss_e_l2": grid.l2_norm(res), "gauss_b_l2": grid.l2_norm(div_b)}
 
 
 class TestSpectralState:
@@ -654,13 +649,9 @@ class TestSpectralState:
         # the steps moved the band by far more than the bound
         assert np.abs(y_end - y0).max() > 1e-6 * np.abs(y_ref).max()
 
-    def test_fields_transformed_per_call(self, equilibrium, rough_state, monkeypatch):
-        # 11 + 1 fields inverse-transformed and 8 + 1 forward per RHS call:
-        # the product batches plus the Gauss correction's one field each way
-        grid = equilibrium[0]
-        y = grid.transform(rough_state)
-        tail = dyn.BandTail(grid, y)
-        y_band = tail.take(y)
+    @staticmethod
+    def count_transforms(monkeypatch):
+        """Log the fields of every GridSpec transform, per direction."""
         counts = {"inverse": [], "transform": []}
         for name in counts:
             method = getattr(GridSpec, name)
@@ -670,12 +661,32 @@ class TestSpectralState:
                 return _method(self, arr)
 
             monkeypatch.setattr(GridSpec, name, counted)
+        return counts
+
+    def test_fields_transformed_per_call(self, equilibrium, rough_state, monkeypatch):
+        # 11 + 1 fields inverse-transformed and 8 + 1 forward per RHS call:
+        # the product batches plus the Gauss correction's one field each way
+        grid = equilibrium[0]
+        y = grid.transform(rough_state)
+        tail = dyn.BandTail(grid, y)
+        y_band = tail.take(y)
+        counts = self.count_transforms(monkeypatch)
         dyn.rhs_symmetric(grid, GAMMA, y_band, tail)
         assert counts == {"inverse": [11, 1], "transform": [8, 1]}
+
+    def test_fields_transformed_per_residual_call(self, equilibrium, rough_state, monkeypatch):
+        # the norms come from the coefficients: only the charge needs sigma
+        # back on the grid and the density forward again
+        grid, n_b = equilibrium[0], equilibrium[1]
+        y = grid.transform(rough_state)
+        counts = self.count_transforms(monkeypatch)
+        dyn.constraint_residuals(grid, GAMMA, y, n_b)
+        assert counts == {"inverse": [1], "transform": [1]}
 
     def test_one_residual_call_reproduces_both_passes(self, equilibrium, rough_state):
         grid, n_b = equilibrium[0], equilibrium[1]
         res = dyn.constraint_residuals(grid, GAMMA, grid.transform(rough_state), n_b)
+        assert set(res) == {"gauss_e_l2", "gauss_b_l2", "gauss_e_l2_band", "gauss_b_l2_band"}
         for suffix, band_limited in (("", False), ("_band", True)):
             old = _old_residuals(grid, rough_state, n_b, band_limited)
             for key, value in old.items():
