@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ELEC, MAG, SCALAR, VEL, phi_of_sigma
+from .dynamics import ELEC, MAG, SCALAR, VEL, n_of_sigma
 from .grid import GridSpec
 
 __all__ = [
@@ -68,33 +68,6 @@ class EnergyWeights:
             raise ValueError(f"derivative order must be >= 3, got {self.order}")
 
 
-def _cross_sum(grid: GridSpec, a_hat: np.ndarray, b_hat: np.ndarray, m: int) -> float:
-    """sum_{|alpha| <= m} <d^a a, d^a b> for stacks of fields, spectrally."""
-    w = grid.sobolev_multiplier(m) * grid.mult
-    return float(grid.box**3 * np.sum(w * (a_hat.conj() * b_hat).real))
-
-
-def _weighted_alpha_sums(
-    grid: GridSpec, weight: np.ndarray, sv_hat: np.ndarray, m: int
-) -> tuple[float, float, float, float]:
-    """Stationary-weighted derivative sums of the (sigma, v) stack.
-
-    Returns (sigma total, v total, sigma |alpha|=0 part, v |alpha|=0 part)
-    of sum_{|alpha| <= m} int weight * |d^alpha .|^2 dx.
-    """
-    total, zero = grid.derivative_square_sum(sv_hat, m)
-    return (
-        grid.integral(weight * total[0]),
-        grid.integral(weight * total[1:].sum(axis=0)),
-        grid.integral(weight * zero[0]),
-        grid.integral(weight * zero[1:].sum(axis=0)),
-    )
-
-
-def _stationary_weight(sigma_st: np.ndarray | float, gamma: float) -> np.ndarray:
-    return 1.0 + np.asarray(sigma_st) + phi_of_sigma(sigma_st, gamma)
-
-
 def energy_report(
     grid: GridSpec,
     pert_hat: np.ndarray,
@@ -108,45 +81,45 @@ def energy_report(
     (10, n, n, n//2+1), as the spectral integrator carries it.
     """
     n = weights.order
-    w_st = _stationary_weight(sigma_st, gamma) * np.ones(grid.shape)
     e_hat = pert_hat[ELEC]
-    b_hat = pert_hat[MAG]
     eb_hat = pert_hat[4:10]
 
-    s_full, v_full, s_zero, v_zero = _weighted_alpha_sums(grid, w_st, pert_hat[0:4], n)
-    sv_full = s_full + v_full
-    sv_zero = s_zero + v_zero
+    # the n_st-weighted sigma and v blocks, pointwise; every other term is a Parseval sum
+    n_st = n_of_sigma(sigma_st, gamma)
+    total, zero = grid.derivative_square_sum(pert_hat[0:4], n)
+    v_full = grid.integral(n_st * total[1:].sum(axis=0))
+    v_zero = grid.integral(n_st * zero[1:].sum(axis=0))
+    sv_full = grid.integral(n_st * total[0]) + v_full
+    sv_zero = grid.integral(n_st * zero[0]) + v_zero
+    del total, zero  # two real field stacks: held on, they would raise the peak RSS
 
-    wm = lambda m: grid.sobolev_multiplier(m) * grid.mult
-    sq = lambda f_hat, mult: float(grid.box**3 * np.sum(mult * (f_hat.real**2 + f_hat.imag**2)))
+    sob = grid.sobolev_multiplier
     ksq = grid.k_sq
 
-    eb_n = sq(eb_hat, wm(n))
-    grad_eb_nm1 = sq(eb_hat, wm(n - 1) * ksq)
-    grad_eb_nm2 = sq(eb_hat, wm(n - 2) * ksq)
-    grad2_eb_nm3 = sq(eb_hat, wm(n - 3) * ksq**2)
-    sigma_n = sq(pert_hat[SCALAR], wm(n))
-    grad_sigma_nm1 = sq(pert_hat[SCALAR], wm(n - 1) * ksq)
-    e_zero = sq(e_hat, grid.mult)
-    grad_e_zero = sq(e_hat, grid.mult * ksq)
+    eb_n = grid.spectral_l2_sq(eb_hat, sob(n))
+    grad_eb_nm1 = grid.spectral_l2_sq(eb_hat, sob(n - 1) * ksq)
+    grad_eb_nm2 = grid.spectral_l2_sq(eb_hat, sob(n - 2) * ksq)
+    grad2_eb_nm3 = grid.spectral_l2_sq(eb_hat, sob(n - 3) * ksq**2)
+    sigma_n = grid.spectral_l2_sq(pert_hat[SCALAR], sob(n))
+    grad_sigma_nm1 = grid.spectral_l2_sq(pert_hat[SCALAR], sob(n - 1) * ksq)
+    e_zero = grid.spectral_l2_sq(e_hat)
+    grad_e_zero = grid.spectral_l2_sq(e_hat, ksq)
 
     grad_sigma_hat = grid.grad(pert_hat[SCALAR])
     curl_e_hat = grid.curl(e_hat)
-    int1 = _cross_sum(grid, pert_hat[VEL], grad_sigma_hat, n - 1)
-    int2 = _cross_sum(grid, pert_hat[VEL], e_hat, n - 1)
-    int3 = -_cross_sum(grid, curl_e_hat, b_hat, n - 2)
+    int1 = grid.spectral_inner(pert_hat[VEL], grad_sigma_hat, sob(n - 1))
+    int2 = grid.spectral_inner(pert_hat[VEL], e_hat, sob(n - 1))
+    int3 = -grid.spectral_inner(curl_e_hat, pert_hat[MAG], sob(n - 2))
     # the |alpha| = 0 contributions, to subtract for the high-order variants
-    int1_zero = _cross_sum(grid, pert_hat[VEL], grad_sigma_hat, 0)
-    int2_zero = _cross_sum(grid, pert_hat[VEL], e_hat, 0)
-    int3_zero = -_cross_sum(grid, curl_e_hat, b_hat, 0)
+    int1_zero = grid.spectral_inner(pert_hat[VEL], grad_sigma_hat)
+    int2_zero = grid.spectral_inner(pert_hat[VEL], e_hat)
+    int3_zero = -grid.spectral_inner(curl_e_hat, pert_hat[MAG])
 
     k1, k2, k3 = weights.kappa1, weights.kappa2, weights.kappa3
     cross_full = k1 * int1 + k2 * int2 + k3 * int3
     cross_high = (
         k1 * (int1 - int1_zero) + k2 * (int2 - int2_zero) + k3 * (int3 - int3_zero)
     )
-
-    plain_n = sq(pert_hat, wm(n))
 
     return {
         "energy_full": sv_full + eb_n + cross_full,
@@ -156,7 +129,6 @@ def energy_report(
         "int1": int1,
         "int2": int2,
         "int3": int3,
-        "sobolev_sq": plain_n,
     }
 
 

@@ -63,7 +63,7 @@ def multi_indices(order: int) -> tuple[tuple[int, int, int], ...]:
 
 
 class _SpectralLayout:
-    """Derivative multipliers i*xi and the L^2 norm on a spectral layout.
+    """Derivative multipliers i*xi and the L^2 inner product on a spectral layout.
 
     Subclasses provide k, the wavenumbers of shape (3, ...), k_sq, their
     squared magnitudes, mult (see GridSpec.mult) and box; coefficient
@@ -107,9 +107,17 @@ class _SpectralLayout:
         np.divide(src_hat, self.k_sq, out=coef, where=self.k_sq > 0.0)
         return -(self.ik * coef)
 
-    def spectral_l2_sq(self, fh: np.ndarray) -> float:
-        """||f||_{L^2}^2 from coefficients: L^3 * sum mult |fh|^2 (sums leading axes)."""
-        return float(self.box**3 * np.sum(self.mult * (fh.real**2 + fh.imag**2)))
+    def spectral_inner(self, ah: np.ndarray, bh: np.ndarray, w: np.ndarray | None = None) -> float:
+        """<w a, b>_{L^2} by Parseval, L^3 sum w mult Re(conj(ah) bh), summed over leading
+        axes too; w is an optional real multiplier, e.g. sobolev_multiplier(m)."""
+        # a norm takes re^2 + im^2, with no complex temporary
+        density = ah.real**2 + ah.imag**2 if bh is ah else (ah.conj() * bh).real
+        w = self.mult if w is None else w * self.mult
+        return float(self.box**3 * np.sum(w * density))
+
+    def spectral_l2_sq(self, fh: np.ndarray, w: np.ndarray | None = None) -> float:
+        """||f||^2 from coefficients, weighted like spectral_inner."""
+        return self.spectral_inner(fh, fh, w)
 
 
 @dataclass(frozen=True)
@@ -117,7 +125,7 @@ class GridSpec(_SpectralLayout):
     """Uniform periodic grid: N points per axis on a box of side L.
 
     N must be even and at least 8 so the real FFT layout and the dealias
-    band are well defined; L must be positive.
+    band are well defined; L must be positive and finite.
     """
 
     n: int = 48
@@ -128,8 +136,8 @@ class GridSpec(_SpectralLayout):
             raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size n must be even and >= 8, got {self.n}")
-        if not (float(self.box) > 0.0):
-            raise ValueError(f"box side must be positive, got {self.box}")
+        if not 0.0 < float(self.box) < np.inf:
+            raise ValueError(f"box side must be positive and finite, got {self.box}")
 
     # ---- geometry ----------------------------------------------------
 
@@ -258,29 +266,29 @@ class GridSpec(_SpectralLayout):
     def l2_norm(self, f: np.ndarray) -> float:
         return float(np.sqrt(np.sum(f * f) * self.dx**3))
 
-    @functools.lru_cache(maxsize=None)
+    @functools.cached_property
+    def _sobolev_multipliers(self) -> dict[int, np.ndarray]:
+        return {}  # sobolev_multiplier's results by order, kept with the grid
+
     def sobolev_multiplier(self, m: int) -> np.ndarray:
         """W_m(xi) = sum_{|alpha| <= m} xi^{2 alpha}, on the rfft layout."""
-        if m < 0:
-            raise ValueError(f"Sobolev order must be >= 0, got {m}")
-        kfull, khalf = self._k1d
-        w = np.zeros(self.spectral_shape)
-        for a1, a2, a3 in multi_indices(m):
-            w += (
-                kfull[:, None, None] ** (2 * a1)
-                * kfull[None, :, None] ** (2 * a2)
-                * khalf[None, None, :] ** (2 * a3)
-            )
+        w = self._sobolev_multipliers.get(m)
+        if w is None:
+            kfull, khalf = self._k1d
+            w = np.zeros(self.spectral_shape)
+            for a1, a2, a3 in multi_indices(m):  # raises ValueError for m < 0
+                w += (
+                    kfull[:, None, None] ** (2 * a1)
+                    * kfull[None, :, None] ** (2 * a2)
+                    * khalf[None, None, :] ** (2 * a3)
+                )
+            self._sobolev_multipliers[m] = w
         return w
 
     def sobolev_norm(self, f: np.ndarray, m: int) -> float:
         """(sum_{|alpha| <= m} ||d^alpha f||_{L^2}^2)^{1/2} for a real field;
         leading axes are summed over, so a vector field gets its total norm."""
-        fh = self.transform(f)
-        w = self.sobolev_multiplier(m) * self.mult
-        return float(
-            np.sqrt(self.box**3 * np.sum(w * (fh.real**2 + fh.imag**2)))
-        )
+        return float(np.sqrt(self.spectral_l2_sq(self.transform(f), self.sobolev_multiplier(m))))
 
 
 class SpectralBand(_SpectralLayout):

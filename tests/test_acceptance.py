@@ -21,7 +21,7 @@ from emlab.dynamics import (
     compatible_perturbation,
     constraint_residuals,
 )
-from emlab.energy import energy_report, lyapunov_certify
+from emlab.energy import EnergyWeights, energy_report, lyapunov_certify
 from emlab.grid import GridSpec
 from emlab.lindecay import (
     GaussianFamily,
@@ -169,14 +169,16 @@ def test_4_lyapunov_certification(equilibrium):
 
     taus, rows = [], []
     ratio_lo, ratio_hi = np.inf, -np.inf
+    sobolev = grid.sobolev_multiplier(EnergyWeights().order)
     for tau, y in evolve_band(grid, GAMMA, y0, 40.0 * ROOT_G, 0.5 * ROOT_G, cap, {}):
-        rep = energy_report(grid, y - base_hat, state.sigma_st, GAMMA)
+        pert_hat = y - base_hat
+        rep = energy_report(grid, pert_hat, state.sigma_st, GAMMA)
         taus.append(tau)
         rows.append((
             rep["energy_full"], rep["dissipation_full"],
             rep["energy_high"], rep["dissipation_high"],
         ))
-        ratio = rep["energy_full"] / rep["sobolev_sq"]
+        ratio = rep["energy_full"] / grid.spectral_l2_sq(pert_hat, sobolev)
         ratio_lo, ratio_hi = min(ratio_lo, ratio), max(ratio_hi, ratio)
     taus = np.array(taus)
     e_f, d_f, e_h, d_h = np.array(rows).T

@@ -336,6 +336,7 @@ class TestIndependentReference:
         ref = reference_report(
             grid, pert, np.ones(grid.shape), w.order, (w.kappa1, w.kappa2, w.kappa3)
         )
+        assert rep.keys() == ref.keys()  # the seven functionals, nothing more
         for key, val in ref.items():
             assert np.isclose(rep[key], val, rtol=1e-10, atol=1e-13), key
 
@@ -385,8 +386,10 @@ class TestEquivalence:
             [random_field(grid, seed=seed * 13 + i, band=3, amp= 0.2) for i in range(10)]
         )
         sigma_st = 0.05 * np.exp(-grid.radius**2)
-        rep = energy_report(grid, grid.transform(pert), sigma_st, GAMMA)
-        assert 0.5 <= rep["energy_full"] / rep["sobolev_sq"] <= 2.0
+        pert_hat = grid.transform(pert)
+        rep = energy_report(grid, pert_hat, sigma_st, GAMMA)
+        sobolev_sq = grid.spectral_l2_sq(pert_hat, grid.sobolev_multiplier(EnergyWeights().order))
+        assert 0.5 <= rep["energy_full"] / sobolev_sq <= 2.0
 
 
 class TestCertification:

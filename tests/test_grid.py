@@ -1,5 +1,7 @@
 """Spectral grid core: transforms, operators, norms, dealiasing."""
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -27,8 +29,9 @@ class TestGridSpecValidation:
             GridSpec(n=6)
 
     def test_nonpositive_box_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            GridSpec(n=16, box=0.0)
+        for box in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                GridSpec(n=16, box=box)
 
     def test_defaults(self):
         g = GridSpec()
@@ -271,6 +274,14 @@ class TestNorms:
         total = g.integral(g.derivative_square_sum(g.transform(f), 2)[0])
         assert g.sobolev_norm(f, 2) == pytest.approx(np.sqrt(total), rel=1e-12)
 
+    def test_sobolev_multiplier_cache_does_not_keep_the_grid_alive(self):
+        g = GridSpec(16, 5.0)
+        assert g.sobolev_multiplier(2) is g.sobolev_multiplier(2)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None
+
 
 class TestMultiIndices:
     def test_counts(self):
@@ -293,6 +304,17 @@ class TestProperties:
         a = g.l2_norm(f) ** 2
         b = g.spectral_l2_sq(g.transform(f))
         assert abs(a - b) <= 1e-12 * max(a, 1.0)
+        # the inner product of two fields is the integral of their product, to
+        # 1e-12 of the Cauchy-Schwarz bound (the integral itself may be near 0)
+        h = random_field(g, seed=seed + 1)
+        inner = g.spectral_inner(g.transform(f), g.transform(h))
+        assert abs(inner - g.integral(f * h)) <= 1e-12 * g.l2_norm(f) * g.l2_norm(h)
+        # on the dealias band, band-limited fields have the grid's inner product
+        band = g.two_thirds
+        fb, hb = (band.take(g.transform(x)) for x in (f, h))
+        on_grid = g.spectral_inner(band.embed(fb), band.embed(hb))
+        bound = 1e-12 * np.sqrt(band.spectral_l2_sq(fb) * band.spectral_l2_sq(hb))
+        assert abs(band.spectral_inner(fb, hb) - on_grid) <= bound
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -130,6 +130,16 @@ def test_header_counts_checked_against_file_size(tmp_path, grid):
         read_snapshot(path)
 
 
+def test_non_finite_box_rejected(tmp_path, grid):
+    path = tmp_path / "box.emxf"
+    write_snapshot(path, grid, {"rho": np.ones(grid.shape)})
+    raw = bytearray(path.read_bytes())
+    raw[12:20] = struct.pack("<d", float("inf"))  # box
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="box side"):
+        read_snapshot(path)
+
+
 def test_trailing_bytes_rejected(tmp_path, grid):
     path = tmp_path / "t.emxf"
     write_snapshot(path, grid, {"rho": np.ones(grid.shape)})
