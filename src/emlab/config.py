@@ -82,9 +82,10 @@ class ExperimentConfig:
     t_grid: str = _key("lindecay", "5:500:40",
                        "'lo:hi:count' log-spaced times, or an explicit list")
     family_width: float = _key("lindecay", 2.0, "Gaussian width of the initial-data family")
+    # finer than QuadratureScheme's 16, which the module tests run at
     radial_nodes: int = _key("lindecay", 32, "quadrature nodes per radial panel")
-    theta_nodes: int = _key("lindecay", 16, "polar quadrature nodes")
-    phi_nodes: int = _key("lindecay", 32, "azimuthal quadrature nodes")
+    theta_nodes: int = _key("lindecay", QuadratureScheme.theta_nodes, "polar quadrature nodes")
+    phi_nodes: int = _key("lindecay", QuadratureScheme.phi_nodes, "azimuthal quadrature nodes, >= 3")
 
     def __post_init__(self) -> None:
         req = _require

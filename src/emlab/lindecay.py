@@ -133,21 +133,29 @@ class QuadratureScheme:
     origin so heat-kernel integrands e^{-2 |xi|^2 t} stay resolved out to
     t ~ 1000.  Angular: Gauss-Legendre in cos(theta) times a uniform
     periodic rule in phi.  Nodes are laid out radius-major, so the
-    directions of one radius form a contiguous run.
+    directions of one radius form a contiguous run.  Every angular
+    integrand of the norms has degree 2 in xi^: transverse rows enter as
+    (P_perp a) . (P_perp b) = a . b - (a . xi^)(b . xi^), and xi^ x B reduces
+    to that for both B profiles.  The default 2 x 4 rule is exact to degree
+    3: for x^a y^b z^c, the phi rule (exact to trigonometric degree
+    phi_nodes - 1) returns 0 when a + b is odd, and otherwise the cos(theta)
+    factor has degree <= 3, which 2 Gauss-Legendre nodes integrate exactly.
     """
 
     r_max: float = 24.0
     panels: int = 6
     panel_ratio: float = 4.0
     radial_nodes: int = 16
-    theta_nodes: int = 16
-    phi_nodes: int = 32
+    theta_nodes: int = 2
+    phi_nodes: int = 4
 
     def __post_init__(self) -> None:
         if self.r_max <= 0.0:
             raise ValueError("r_max must be positive")
         if min(self.panels, self.radial_nodes, self.theta_nodes, self.phi_nodes) < 2:
             raise ValueError("quadrature needs at least 2 nodes per factor")
+        if self.phi_nodes < 3:
+            raise ValueError("phi_nodes must be >= 3 to integrate degree 2 in phi exactly")
         if self.panel_ratio <= 1.0:
             raise ValueError("panel_ratio must exceed 1")
 
@@ -166,8 +174,8 @@ class QuadratureScheme:
             weights.append(half * base_w * r**2)
         return np.concatenate(nodes), np.concatenate(weights)
 
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Frequency nodes (K, 3) and positive weights (K,) with dxi measure."""
+    def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Radii (R,), frequency nodes (K, 3) and positive weights (K,) with dxi measure."""
         r, wr = self.radial_rule()
         mu, wmu = np.polynomial.legendre.leggauss(self.theta_nodes)
         phi = 2.0 * np.pi * np.arange(self.phi_nodes) / self.phi_nodes
@@ -184,7 +192,7 @@ class QuadratureScheme:
         )
         xi = r[:, None, None, None] * dirs[None, :, :, :]
         w = wr[:, None, None] * wmu[None, :, None] * wphi
-        return xi.reshape(-1, 3), np.broadcast_to(
+        return r, xi.reshape(-1, 3), np.broadcast_to(
             w, (r.size, mu.size, phi.size)
         ).reshape(-1).copy()
 
@@ -363,8 +371,7 @@ def _radial_densities(
     dropped, not carried at roundoff: a roundoff defect never decays, and
     it would floor rho near 4e-17 from t ~ 75 on.
     """
-    xi, wq = scheme.nodes()
-    r, _ = scheme.radial_rule()
+    r, xi, wq = scheme.nodes()
     lam, vecs, inv = block_eig(r, gamma)
     # block coordinates of the initial amplitudes: the longitudinal vector
     # (rho, u . xi^, E . xi^) and the transverse rows (u_perp, E_perp, xi^ x B);

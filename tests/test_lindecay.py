@@ -5,6 +5,7 @@ of the symbol); whole-space norms are checked against Gaussian moment
 integrals; decay exponents against the slow-branch analysis.
 """
 import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -55,11 +56,10 @@ from _helpers import (
 
 GAMMA = 5.0 / 3.0
 
-# light angular rule for module tests: the angular integrands are low
-# degree in the direction vector, so 8 x 16 already integrates them
-# exactly; radial refinement is what convergence actually needs
-FAST = QuadratureScheme(theta_nodes=8, phi_nodes=16)
-FAST_FINE = QuadratureScheme(radial_nodes=32, theta_nodes=8, phi_nodes=16)
+# the default angular rule integrates the norms exactly (TestQuadrature);
+# radial refinement is what convergence actually needs
+FAST = QuadratureScheme()
+FAST_FINE = QuadratureScheme(radial_nodes=32)
 
 
 def channel_norms(fam, t, scheme):
@@ -227,15 +227,49 @@ class TestPropagation:
 
 class TestQuadrature:
     def test_default_node_count_and_positivity(self):
-        xi, w = QuadratureScheme().nodes()
-        assert xi.shape == (96 * 16 * 32, 3)
+        r, xi, w = QuadratureScheme().nodes()
+        assert r.shape == (96,)
+        assert xi.shape == (96 * 2 * 4, 3)
         assert (w > 0.0).all()
+
+    def test_default_directions_exact_to_degree_three(self):
+        # per radius, sum w x^a y^b z^c / (w_r r^(a+b+c)) is the sphere
+        # integral: 4 pi for 1, 4 pi / 3 for a square, 0 for any odd power
+        scheme = QuadratureScheme()
+        r, xi, w = scheme.nodes()
+        _, wr = scheme.radial_rule()
+        xi = xi.reshape(r.size, -1, 3) / r[:, None, None]
+        w = w.reshape(r.size, -1) / wr[:, None]
+        for a, b, c in itertools.product(range(4), repeat=3):
+            if a + b + c > 3:
+                continue
+            if a % 2 or b % 2 or c % 2:
+                exact = 0.0
+            else:
+                exact = 4.0 * np.pi / (3.0 if a + b + c == 2 else 1.0)
+            got = (w * xi[..., 0] ** a * xi[..., 1] ** b * xi[..., 2] ** c).sum(axis=1)
+            assert np.abs(got - exact).max() <= 1e-14, ((a, b, c), exact, got[:3])
+
+    @pytest.mark.parametrize("profile", ["transverse", "solenoidal-curl"])
+    def test_default_directions_match_a_fine_rule(self, profile):
+        # test_5's time grid, every channel against 16 x 32 directions
+        times = np.unique(np.concatenate(
+            [[0.0], np.linspace(5.0, 45.0, 17), np.geomspace(50.0, 500.0, 24)]
+        ))
+        fam = GaussianFamily(b_profile=profile)
+        coarse = decay_trajectory(fam, GAMMA, times, QuadratureScheme())
+        fine = decay_trajectory(fam, GAMMA, times, QuadratureScheme(theta_nodes=16, phi_nodes=32))
+        for name, ref in fine.norms.items():
+            assert (np.abs(coarse.norms[name] - ref) <= 1e-13 * ref).all(), name
 
     def test_validation(self):
         with pytest.raises(ValueError, match="r_max"):
             QuadratureScheme(r_max=-1.0)
         with pytest.raises(ValueError, match="nodes"):
             QuadratureScheme(radial_nodes=1)
+        # 2 phi nodes miss cos^2 phi: the norms would be off by 4-16 %
+        with pytest.raises(ValueError, match="phi_nodes must be >= 3"):
+            QuadratureScheme(phi_nodes=2)
         with pytest.raises(ValueError, match="panel_ratio"):
             QuadratureScheme(panel_ratio=0.5)
 
@@ -270,7 +304,7 @@ class TestQuadrature:
         fam = GaussianFamily(b_profile="solenoidal-curl", width=1.3)
         times = np.array([0.0, 0.3, 5.0, 40.0, 400.0])
         traj = decay_trajectory(fam, GAMMA, times, scheme)
-        xi, w = scheme.nodes()
+        _, xi, w = scheme.nodes()
         y0 = initial_modes(fam, xi)
         r2 = (xi**2).sum(axis=1)
         for j, t in enumerate(times):
