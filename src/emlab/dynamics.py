@@ -100,17 +100,12 @@ def sigma_of_n(n: np.ndarray | float, gamma: float) -> np.ndarray:
     return 2.0 / (gamma - 1.0) * (np.asarray(n, dtype=float) ** (0.5 * (gamma - 1.0)) - 1.0)
 
 
-def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """a x b over the first axis, written into out; tmp is shaped like b[0]."""
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a x b over the first axis, written into out and returned."""
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.multiply(a[j], b[k], out=out[i])
-        out[i] -= np.multiply(a[k], b[j], out=tmp)
+        out[i] -= a[k] * b[j]
     return out
-
-
-def _real(a: np.ndarray) -> np.ndarray:
-    """A complex array viewed as a real one, real and imaginary parts interleaved."""
-    return a.view(np.float64)
 
 
 class BandTail:
@@ -183,7 +178,7 @@ def rhs_symmetric(
     # v . grad sigma + (w(sigma) - 1) div v; the linear div v stays spectral
     prods[0] = (v * grad_sigma).sum(axis=0) + 0.5 * (gamma - 1.0) * sigma * div_v
     prods[1] = 0.5 * (v * v).sum(axis=0) + (w_of_sigma(sigma, gamma) ** 2 - 1.0) / (gamma - 1.0)
-    _cross(v, curl_v_b, out=prods[2:5], tmp=prods[5])     # v x (curl v - B~)
+    _cross(v, curl_v_b, prods[2:5])                       # v x (curl v - B~)
     prods[5:8] = n_of_sigma(sigma, gamma) * v             # current n(sigma) v
 
     # The complete tendency is projected onto the two-thirds band (a
@@ -302,9 +297,7 @@ class FlatFlows:
         r = np.sqrt(band.k_sq.reshape(-1))
         hat = np.divide(k, r, out=np.zeros(k.shape), where=r > 0.0)
         hat[2, r == 0.0] = 1.0  # any direction: A(0) is isotropic
-        # xi^ for both parts of each coefficient: hat products act on complex
-        # arrays viewed as real ones (_real), which needs no complex arithmetic
-        self._hat = np.repeat(hat, 2, axis=-1)
+        self._hat = hat
         # distinct radii from the integer lattice, so equal shells share a radius
         dk = 2.0 * np.pi / grid.box
         index_sq = np.rint(band.k_sq.reshape(-1) / dk**2).astype(np.int64)
@@ -313,8 +306,6 @@ class FlatFlows:
         self.gamma = gamma
         self.max_step = flat_wave_period(grid, gamma)
         self.h: float | None = None
-        # scratch rows for split, join and weigh; no call leaves data in them
-        self._work = np.empty((24, r.size), dtype=complex)
 
     def at(self, h: float) -> "FlatFlows":
         """These flows with their weights tabulated for step size h."""
@@ -337,73 +328,56 @@ class FlatFlows:
             self.h = h
         return self
 
-    def _gather(self, table: np.ndarray, rows: int) -> np.ndarray:
-        """A per-radius table (..., R) at the modes, in the first scratch rows."""
-        out = self._work[:rows].reshape(table.shape[:-1] + (-1,))
-        return table.take(self._radius, axis=-1, out=out, mode="clip")
-
-    def weigh(self, row: int, f_hat: np.ndarray, acc: np.ndarray | None = None) -> np.ndarray:
-        """acc + weight row times eigen-coordinates f_hat (acc is updated in place)."""
-        g = self._gather(self._weights[row], 6)
-        out = np.empty_like(f_hat) if acc is None else self._work[6:19]
-        np.multiply(g[0:3], f_hat[0:3], out=out[0:3])
-        np.multiply(g[3:6, None], f_hat[3:12].reshape(3, 3, -1), out=out[3:12].reshape(3, 3, -1))
-        np.multiply(self._weights_b[row], f_hat[12], out=out[12])
-        if acc is None:
-            return out
-        acc += out
-        return acc
+    def weigh(self, row: int, f_hat: np.ndarray) -> np.ndarray:
+        """Weight row times eigen-coordinates f_hat."""
+        g = self._weights[row].take(self._radius, axis=-1)
+        out = np.empty_like(f_hat)
+        out[0:3] = g[0:3] * f_hat[0:3]
+        out[3:12] = (g[3:6, None] * f_hat[3:12].reshape(3, 3, -1)).reshape(9, -1)
+        out[12] = self._weights_b[row] * f_hat[12]
+        return out
 
     def split(self, y: np.ndarray) -> np.ndarray:
         """Band coefficients (10, ...) -> eigen-coordinates (13, modes)."""
-        y = np.ascontiguousarray(y).reshape(10, -1)
-        hat, work = self._hat, self._work
-        rows, tmp, along = work[9:18].reshape(3, 3, -1), work[18:21], work[21:24]
+        y = y.reshape(10, -1)
+        hat = self._hat
         vectors = y[1:10].reshape(3, 3, -1)
         # v, E~ and B~ along xi^
-        np.einsum("fcq,cq->fq", _real(vectors), hat, out=_real(along))
+        along = np.einsum("fcq,cq->fq", vectors, hat)
+        # the transverse rows (v_perp, E~_perp, xi^ x B~), one per component
+        rows = np.empty_like(vectors)
+        np.subtract(vectors[0:2], hat * along[0:2, None], out=rows[0:2])
+        _cross(hat, vectors[2], rows[2])
+        # w_i = sum_j V^{-1}_ij x_j over (sigma, v_l, E~_l), then over the rows
         w = np.empty((13, y.shape[1]), dtype=complex)
-        # w_i = sum_j V^{-1}_ij x_j over (sigma, v_l, E~_l), then over the
-        # transverse rows x = (v_perp, E~_perp, xi^ x B~), one per component
-        g = self._gather(self._inv[0], 9)
-        np.multiply(g[0], y[SCALAR], out=w[0:3])
-        w[0:3] += np.multiply(g[1], along[0], out=tmp)
-        w[0:3] += np.multiply(g[2], along[1], out=tmp)
-        for j in (0, 1):
-            np.multiply(hat, _real(along[j]), out=_real(tmp))
-            np.subtract(vectors[j], tmp, out=rows[j])
-        _cross(hat, _real(vectors[2]), out=_real(rows[2]), tmp=_real(tmp[0]))
-        g = self._gather(self._inv[1], 9)
-        trans = w[3:12].reshape(3, 3, -1)
-        for i in range(3):
-            np.multiply(g[0, i], rows[0], out=trans[i])
-            trans[i] += np.multiply(g[1, i], rows[1], out=tmp)
-            trans[i] += np.multiply(g[2, i], rows[2], out=tmp)
+        g = self._inv[0].take(self._radius, axis=-1)
+        w[0:3] = g[0] * y[SCALAR] + g[1] * along[0] + g[2] * along[1]
+        g = self._inv[1].take(self._radius, axis=-1)
+        trans = g[0][:, None] * rows[0] + g[1][:, None] * rows[1] + g[2][:, None] * rows[2]
+        w[3:12] = trans.reshape(9, -1)
         w[12] = along[2]
         return w
 
     def join(self, w: np.ndarray) -> np.ndarray:
         """Eigen-coordinates (13, modes) -> band coefficients."""
-        hat, work = self._hat, self._work
-        lon, tmp, row = work[9:12], work[12:15], work[15:18]
+        hat = self._hat
         # x_i = sum_j V_ij w_j, longitudinally and per transverse component
-        g = self._gather(self._vecs[0], 9)
-        np.multiply(g[0], w[0], out=lon)
-        lon += np.multiply(g[1], w[1], out=tmp)
-        lon += np.multiply(g[2], w[2], out=tmp)
+        g = self._vecs[0].take(self._radius, axis=-1)
+        lon = g[0] * w[0] + g[1] * w[1] + g[2] * w[2]
         y = np.empty((10, w.shape[1]), dtype=complex)
         y[SCALAR] = lon[0]
-        for dest, along in ((y[VEL], lon[1]), (y[ELEC], lon[2]), (y[MAG], w[12])):
-            np.multiply(hat, _real(along), out=_real(dest))
-        g = self._gather(self._vecs[1], 9)
+        y[VEL] = hat * lon[1]
+        y[ELEC] = hat * lon[2]
+        y[MAG] = hat * w[12]
+        g = self._vecs[1].take(self._radius, axis=-1)
         trans = w[3:12].reshape(3, 3, -1)
         # v_perp and E~_perp add to y; xi^ x B~ collects in row
-        row[...] = 0.0
+        row = np.zeros_like(lon)
         for i, dest in ((0, y[VEL]), (1, y[ELEC]), (2, row)):
             for j in range(3):
-                dest += np.multiply(g[j, i], trans[j], out=tmp)
+                dest += g[j, i] * trans[j]
         # xi^ x (xi^ x B~) = -B~_perp
-        y[MAG] -= _cross(hat, _real(row), out=_real(lon), tmp=_real(tmp[0])).view(complex)
+        y[MAG] -= _cross(hat, row, np.empty_like(row))
         return y.reshape(self.shape)
 
 
@@ -496,16 +470,17 @@ def step_rk4(
     a = stage(fl.weigh(_A, k0))
     ka = fl.split(rhs(a))
     del a
-    b = stage(fl.weigh(_BA, ka, fl.weigh(_B0, k0)))
-    c = fl.weigh(_CA, ka, fl.weigh(_C0, k0))
-    acc = fl.weigh(_YA, ka, fl.weigh(_Y0, k0))
+    b = stage(fl.weigh(_B0, k0) + fl.weigh(_BA, ka))
+    c = fl.weigh(_C0, k0) + fl.weigh(_CA, ka)
+    acc = fl.weigh(_Y0, k0) + fl.weigh(_YA, ka)
     del k0, ka
     kb = fl.split(rhs(b))
     del b
-    c = stage(fl.weigh(_CB, kb, c))
-    acc = fl.weigh(_YB, kb, acc)
+    c += fl.weigh(_CB, kb)
+    c = stage(c)
+    acc += fl.weigh(_YB, kb)
     del kb
-    acc = fl.weigh(_YC, fl.split(rhs(c)), acc)
+    acc += fl.weigh(_YC, fl.split(rhs(c)))
     return stage(acc)
 
 

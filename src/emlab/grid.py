@@ -22,7 +22,9 @@ scipy.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,15 +40,23 @@ def _fft():
     return fft
 
 
-def fft_workers(threads: int) -> contextlib.AbstractContextManager:
+# the worker count of the grid transforms; fft_workers sets it for a run
+_WORKERS: contextvars.ContextVar[int] = contextvars.ContextVar("fft_workers", default=1)
+
+
+@contextlib.contextmanager
+def fft_workers(threads: int) -> Iterator[None]:
     """Context in which grid transforms run on `threads` workers.
 
-    One worker is the FFT library's default, so at threads = 1 this is a
-    no-op and loads nothing.
+    One worker is the FFT library's default.  The count is passed to each
+    transform, so setting it loads nothing: a process that transforms
+    nothing still never imports scipy.
     """
-    if threads > 1:
-        return _fft().set_workers(threads)
-    return contextlib.nullcontext()
+    token = _WORKERS.set(threads)
+    try:
+        yield
+    finally:
+        _WORKERS.reset(token)
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,11 +219,13 @@ class GridSpec(_SpectralLayout):
 
     def transform(self, f: np.ndarray) -> np.ndarray:
         """Real field(s) -> spectral coefficients over the last three axes."""
-        return _fft().rfftn(f, norm="forward", axes=(-3, -2, -1))
+        return _fft().rfftn(f, norm="forward", axes=(-3, -2, -1), workers=_WORKERS.get())
 
     def inverse(self, fh: np.ndarray) -> np.ndarray:
         """Spectral coefficients -> real field(s) over the last three axes."""
-        return _fft().irfftn(fh, s=self.shape, norm="forward", axes=(-3, -2, -1))
+        return _fft().irfftn(
+            fh, s=self.shape, norm="forward", axes=(-3, -2, -1), workers=_WORKERS.get()
+        )
 
     def derivative_square_sum(self, fh: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise sum_{|alpha| <= m} (d^alpha f)^2 per field, and f^2.
@@ -232,22 +244,22 @@ class GridSpec(_SpectralLayout):
         d1 = (1j * kfull)[:, None, None]
         d2 = (1j * kfull)[:, None]
         d3 = 1j * khalf
-        fft = _fft()
+        fft, workers = _fft(), _WORKERS.get()
         total = np.zeros(fh.shape[:-3] + self.shape)
         zero = None
         g1 = np.array(fh, dtype=complex)  # multiplied in place below
         for a1 in range(m + 1):
             if a1:
                 g1 *= d1
-            g2 = fft.ifft(g1, axis=-3, norm="forward")
+            g2 = fft.ifft(g1, axis=-3, norm="forward", workers=workers)
             for a2 in range(m - a1 + 1):
                 if a2:
                     g2 *= d2
-                g3 = fft.ifft(g2, axis=-2, norm="forward")
+                g3 = fft.ifft(g2, axis=-2, norm="forward", workers=workers)
                 for a3 in range(m - a1 - a2 + 1):
                     if a3:
                         g3 *= d3
-                    f = fft.irfft(g3, n=self.n, axis=-1, norm="forward")
+                    f = fft.irfft(g3, n=self.n, axis=-1, norm="forward", workers=workers)
                     f *= f
                     total += f
                     if zero is None:

@@ -213,10 +213,7 @@ class GaussianFamily:
       "transverse":       P_perp(xi) dir_b g  -- bounded, nonvanishing at
                           xi = 0, the profile behind the (1+t)^{-3/4} rate;
       "solenoidal-curl":  i xi x dir_b g      -- vanishes linearly at
-                          xi = 0, decays one order faster;
-      "unprojected":      dir_b g             -- violates the solenoidal
-                          constraint; accepted as a descriptor but refused
-                          by initial_modes.
+                          xi = 0, decays one order faster.
 
     The default width 2.0 keeps the data low-frequency: fast transverse
     (light-wave) modes are damped only like e^{-t/(2|xi|^2)}, and their
@@ -234,18 +231,18 @@ class GaussianFamily:
     def __post_init__(self) -> None:
         if self.width <= 0.0:
             raise ValueError("width must be positive")
-        if self.b_profile not in ("transverse", "solenoidal-curl", "unprojected"):
+        if self.b_profile not in ("transverse", "solenoidal-curl"):
             raise ValueError(
                 f"unknown b_profile {self.b_profile!r}; "
-                "expected 'transverse', 'solenoidal-curl', or 'unprojected'"
+                "expected 'transverse' or 'solenoidal-curl'"
             )
 
 
 def initial_modes(family: GaussianFamily, xi: np.ndarray) -> np.ndarray:
     """Evaluate the family at frequencies (K, 3) -> amplitudes (K, 10).
 
-    Refuses analytically incompatible descriptors: the magnetic profile
-    must satisfy i xi . B^ = 0 identically.
+    Checks both Gauss constraints, i xi . B^ = 0 and i xi . E^ + rho^ = 0,
+    on the result and raises ValueError where they fail.
     """
     xi = np.asarray(xi, dtype=float).reshape(-1, 3)
     r2 = (xi**2).sum(axis=1)
@@ -265,10 +262,8 @@ def initial_modes(family: GaussianFamily, xi: np.ndarray) -> np.ndarray:
     y[:, E] = transverse(family.dir_e) + 1j * family.rho_amp * (r * g)[:, None] * hat
     if family.b_profile == "transverse":
         y[:, B] = transverse(family.dir_b)
-    elif family.b_profile == "solenoidal-curl":
-        y[:, B] = 1j * np.cross(xi, np.asarray(family.dir_b)[None, :]) * g[:, None]
     else:
-        y[:, B] = np.asarray(family.dir_b)[None, :] * g[:, None]
+        y[:, B] = 1j * np.cross(xi, np.asarray(family.dir_b)[None, :]) * g[:, None]
     scale = max(float(np.abs(y).max()), 1e-300)
     gauss_b = np.abs(np.einsum("ki,ki->k", 1j * xi, y[:, B])).max()
     gauss_e = np.abs(

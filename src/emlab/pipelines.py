@@ -261,8 +261,9 @@ def evolve_band(
     one that would need more than MAX_CHUNK_STEPS steps in a chunk raises
     StepCollapseError before any of them is taken; both carry tau.
     """
-    if t_end <= 0.0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
+    for name, value in (("t_end", t_end), ("cadence", cadence)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     n_chunks = int(round(t_end / cadence))
     if abs(n_chunks * cadence - t_end) > 1e-9 * t_end or n_chunks < 1:
         raise ValueError(f"cadence {cadence} does not divide t_end {t_end}")

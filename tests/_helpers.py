@@ -474,11 +474,9 @@ def initial_norms_analytic(family: GaussianFamily) -> dict[str, float]:
     if family.b_profile == "transverse":
         out["b"] = (2.0 / 3.0) * float(vb @ vb) * m(0)
         out["grad_b"] = (2.0 / 3.0) * float(vb @ vb) * m(2)
-    elif family.b_profile == "solenoidal-curl":
+    else:
         out["b"] = (2.0 / 3.0) * float(vb @ vb) * m(2)
         out["grad_b"] = (2.0 / 3.0) * float(vb @ vb) * m(4)
-    else:
-        raise ValueError("no closed-form norms for an incompatible descriptor")
     return {k: float(np.sqrt(v)) for k, v in out.items()}
 
 

@@ -805,7 +805,7 @@ class TestLeanImports:
 
     def test_lindecay_runs_without_scipy(self, tmp_path):
         assert scipy_modules_loaded(
-            "lindecay", "--radial-nodes", "8",
+            "lindecay", "--radial-nodes", "8", "--threads", "2",
             "--out-dir", str(tmp_path / "ld"),
         ) == set()
         assert (tmp_path / "ld" / "decay_fits.json").exists()
@@ -815,7 +815,8 @@ class TestLeanImports:
         rows = [(0.1 * k,) + (np.exp(-0.1 * k),) * 4 + (0.0,) * 9 for k in range(20)]
         emit_series(series, SERIES_COLUMNS, rows)
         assert scipy_modules_loaded(
-            "lyapunov", "--series", str(series), "--out-dir", str(tmp_path / "ly"),
+            "lyapunov", "--series", str(series), "--threads", "2",
+            "--out-dir", str(tmp_path / "ly"),
         ) == set()
         assert (tmp_path / "ly" / "lyapunov.json").exists()
 

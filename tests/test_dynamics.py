@@ -77,6 +77,21 @@ class TestPointwiseMaps:
             rhs = dyn.phi_of_sigma(s, gamma) + s + 1.0
             assert np.abs(lhs - rhs).max() < 1e-14
 
+    def test_cross_matches_numpy(self):
+        rng = np.random.default_rng(3)
+        # real x real into rows of a larger stack, as rhs_symmetric's products
+        v, curl = rng.standard_normal((2, 3, 4, 4, 4))
+        prods = np.zeros((8, 4, 4, 4))
+        # real xi^ x complex rows, as FlatFlows' transverse rows
+        hat = rng.standard_normal((3, 50))
+        rows = rng.standard_normal((3, 50)) + 1j * rng.standard_normal((3, 50))
+        out = np.empty((3, 50), dtype=complex)
+        for a, b, dest in ((v, curl, prods[2:5]), (hat, rows, out)):
+            assert dyn._cross(a, b, dest) is dest
+            ref = np.cross(a, b, axis=0)
+            assert np.abs(dest - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert not prods[[0, 1, 5, 6, 7]].any()
+
     def test_round_trip(self):
         grid = GridSpec(n=8, box=5.0)
         state = np.zeros((10,) + grid.shape)
@@ -270,8 +285,15 @@ class TestTimeStepping:
 
     def test_integrate_cadence_must_divide_horizon(self):
         grid = GridSpec(n=8, box=5.0)
-        with pytest.raises(ValueError, match="cadence"):
-            list(evolve_band(grid, GAMMA, flat_state(grid), 1.0, 0.3, lambda y: 0.1, {}))
+        for cadence in (0.3, 0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="cadence"):
+                list(evolve_band(grid, GAMMA, flat_state(grid), 1.0, cadence, lambda y: 0.1, {}))
+
+    def test_integrate_horizon_must_be_positive_and_finite(self):
+        grid = GridSpec(n=8, box=5.0)
+        for t_end in (0.0, -0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="t_end must be positive"):
+                list(evolve_band(grid, GAMMA, flat_state(grid), t_end, 0.5, lambda y: 0.1, {}))
 
     def test_integrate_rejects_non_finite_state(self):
         grid = GridSpec(n=8, box=5.0)

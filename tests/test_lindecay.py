@@ -363,12 +363,10 @@ class TestFamily:
             GaussianFamily(b_profile="curlfree")
 
     def test_incompatible_descriptor_refused(self):
-        fam = GaussianFamily(b_profile="unprojected")
-        xi = np.array([[0.5, 0.2, -0.1]])
-        with pytest.raises(ValueError, match="Gauss"):
-            initial_modes(fam, xi)
-        with pytest.raises(ValueError, match="closed-form"):
-            initial_norms_analytic(fam)
+        # a B^ profile with i xi . B^ != 0 is no longer a choice: the family
+        # refuses it before initial_modes or initial_norms_analytic can see it
+        with pytest.raises(ValueError, match="b_profile"):
+            GaussianFamily(b_profile="unprojected")
 
     def test_built_modes_satisfy_constraints(self):
         rng = np.random.default_rng(7)
