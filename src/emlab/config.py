@@ -103,6 +103,8 @@ class ExperimentConfig:
         )
         req(self.box_l > 0.0, "box_l", "must be positive", self.box_l)
         req(self.tol > 0.0, "tol", "must be positive", self.tol)
+        if self.command == "lyapunov":
+            req(bool(self.series), "series", "is required by lyapunov: a series.csv path", "")
         req(self.init in INIT_MODES, "init", f"must be one of {INIT_MODES}", self.init)
         if self.init == "custom":
             req(bool(self.init_snapshot), "init_snapshot", "is required when init = custom", "")

@@ -67,6 +67,7 @@ __all__ = [
     "flat_wave_period",
     "n_of_sigma",
     "phi_of_sigma",
+    "require_admissible",
     "rhs_symmetric",
     "sigma_of_n",
     "step_rk4",
@@ -94,6 +95,17 @@ def w_of_sigma(sigma: np.ndarray | float, gamma: float) -> np.ndarray:
 
 def n_of_sigma(sigma: np.ndarray | float, gamma: float) -> np.ndarray:
     return w_of_sigma(sigma, gamma) ** (2.0 / (gamma - 1.0))
+
+
+def require_admissible(sigma: np.ndarray, gamma: float, what: str) -> None:
+    """Raise ValueError unless w(sigma) > 0 everywhere, where the powers of
+    w in n(sigma) and Phi(sigma) are real; the message starts with what."""
+    w_min = float(w_of_sigma(sigma, gamma).min())
+    if not w_min > 0.0:
+        raise ValueError(
+            f"{what} outside the admissible range: "
+            f"w(sigma) = (gamma-1)/2 sigma + 1 must be positive, min is {w_min:.6g}"
+        )
 
 
 def sigma_of_n(n: np.ndarray | float, gamma: float) -> np.ndarray:
@@ -180,10 +192,15 @@ def rhs_symmetric(
     prods[1] = 0.5 * (v * v).sum(axis=0) + (w_of_sigma(sigma, gamma) ** 2 - 1.0) / (gamma - 1.0)
     _cross(v, curl_v_b, prods[2:5])                       # v x (curl v - B~)
     prods[5:8] = n_of_sigma(sigma, gamma) * v             # current n(sigma) v
+    # n'(sigma), for the current correction below; the physical stack is
+    # then dead, and freed before the forward transform
+    n_prime = w_of_sigma(sigma, gamma) ** ((3.0 - gamma) / (gamma - 1.0))
+    del phys, sigma, v, grad_sigma, div_v, curl_v_b
 
     # The complete tendency is projected onto the two-thirds band (a
     # Galerkin truncation), so it is assembled on that sub-lattice alone.
     ph = band.take(grid.transform(prods))
+    del prods
     out = np.empty_like(sb)
     out[SCALAR] = -ph[0] - fields_band[7]
     out[VEL] = -band.grad(ph[1]) + ph[2:5] - (sb[ELEC] + sb[VEL]) / sg
@@ -198,7 +215,6 @@ def rhs_symmetric(
     # semi-discrete motion on every representable mode.  (The mean mode
     # has no current to adjust, so total charge keeps whatever truncation
     # drift the density products produce.)
-    n_prime = w_of_sigma(sigma, gamma) ** ((3.0 - gamma) / (gamma - 1.0))
     s_hat = band.take(grid.transform(n_prime * grid.inverse(band.embed(out[SCALAR]))))
     # the correction's divergence is minus the defect div E~ + s/sqrt(g)
     out[ELEC] += band.longitudinal(s_hat / -sg - band.div(out[ELEC]))
@@ -599,9 +615,14 @@ def compatible_perturbation(
     full nonlinear Gauss law holds for the total state (stationary plus
     perturbation).  A constant shift of sigma enforces the solvability
     condition that the induced charge integrates to zero on the box.
+    An amp that puts sigma_st + sigma outside the admissible range,
+    w(sigma) <= 0 somewhere, raises ValueError before any power of w.
     """
     sigma, pert = _noise_state(grid, amp, seed)
     pert[SCALAR] = amp * sigma
+    require_admissible(
+        sigma_st + pert[SCALAR], gamma, f"noise of amp = {amp:g} puts sigma_st + sigma"
+    )
 
     # shift sigma so the induced charge has zero mean (Newton on a scalar)
     c_shift = 0.0

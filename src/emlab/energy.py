@@ -84,14 +84,24 @@ def energy_report(
     e_hat = pert_hat[ELEC]
     eb_hat = pert_hat[4:10]
 
-    # the n_st-weighted sigma and v blocks, pointwise; every other term is a Parseval sum
+    # the n_st-weighted sigma and v blocks, pointwise; every other term is a
+    # Parseval sum.  The derivative sums are taken one field at a time, so
+    # only one field's passes are live; v's components are added in the
+    # order a sum over the component axis adds them.
     n_st = n_of_sigma(sigma_st, gamma)
-    total, zero = grid.derivative_square_sum(pert_hat[0:4], n)
-    v_full = grid.integral(n_st * total[1:].sum(axis=0))
-    v_zero = grid.integral(n_st * zero[1:].sum(axis=0))
-    sv_full = grid.integral(n_st * total[0]) + v_full
-    sv_zero = grid.integral(n_st * zero[0]) + v_zero
-    del total, zero  # two real field stacks: held on, they would raise the peak RSS
+    v_sq, v0_sq = grid.derivative_square_sum(pert_hat[1], n)
+    for c in (2, 3):
+        total, zero = grid.derivative_square_sum(pert_hat[c], n)
+        v_sq += total
+        v0_sq += zero
+        del total, zero
+    v_full = grid.integral(n_st * v_sq)
+    v_zero = grid.integral(n_st * v0_sq)
+    del v_sq, v0_sq
+    total, zero = grid.derivative_square_sum(pert_hat[SCALAR], n)
+    sv_full = grid.integral(n_st * total) + v_full
+    sv_zero = grid.integral(n_st * zero) + v_zero
+    del total, zero, n_st
 
     sob = grid.sobolev_multiplier
     ksq = grid.k_sq
@@ -105,15 +115,18 @@ def energy_report(
     e_zero = grid.spectral_l2_sq(e_hat)
     grad_e_zero = grid.spectral_l2_sq(e_hat, ksq)
 
-    grad_sigma_hat = grid.grad(pert_hat[SCALAR])
-    curl_e_hat = grid.curl(e_hat)
-    int1 = grid.spectral_inner(pert_hat[VEL], grad_sigma_hat, sob(n - 1))
+    # each pair with its |alpha| = 0 contribution, to subtract for the
+    # high-order variants; one derived vector field is live at a time
     int2 = grid.spectral_inner(pert_hat[VEL], e_hat, sob(n - 1))
-    int3 = -grid.spectral_inner(curl_e_hat, pert_hat[MAG], sob(n - 2))
-    # the |alpha| = 0 contributions, to subtract for the high-order variants
-    int1_zero = grid.spectral_inner(pert_hat[VEL], grad_sigma_hat)
     int2_zero = grid.spectral_inner(pert_hat[VEL], e_hat)
+    grad_sigma_hat = grid.grad(pert_hat[SCALAR])
+    int1 = grid.spectral_inner(pert_hat[VEL], grad_sigma_hat, sob(n - 1))
+    int1_zero = grid.spectral_inner(pert_hat[VEL], grad_sigma_hat)
+    del grad_sigma_hat
+    curl_e_hat = grid.curl(e_hat)
+    int3 = -grid.spectral_inner(curl_e_hat, pert_hat[MAG], sob(n - 2))
     int3_zero = -grid.spectral_inner(curl_e_hat, pert_hat[MAG])
+    del curl_e_hat
 
     k1, k2, k3 = weights.kappa1, weights.kappa2, weights.kappa3
     cross_full = k1 * int1 + k2 * int2 + k3 * int3

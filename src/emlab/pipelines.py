@@ -35,8 +35,8 @@ from .dynamics import (
     cfl_dt,
     compatible_perturbation,
     constraint_residuals,
+    require_admissible,
     rhs_symmetric,
-    w_of_sigma,
 )
 from .energy import energy_report, lyapunov_certify
 from .grid import GridSpec, fft_workers
@@ -221,12 +221,7 @@ def _custom_init(cfg: ExperimentConfig, grid: GridSpec, n_b: np.ndarray) -> np.n
     bad = [f for f in SYMMETRIC_FIELDS if not np.isfinite(fields[f]).all()]
     if bad:
         raise ValueError(f"snapshot {cfg.init_snapshot} holds non-finite values in {bad}")
-    w_min = float(w_of_sigma(fields["sigma"], cfg.gamma).min())
-    if w_min <= 0.0:
-        raise ValueError(
-            f"snapshot {cfg.init_snapshot} holds sigma outside the admissible range: "
-            f"w(sigma) = (gamma-1)/2 sigma + 1 must be positive, min is {w_min:.6g}"
-        )
+    require_admissible(fields["sigma"], cfg.gamma, f"snapshot {cfg.init_snapshot} holds sigma")
     state_hat = grid.transform(np.stack([fields[f] for f in SYMMETRIC_FIELDS]))
     res = constraint_residuals(grid, cfg.gamma, state_hat, n_b=n_b)
     for key in ("gauss_e_l2_band", "gauss_b_l2_band"):
@@ -277,6 +272,7 @@ def evolve_band(
         return rhs_symmetric(grid, gamma, y_band, tail)
 
     y_band = tail.take(y0_hat)
+    del y0_hat  # the tail holds its copy; the caller's stack may go
     y_hat = tail.full(y_band)
     yield 0.0, y_hat
     for chunk in range(1, n_chunks + 1):
@@ -307,13 +303,16 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     base = np.zeros((10,) + grid.shape)
     base[SCALAR], base[ELEC] = state.sigma_st, state.e_st / root_g
     base_hat = grid.transform(base)
-    del base  # a full real stack: kept alive, it would raise the run's peak RSS
+    # the energies weigh by sigma_st alone: the rest of the state, and the
+    # full real stack, would only raise the run's peak RSS
+    sigma_st = state.sigma_st
+    del base, state
 
     if cfg.init == "stationary-exact":
         y0_hat = base_hat.copy()
     elif cfg.init == "stationary+noise":
         y0_hat = base_hat + grid.transform(compatible_perturbation(
-            grid, cfg.gamma, state.sigma_st, cfg.amp, seed=cfg.seed
+            grid, cfg.gamma, sigma_st, cfg.amp, seed=cfg.seed
         ))
     else:
         y0_hat = _custom_init(cfg, grid, n_b)
@@ -326,17 +325,18 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     max_v_norm = 0.0
     max_gauss = 0.0
     max_gauss_full = 0.0
-    y_final = y0_hat
+    y_final = None
     # the flow's counters go straight into the notes, so a failed run keeps them
     notes = manifest.notes
     trajectory = evolve_band(
         grid, cfg.gamma, y0_hat, cfg.t_end * root_g, cfg.cadence * root_g,
         lambda y_hat: cfl_dt(grid, cfg.gamma, y_hat, cfg.cfl), notes,
     )
+    del y0_hat  # the flow keeps its own copy
     try:
         for tau, y_hat in trajectory:
             pert_hat = y_hat - base_hat
-            rep = energy_report(grid, pert_hat, state.sigma_st, cfg.gamma, weights)
+            rep = energy_report(grid, pert_hat, sigma_st, cfg.gamma, weights)
             res = constraint_residuals(grid, cfg.gamma, y_hat, n_b=n_b)
             norm_v = norm(pert_hat[VEL])
             rows.append((
@@ -348,6 +348,7 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
                 norm(pert_hat[SCALAR]), norm_v,
                 norm(pert_hat[ELEC]), norm(pert_hat[MAG]),
             ))
+            del pert_hat  # dead before the flow resumes for the next chunk
             max_v_norm = max(max_v_norm, norm_v)
             max_gauss = max(max_gauss, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
             max_gauss_full = max(max_gauss_full, res["gauss_e_l2"], res["gauss_b_l2"])
@@ -381,8 +382,6 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
 
 
 def _run_lyapunov(cfg: ExperimentConfig, manifest: RunManifest) -> None:
-    if not cfg.series:
-        raise ValueError("lyapunov requires series = <path to a series.csv>")
     try:
         # an empty file only draws a warning from the parser, then an IndexError
         with warnings.catch_warnings():

@@ -404,9 +404,9 @@ class TestLyapunovPipeline:
             assert report[pair]["violations"] == []
 
     def test_missing_series_key_rejected(self, tmp_path):
-        cfg = small_cfg(tmp_path, "ly", command="lyapunov")
-        with pytest.raises(ValueError, match="requires series"):
-            run_experiment(cfg)
+        # an invalid config, refused before a run could start
+        with pytest.raises(ValueError, match="invalid config: key series is required by lyapunov"):
+            small_cfg(tmp_path, "ly", command="lyapunov")
 
     def test_growing_energy_fails_certification(self, tmp_path):
         series = tmp_path / "bad.csv"
@@ -700,12 +700,23 @@ FAILURES = {
             tmp, custom_snapshot(tmp, big_sheared_b), "--eps", "0"), ["state non-finite"]),
         1, True,
     ),
+    # the noise builder refuses w(sigma_st + sigma) <= 0 before any power of it
+    "inadmissible-noise": (
+        lambda tmp, mp: (["evolve", "--grid-n", "16", "--box-l", "10", "--amp", "4",
+                          "--t-end", "1", "--out-dir", str(tmp / "ev")],
+                         ["admissible", "amp = 4"]),
+        1, True,
+    ),
     "picard-divergence": (picard_expanding, 1, True),
     "malformed-series": (malformed_series, 1, True),
     "non-finite-series": (non_finite_series, 1, True),
     "series-missing-columns": (series_missing_columns, 1, True),
     "empty-series": (empty_series, 1, True),
     "header-only-series": (header_only_series, 1, True),
+    "missing-series": (
+        lambda tmp, mp: (["lyapunov", "--out-dir", str(tmp / "ly")], ["series", "lyapunov"]),
+        2, False,
+    ),
     "impossible-config": (
         lambda tmp, mp: (["evolve", "--t-end", "1", "--cadence", "0.3",
                           "--out-dir", str(tmp / "ev")], ["cadence"]),

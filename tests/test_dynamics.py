@@ -1,4 +1,6 @@
 """Nonlinear evolution: symmetrization, tendencies, sources, time stepping."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,6 +349,21 @@ class TestTimeStepping:
         assert times == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert counters["steps"] == 4 * 11
         assert counters["rhs_calls"] == 4 * counters["steps"]
+
+    def test_flow_drops_the_initial_stack(self):
+        # the tail keeps its own copy; a frame still holding the caller's
+        # stack would carry a dead full-layout array through every step
+        grid = GridSpec(n=8, box=5.0)
+        y0 = grid.transform(
+            dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-3, seed=7)
+        )
+        expected = y0.copy()
+        alive = weakref.ref(y0)
+        steps = evolve_band(grid, GAMMA, y0, 0.5, 0.25, lambda y: 0.1, {})
+        del y0
+        tau, y = next(steps)
+        assert tau == 0.0 and np.array_equal(y, expected)
+        assert alive() is None
 
     def test_step_is_exact_on_uniform_damping(self):
         # a longitudinal B~ is constant under L, so y' = L y - y is y' = -y

@@ -5,6 +5,7 @@ hand); a second layer checks the production code against an independent
 reference implementation built on numpy.fft with explicit loops.
 """
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -375,6 +376,31 @@ class TestIndependentReference:
         sigma_st = sigma_of_n(state.n_st, GAMMA)
         weight = 1.0 + sigma_st + phi_of_sigma(sigma_st, GAMMA)
         assert np.max(np.abs(weight - state.n_st)) < 1e-13
+
+
+class TestWorkingSet:
+    def test_one_field_of_derivative_passes_is_live(self):
+        # The traced peak of one call, bounded by array sizes: one field's
+        # derivative passes (g1, g2, g3 and the g3 replacing it, complex;
+        # the f being replaced, total and zero, real), the two v
+        # accumulators and n_st, plus 64 KiB for the wavenumber rows and
+        # interpreter objects.  Taking sigma and v as one stack needs about
+        # three times as much.
+        grid = GridSpec(n=32, box=40.0)
+        w = EnergyWeights(order=5)
+        sigma_st = 0.05 * np.exp(-grid.radius**2 / 4.0)
+        pert_hat = grid.transform(compatible_perturbation(grid, GAMMA, sigma_st, 1e-3, seed=3))
+        energy_report(grid, pert_hat, sigma_st, GAMMA, w)  # fills the grid's cached multipliers
+        tracemalloc.start()
+        try:
+            energy_report(grid, pert_hat, sigma_st, GAMMA, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        real = 8 * grid.n**3
+        spectral = 16 * grid.n * grid.n * (grid.n // 2 + 1)
+        passes = 4 * spectral + 3 * real
+        assert peak <= passes + 2 * real + real + 2**16
 
 
 class TestEquivalence:
