@@ -257,7 +257,7 @@ def parse_config(
     """
     values: dict[str, object] = {}
     if path is not None:
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -283,12 +283,14 @@ def parse_config(
 
 
 def canonical_text(cfg: ExperimentConfig) -> str:
-    """Deterministic full serialization; hashing it identifies the run."""
+    """Deterministic full serialization, which parse_config reads back to an
+    equal config (numbers by repr, strings bare); hashing it identifies the run."""
     lines = []
     for section, keys in KEY_SECTIONS.items():
         lines.append(f"[{section}]")
         for key in keys:
-            lines.append(f"{key} = {getattr(cfg, key)!r}")
+            value = getattr(cfg, key)
+            lines.append(f"{key} = {value if isinstance(value, str) else repr(value)}".rstrip())
         lines.append("")
     return "\n".join(lines)
 

@@ -11,8 +11,8 @@ B~ = B/sqrt(g), and w(sigma) = (g-1)/2 sigma + 1:
     dtau B~    = -curl E~ / sqrt(g)
     div E~ = (n_b - n(sigma))/sqrt(g),  div B~ = 0
 
-where Phi(sigma) = w(sigma)^{2/(g-1)} - sigma - 1 so that the density is
-n(sigma) = Phi(sigma) + sigma + 1.
+with the density n(sigma) = w^{2/(g-1)} = Phi(sigma) + sigma + 1.  Every map of
+the gamma-law lives in one block below; see require_admissible there.
 
 Discretization notes.  The symmetrized system evolves spectrally on the
 rfft coefficients of [scalar, vector, vector, vector], a complex stack of
@@ -59,11 +59,13 @@ __all__ = [
     "BandTail",
     "FlatFlows",
     "GaussReset",
+    "InadmissibleStateError",
     "NonFiniteStateError",
     "StepCollapseError",
     "cfl_dt",
     "compatible_perturbation",
     "constraint_residuals",
+    "density_from_potential",
     "flat_wave_period",
     "n_of_sigma",
     "phi_of_sigma",
@@ -79,37 +81,58 @@ ELEC = slice(4, 7)
 MAG = slice(7, 10)
 
 
-def phi_of_sigma(sigma: np.ndarray | float, gamma: float) -> np.ndarray:
-    """Phi(sigma) = ((g-1)/2 sigma + 1)^{2/(g-1)} - sigma - 1.
+# ---- the pressure law: each power is of a base require_admissible passed ---
 
-    Vanishes identically for gamma = 3 and equals sigma^2/4 for gamma = 2.
-    """
-    s = np.asarray(sigma, dtype=float)
-    w = 0.5 * (gamma - 1.0) * s + 1.0
-    return w ** (2.0 / (gamma - 1.0)) - s - 1.0
+_STATE = "the state puts w(sigma) = (gamma-1)/2 sigma + 1"
+
+
+def require_admissible(base: np.ndarray, what: str) -> np.ndarray:
+    """base, checked positive, where its powers are real, or else
+    InadmissibleStateError naming what and the minimum.  A NaN base passes:
+    a NaN state is the non-finite check's to name, and nan ** p warns of
+    nothing."""
+    base_min = float(np.min(base))
+    if base_min <= 0.0:
+        raise InadmissibleStateError(what, base_min)
+    return base
 
 
 def w_of_sigma(sigma: np.ndarray | float, gamma: float) -> np.ndarray:
+    """w(sigma) = (g-1)/2 sigma + 1, unchecked: the base of the powers in sigma."""
     return 0.5 * (gamma - 1.0) * np.asarray(sigma, dtype=float) + 1.0
 
 
+def _n_of_w(w: np.ndarray, gamma: float) -> np.ndarray:
+    return w ** (2.0 / (gamma - 1.0))  # n(sigma)
+
+
+def _n_prime_of_w(w: np.ndarray, gamma: float) -> np.ndarray:
+    return w ** ((3.0 - gamma) / (gamma - 1.0))  # n'(sigma)
+
+
+def _potential_of_w(w: np.ndarray, gamma: float) -> np.ndarray:
+    return (w ** 2 - 1.0) / (gamma - 1.0)  # W(sigma), with grad W = w grad sigma
+
+
 def n_of_sigma(sigma: np.ndarray | float, gamma: float) -> np.ndarray:
-    return w_of_sigma(sigma, gamma) ** (2.0 / (gamma - 1.0))
+    return _n_of_w(require_admissible(w_of_sigma(sigma, gamma), _STATE), gamma)
 
 
-def require_admissible(sigma: np.ndarray, gamma: float, what: str) -> None:
-    """Raise ValueError unless w(sigma) > 0 everywhere, where the powers of
-    w in n(sigma) and Phi(sigma) are real; the message starts with what."""
-    w_min = float(w_of_sigma(sigma, gamma).min())
-    if not w_min > 0.0:
-        raise ValueError(
-            f"{what} outside the admissible range: "
-            f"w(sigma) = (gamma-1)/2 sigma + 1 must be positive, min is {w_min:.6g}"
-        )
+def phi_of_sigma(sigma: np.ndarray | float, gamma: float) -> np.ndarray:
+    """Phi(sigma) = n(sigma) - sigma - 1: zero for gamma = 3, sigma^2/4 for gamma = 2."""
+    s = np.asarray(sigma, dtype=float)
+    return n_of_sigma(s, gamma) - s - 1.0
 
 
 def sigma_of_n(n: np.ndarray | float, gamma: float) -> np.ndarray:
     return 2.0 / (gamma - 1.0) * (np.asarray(n, dtype=float) ** (0.5 * (gamma - 1.0)) - 1.0)
+
+
+def density_from_potential(q: np.ndarray | float, gamma: float) -> np.ndarray:
+    """n(Q) = ((g-1) Q / g + 1)^{1/(g-1)}, the inverse of the enthalpy Q = h(n)."""
+    base = (gamma - 1.0) / gamma * np.asarray(q) + 1.0
+    what = "the potential puts (gamma-1) Q / gamma + 1"
+    return require_admissible(base, what) ** (1.0 / (gamma - 1.0))
 
 
 def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -189,13 +212,18 @@ def rhs_symmetric(
     prods = np.empty((8,) + grid.shape)
     # v . grad sigma + (w(sigma) - 1) div v; the linear div v stays spectral
     prods[0] = (v * grad_sigma).sum(axis=0) + 0.5 * (gamma - 1.0) * sigma * div_v
-    prods[1] = 0.5 * (v * v).sum(axis=0) + (w_of_sigma(sigma, gamma) ** 2 - 1.0) / (gamma - 1.0)
+    w = w_of_sigma(sigma, gamma)
+    prods[1] = 0.5 * (v * v).sum(axis=0) + _potential_of_w(w, gamma)  # W squares w: any sign does
+    # every power of the law below is of this one w, checked, unless the
+    # potentials overflowed: then the state is NaN in all but name, and the
+    # non-finite check names it at the next cadence point
+    w = require_admissible(w, _STATE) if np.isfinite(prods[1]).all() else w * np.nan
     _cross(v, curl_v_b, prods[2:5])                       # v x (curl v - B~)
-    prods[5:8] = n_of_sigma(sigma, gamma) * v             # current n(sigma) v
+    prods[5:8] = _n_of_w(w, gamma) * v                    # current n(sigma) v
     # n'(sigma), for the current correction below; the physical stack is
     # then dead, and freed before the forward transform
-    n_prime = w_of_sigma(sigma, gamma) ** ((3.0 - gamma) / (gamma - 1.0))
-    del phys, sigma, v, grad_sigma, div_v, curl_v_b
+    n_prime = _n_prime_of_w(w, gamma)
+    del phys, sigma, v, grad_sigma, div_v, curl_v_b, w
 
     # The complete tendency is projected onto the two-thirds band (a
     # Galerkin truncation), so it is assembled on that sub-lattice alone.
@@ -546,6 +574,16 @@ class NonFiniteStateError(ValueError):
         self.bound = bound
 
 
+class InadmissibleStateError(ValueError):
+    """A base of the pressure law's powers is not positive: what names it and
+    base_min is its minimum; t is the last cadence time reached."""
+
+    def __init__(self, what: str, base_min: float, t: float = 0.0) -> None:
+        super().__init__(f"{what} outside the admissible range (> 0) at t={t:.12g}: "
+                         f"its min is {base_min:.6g}")
+        self.what, self.base_min, self.t = what, base_min, t
+
+
 # A cadence chunk that needs more steps than this has a collapsed step size
 # (a runaway CFL bound): no run of this laboratory gets near it.
 MAX_CHUNK_STEPS = 1_000_000
@@ -616,13 +654,13 @@ def compatible_perturbation(
     perturbation).  A constant shift of sigma enforces the solvability
     condition that the induced charge integrates to zero on the box.
     An amp that puts sigma_st + sigma outside the admissible range,
-    w(sigma) <= 0 somewhere, raises ValueError before any power of w.
+    w(sigma) <= 0 somewhere, raises InadmissibleStateError before any power
+    of w.
     """
     sigma, pert = _noise_state(grid, amp, seed)
     pert[SCALAR] = amp * sigma
-    require_admissible(
-        sigma_st + pert[SCALAR], gamma, f"noise of amp = {amp:g} puts sigma_st + sigma"
-    )
+    what = f"noise of amp = {amp:g} puts w(sigma_st + sigma)"
+    require_admissible(w_of_sigma(sigma_st + pert[SCALAR], gamma), what)
 
     # shift sigma so the induced charge has zero mean (Newton on a scalar)
     c_shift = 0.0
@@ -630,9 +668,8 @@ def compatible_perturbation(
         s_tot = sigma_st + pert[SCALAR] - c_shift
         charge = phi_of_sigma(s_tot, gamma) - phi_of_sigma(sigma_st, gamma) + pert[SCALAR] - c_shift
         mu = grid.integral(charge)
-        dmu = -grid.integral(
-            w_of_sigma(s_tot, gamma) ** ((3.0 - gamma) / (gamma - 1.0))
-        )
+        w_tot = require_admissible(w_of_sigma(s_tot, gamma), _STATE)
+        dmu = -grid.integral(_n_prime_of_w(w_tot, gamma))
         step = mu / dmu
         c_shift -= step
         if abs(step) < 1e-15 * max(1.0, abs(c_shift)):

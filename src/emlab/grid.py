@@ -248,6 +248,7 @@ class GridSpec(_SpectralLayout):
         total = np.zeros(fh.shape[:-3] + self.shape)
         zero = None
         g1 = np.array(fh, dtype=complex)  # multiplied in place below
+        # each pass's result is released before the next pass allocates its own
         for a1 in range(m + 1):
             if a1:
                 g1 *= d1
@@ -264,6 +265,9 @@ class GridSpec(_SpectralLayout):
                     total += f
                     if zero is None:
                         zero = f
+                    del f
+                del g3
+            del g2
         return total, zero
 
     # ---- differential operators (spectral in, spectral out) -------------

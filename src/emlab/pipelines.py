@@ -30,6 +30,7 @@ from .dynamics import (
     BandTail,
     FlatFlows,
     GaussReset,
+    InadmissibleStateError,
     NonFiniteStateError,
     StepCollapseError,
     cfl_dt,
@@ -37,6 +38,7 @@ from .dynamics import (
     constraint_residuals,
     require_admissible,
     rhs_symmetric,
+    w_of_sigma,
 )
 from .energy import energy_report, lyapunov_certify
 from .grid import GridSpec, fft_workers
@@ -221,7 +223,8 @@ def _custom_init(cfg: ExperimentConfig, grid: GridSpec, n_b: np.ndarray) -> np.n
     bad = [f for f in SYMMETRIC_FIELDS if not np.isfinite(fields[f]).all()]
     if bad:
         raise ValueError(f"snapshot {cfg.init_snapshot} holds non-finite values in {bad}")
-    require_admissible(fields["sigma"], cfg.gamma, f"snapshot {cfg.init_snapshot} holds sigma")
+    what = f"snapshot {cfg.init_snapshot} puts w(sigma)"
+    require_admissible(w_of_sigma(fields["sigma"], cfg.gamma), what)
     state_hat = grid.transform(np.stack([fields[f] for f in SYMMETRIC_FIELDS]))
     res = constraint_residuals(grid, cfg.gamma, state_hat, n_b=n_b)
     for key in ("gauss_e_l2_band", "gauss_b_l2_band"):
@@ -252,9 +255,10 @@ def evolve_band(
     its start nor than one flat-wave period; a GaussReset follows each
     step.  counters holds "steps", "rhs_calls" and "max_gauss_reset" (the
     largest in-band Gauss drift the reset removed) as the run goes.  A
-    step cap that is NaN or not positive raises NonFiniteStateError, and
-    one that would need more than MAX_CHUNK_STEPS steps in a chunk raises
-    StepCollapseError before any of them is taken; both carry tau.
+    step cap that is NaN or not positive raises NonFiniteStateError, one
+    that would need more than MAX_CHUNK_STEPS steps in a chunk raises
+    StepCollapseError before any of them is taken, and a state that leaves
+    w(sigma) > 0 raises InadmissibleStateError; all three carry tau.
     """
     for name, value in (("t_end", t_end), ("cadence", cadence)):
         if not 0.0 < value < np.inf:
@@ -284,9 +288,12 @@ def evolve_band(
             raise StepCollapseError((chunk - 1) * cadence, cap)
         steps = max(1, int(np.ceil(cadence / cap - 1e-12)))
         h = cadence / steps
-        for _ in range(steps):
-            # through the module, so that a patched step_rk4 is the one taken
-            y_band = gauss_reset(dynamics.step_rk4(y_band, rhs, h, flows))
+        try:
+            for _ in range(steps):
+                # through the module, so that a patched step_rk4 is the one taken
+                y_band = gauss_reset(dynamics.step_rk4(y_band, rhs, h, flows))
+        except InadmissibleStateError as err:
+            raise InadmissibleStateError(err.what, err.base_min, (chunk - 1) * cadence) from None
         counters["steps"] += steps
         counters["max_gauss_reset"] = gauss_reset.max_drift
         y_hat = tail.full(y_band)
@@ -353,11 +360,13 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
             max_gauss = max(max_gauss, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
             max_gauss_full = max(max_gauss_full, res["gauss_e_l2"], res["gauss_b_l2"])
             y_final = y_hat
-    except (NonFiniteStateError, StepCollapseError) as err:
+    except (NonFiniteStateError, StepCollapseError, InadmissibleStateError) as err:
         # the samples up to the failure explain the run from its out-dir
         emit_series(series_path, SERIES_COLUMNS, rows)
         if isinstance(err, NonFiniteStateError):
             raise NonFiniteStateError(err.t / root_g, err.bound / root_g) from None
+        if isinstance(err, InadmissibleStateError):
+            raise InadmissibleStateError(err.what, err.base_min, err.t / root_g) from None
         raise StepCollapseError(err.t / root_g, err.h / root_g) from None
 
     final_path = os.path.join(cfg.out_dir, "state_final.emxf")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import sigma_of_n
+from .dynamics import density_from_potential, sigma_of_n
 from .grid import GridSpec
 
 __all__ = [
@@ -44,24 +44,12 @@ class DivergenceError(RuntimeError):
 def g_nonlinearity(x: np.ndarray | float, gamma: float) -> np.ndarray:
     """Superlinear remainder of the density map n(Q).
 
-    g(x) = ((gamma-1) x / gamma + 1)^{1/(gamma-1)} - x/gamma - 1.
+    g(x) = n(x) - x/gamma - 1, with n(Q) = ((gamma-1) Q / gamma + 1)^{1/(gamma-1)}.
     Identically zero for gamma = 2 (quadratic pressure), and g(0) = 0,
     g'(0) = 0 for every gamma > 1.
     """
-    if not gamma > 1.0:
-        raise ValueError(f"adiabatic exponent must exceed 1, got {gamma}")
     x = np.asarray(x, dtype=float)
-    base = (gamma - 1.0) / gamma * x + 1.0
-    if np.any(base <= 0.0):
-        raise DivergenceError(
-            "potential left the admissible range: (gamma-1) Q / gamma + 1 must stay positive"
-        )
-    return base ** (1.0 / (gamma - 1.0)) - x / gamma - 1.0
-
-
-def density_from_potential(q: np.ndarray, gamma: float) -> np.ndarray:
-    """n(Q) = ((gamma-1) Q / gamma + 1)^{1/(gamma-1)}, inverse of the enthalpy."""
-    return ((gamma - 1.0) / gamma * np.asarray(q) + 1.0) ** (1.0 / (gamma - 1.0))
+    return density_from_potential(x, gamma) - x / gamma - 1.0
 
 
 def yukawa_multiplier(grid: GridSpec, gamma: float) -> np.ndarray:
@@ -137,7 +125,8 @@ def picard_iterate(
 
     Convergence is measured in the H^2 norm of successive differences.
     Raises ValueError when ||n_b - 1||_{H^2} exceeds the smallness gate,
-    and DivergenceError when two consecutive difference ratios reach 1.
+    DivergenceError when two consecutive difference ratios reach 1, and
+    InadmissibleStateError when an iterate leaves the range of n(Q).
     """
     if not gamma > 1.0:
         raise ValueError(f"adiabatic exponent must exceed 1, got {gamma}")

@@ -15,6 +15,7 @@ from emlab.cli import build_parser, main
 from emlab.config import (
     KEY_SECTIONS, ExperimentConfig, canonical_text, config_hash, parse_config,
 )
+from emlab.dynamics import InadmissibleStateError
 from emlab.grid import GridSpec
 from emlab.pipelines import (
     SERIES_COLUMNS,
@@ -26,6 +27,13 @@ from emlab.pipelines import (
 from emlab.snapshot import read_snapshot, write_snapshot
 
 SMALL = {"grid_n": "16", "box_l": "10", "tol": "1e-11"}
+# a valid config with every string key away from its default; its "%" is read as is
+EVERY_STRING_KEY = {
+    "command": "lyapunov", "out_dir": "runs/b%1", "series": "runs/a/series.csv",
+    "out": "runs/b/out.csv", "report": "runs/b/report.json", "profile": "double-bump",
+    "init": "custom", "init_snapshot": "runs/a/state_final.emxf", "fit_window": "40:400",
+    "rho_fit_window": "4:40", "t_grid": "2:200:30",
+}
 
 
 def _no_constant(token):
@@ -189,8 +197,30 @@ class TestConfigValidation:
         # canonical_text is keyed by field order and section; a reordered or
         # re-homed key would change every run's identity
         assert config_hash(parse_config()) == (
-            "274d3e23fa7dcc3d5b0e20700d16b1455fc16a9ee8c09db22ded1841d375b5f6"
+            "721970f1c7a152295751f489cf23f0c6f0a550551dd4c606a381de82186d2fd1"
         )
+
+    @pytest.mark.parametrize("overrides", [
+        {"command": "stationary"},
+        {"command": "evolve"},
+        {"command": "lyapunov", "series": "ev/series.csv"},
+        {"command": "lindecay"},
+        EVERY_STRING_KEY,
+    ], ids=["stationary", "evolve", "lyapunov", "lindecay", "every-string-key"])
+    def test_canonical_text_parses_back_to_the_config(self, overrides, tmp_path):
+        # config.resolved.ini is canonical_text: a run reruns from its out-dir
+        cfg = parse_config(overrides=overrides)
+        path = tmp_path / "config.resolved.ini"
+        path.write_text(canonical_text(cfg))
+        assert parse_config(path) == cfg
+
+    def test_every_string_key_is_set_away_from_its_default(self):
+        strings = {f.name for f in fields(ExperimentConfig) if f.type == "str"}
+        cfg = parse_config(overrides=EVERY_STRING_KEY)
+        assert strings == set(EVERY_STRING_KEY)
+        for f in fields(ExperimentConfig):
+            if f.name in strings:
+                assert getattr(cfg, f.name) != f.default, f.name
 
     def test_explicit_time_grid_list(self):
         times = ",".join(str(5.0 * k) for k in range(1, 13))
@@ -528,6 +558,22 @@ class TestCli:
         assert header == list(SERIES_COLUMNS)
         assert first[0] == 0.0 and np.isfinite(first).all()
 
+    @pytest.mark.parametrize("amp", [2.5, 2.9])
+    def test_flow_leaving_the_admissible_range_takes_no_power(self, amp, tmp_path):
+        # the initial state is admissible, and the flow leaves the range in its
+        # first chunk; a power of a negative w would raise FloatingPointError here
+        cfg = small_cfg(tmp_path, "ev", command="evolve", amp=amp, t_end=1)
+        with np.errstate(invalid="raise"), pytest.raises(InadmissibleStateError) as info:
+            run_experiment(cfg)
+        assert info.value.t == 0.0 and info.value.base_min < 0.0
+        assert "admissible" in str(info.value) and "t=0:" in str(info.value)
+        manifest = strict_json(tmp_path / "ev" / "manifest.json")
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == f"InadmissibleStateError: {info.value}"
+        # the t = 0 sample, taken before the flow left the range, is written
+        series = np.genfromtxt(tmp_path / "ev" / "series.csv", delimiter=",", names=True)
+        assert np.atleast_1d(series["t"]).tolist() == [0.0]
+
     def test_non_finite_series_exits_one_naming_row_and_column(self, tmp_path, capsys):
         series = tmp_path / "nan.csv"
         rows = [(0.1 * k,) + (1.0 - 0.01 * k, 1.0) * 2 + (0.0,) * 9 for k in range(6)]
@@ -698,6 +744,14 @@ FAILURES = {
     "non-finite-state": (
         lambda tmp, mp: (evolve_custom_argv(
             tmp, custom_snapshot(tmp, big_sheared_b), "--eps", "0"), ["state non-finite"]),
+        1, True,
+    ),
+    # the state is admissible at t = 0, and the flow's RHS refuses it in the
+    # first chunk, before any power of w is taken of it
+    "inadmissible-flow": (
+        lambda tmp, mp: (["evolve", "--grid-n", "16", "--box-l", "10", "--amp", "2.5",
+                          "--t-end", "1", "--out-dir", str(tmp / "ev")],
+                         ["admissible", "t=0"]),
         1, True,
     ),
     # the noise builder refuses w(sigma_st + sigma) <= 0 before any power of it

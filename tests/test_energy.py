@@ -381,11 +381,11 @@ class TestIndependentReference:
 class TestWorkingSet:
     def test_one_field_of_derivative_passes_is_live(self):
         # The traced peak of one call, bounded by array sizes: one field's
-        # derivative passes (g1, g2, g3 and the g3 replacing it, complex;
-        # the f being replaced, total and zero, real), the two v
-        # accumulators and n_st, plus 64 KiB for the wavenumber rows and
-        # interpreter objects.  Taking sigma and v as one stack needs about
-        # three times as much.
+        # derivative passes (g1, g2 and g3, complex; f, total and zero,
+        # real; each pass's old result is released before its next one),
+        # the two v accumulators and n_st, plus 64 KiB for the wavenumber
+        # rows and interpreter objects.  Taking sigma and v as one stack
+        # needs about three times as much.
         grid = GridSpec(n=32, box=40.0)
         w = EnergyWeights(order=5)
         sigma_st = 0.05 * np.exp(-grid.radius**2 / 4.0)
@@ -399,7 +399,7 @@ class TestWorkingSet:
             tracemalloc.stop()
         real = 8 * grid.n**3
         spectral = 16 * grid.n * grid.n * (grid.n // 2 + 1)
-        passes = 4 * spectral + 3 * real
+        passes = 3 * spectral + 3 * real
         assert peak <= passes + 2 * real + real + 2**16
 
 

@@ -369,8 +369,12 @@ class TestFamily:
             GaussianFamily(b_profile="unprojected")
 
     def test_built_modes_satisfy_constraints(self):
+        # random frequencies, and the nodes decay_trajectory evaluates: the
+        # radii of the module's and the config's default radial rules, times
+        # the 8 directions of the angular rule
         rng = np.random.default_rng(7)
-        xi = rng.standard_normal((200, 3)) * 3
+        nodes = [QuadratureScheme(radial_nodes=k).nodes()[1] for k in (16, 32)]
+        xi = np.concatenate([rng.standard_normal((200, 3)) * 3, *nodes])
         for profile in ("transverse", "solenoidal-curl"):
             y = initial_modes(GaussianFamily(b_profile=profile), xi)
             gauss_e = np.einsum("ki,ki->k", 1j * xi, y[:, 4:7]) + y[:, 0]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import emlab.stationary as stationary
+from emlab.dynamics import InadmissibleStateError
 from emlab.grid import GridSpec
 from emlab.stationary import (
     DivergenceError,
@@ -42,7 +43,7 @@ class TestNonlinearity:
             assert abs(slope) < 1e-7
 
     def test_inadmissible_argument_raises(self):
-        with pytest.raises(DivergenceError, match="admissible"):
+        with pytest.raises(InadmissibleStateError, match="admissible"):
             g_nonlinearity(-2.0, gamma=3.0)
 
 
