@@ -91,6 +91,11 @@ class ExperimentConfig:
         req = _require
         req(self.command in COMMANDS, "command", f"must be one of {COMMANDS}", self.command)
         req(bool(self.out_dir), "out_dir", "must be a non-empty path", self.out_dir)
+        for key in (f.name for f in fields(self) if f.type == "str"):
+            text = getattr(self, key)  # refused where config.resolved.ini's reader would cut it
+            req(text == text.strip() and "\n" not in text and "\r" not in text and not any(
+                word[0] in "#;" for word in text.split()), key, "must not start or end with "
+                "whitespace, hold a line break or a word that begins with # or ;", text)
         req(self.seed >= 0, "seed", "must be >= 0", self.seed)
         req(self.threads >= 1, "threads", "must be >= 1", self.threads)
         req(self.gamma > 1.0, "gamma", "must satisfy gamma > 1 (pressure law)", self.gamma)

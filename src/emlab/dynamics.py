@@ -210,15 +210,17 @@ def rhs_symmetric(
 
     # pointwise products, then one batched forward transform
     prods = np.empty((8,) + grid.shape)
-    # v . grad sigma + (w(sigma) - 1) div v; the linear div v stays spectral
-    prods[0] = (v * grad_sigma).sum(axis=0) + 0.5 * (gamma - 1.0) * sigma * div_v
-    w = w_of_sigma(sigma, gamma)
-    prods[1] = 0.5 * (v * v).sum(axis=0) + _potential_of_w(w, gamma)  # W squares w: any sign does
-    # every power of the law below is of this one w, checked, unless the
-    # potentials overflowed: then the state is NaN in all but name, and the
-    # non-finite check names it at the next cadence point
-    w = require_admissible(w, _STATE) if np.isfinite(prods[1]).all() else w * np.nan
-    _cross(v, curl_v_b, prods[2:5])                       # v x (curl v - B~)
+    # a state whose products overflow is NaN in all but name: they are taken quietly,
+    # and its tendency is NaN, for the non-finite check at the next cadence point
+    with np.errstate(over="ignore", invalid="ignore"):
+        # v . grad sigma + (w(sigma) - 1) div v; the linear div v stays spectral
+        prods[0] = (v * grad_sigma).sum(axis=0) + 0.5 * (gamma - 1.0) * sigma * div_v
+        w = w_of_sigma(sigma, gamma)  # W squares it: any sign does
+        prods[1] = 0.5 * (v * v).sum(axis=0) + _potential_of_w(w, gamma)
+        _cross(v, curl_v_b, prods[2:5])                   # v x (curl v - B~)
+    if not np.isfinite(prods[:5]).all():
+        return np.full_like(sb, np.nan)
+    w = require_admissible(w, _STATE)  # every power of the law below is of this one w
     prods[5:8] = _n_of_w(w, gamma) * v                    # current n(sigma) v
     # n'(sigma), for the current correction below; the physical stack is
     # then dead, and freed before the forward transform

@@ -15,9 +15,9 @@ The two-thirds dealias band is a dense sub-lattice (GridSpec.two_thirds,
 a SpectralBand) with the same operators and L^2 norm, for work whose result
 is projected onto the band anyway; embed(take(fh)) is the projection itself.
 
-The transforms are scipy's, imported by _fft on the first one a process
-makes: a process that transforms nothing (lindecay, lyapunov) never loads
-scipy.
+The transforms are numpy's one-axis pocketfft passes, taken in the order and
+scaled at the point where scipy's rfftn/irfftn(norm="forward") did it, so
+they give those transforms' bits; no subcommand loads scipy.
 """
 from __future__ import annotations
 
@@ -32,31 +32,34 @@ import numpy as np
 __all__ = ["GridSpec", "SpectralBand", "fft_workers", "multi_indices"]
 
 
-@functools.cache
-def _fft():
-    """The scipy.fft module, imported on first use (about 0.3 s of start-up)."""
-    from scipy import fft
-
-    return fft
-
-
-# the worker count of the grid transforms; fft_workers sets it for a run
-_WORKERS: contextvars.ContextVar[int] = contextvars.ContextVar("fft_workers", default=1)
+_POOL = contextvars.ContextVar("fft_pool", default=None)  # the pool fft_workers sets
 
 
 @contextlib.contextmanager
 def fft_workers(threads: int) -> Iterator[None]:
-    """Context in which grid transforms run on `threads` workers.
+    """Context in which each pass of a batched grid transform is split over its
+    fields on `threads` worker threads; pocketfft releases the GIL and a field's
+    bits do not depend on its batch.  One thread makes plain calls, no pool."""
+    with contextlib.ExitStack() as stack:
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-    One worker is the FFT library's default.  The count is passed to each
-    transform, so setting it loads nothing: a process that transforms
-    nothing still never imports scipy.
-    """
-    token = _WORKERS.set(threads)
-    try:
+            pool = stack.enter_context(ThreadPoolExecutor(threads))
+            stack.callback(_POOL.reset, _POOL.set(pool))
         yield
-    finally:
-        _WORKERS.reset(token)
+
+
+def _pass(fn, a: np.ndarray, out: np.ndarray | None = None, **kw) -> np.ndarray:
+    """fn(a, out=out, **kw): one numpy FFT pass along one of the last three axes,
+    each field of a batch (the leading axis) a task of the fft_workers pool."""
+    pool = _POOL.get()
+    if pool is None or a.ndim < 4:
+        return fn(a, out=out, **kw)
+    if out is None:  # shaped and typed as the pass shapes an empty batch
+        empty = fn(a[:0], **kw)
+        out = np.empty(a.shape[:1] + empty.shape[1:], empty.dtype)
+    list(pool.map(lambda x, o: fn(x, out=o, **kw), a, out))  # reads each result: errors raise
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,13 +222,17 @@ class GridSpec(_SpectralLayout):
 
     def transform(self, f: np.ndarray) -> np.ndarray:
         """Real field(s) -> spectral coefficients over the last three axes."""
-        return _fft().rfftn(f, norm="forward", axes=(-3, -2, -1), workers=_WORKERS.get())
+        g = _pass(np.fft.rfft, f, axis=-1)
+        g_re = g.view(np.float64)  # scipy's one norm="forward" factor, after the real pass
+        g_re *= 1.0 / self.n**3
+        _pass(np.fft.fft, g, g, axis=-3)
+        return _pass(np.fft.fft, g, g, axis=-2)
 
     def inverse(self, fh: np.ndarray) -> np.ndarray:
         """Spectral coefficients -> real field(s) over the last three axes."""
-        return _fft().irfftn(
-            fh, s=self.shape, norm="forward", axes=(-3, -2, -1), workers=_WORKERS.get()
-        )
+        g = _pass(np.fft.ifft, fh, axis=-3, norm="forward")
+        _pass(np.fft.ifft, g, g, axis=-2, norm="forward")
+        return _pass(np.fft.irfft, g, n=self.n, axis=-1, norm="forward")
 
     def derivative_square_sum(self, fh: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise sum_{|alpha| <= m} (d^alpha f)^2 per field, and f^2.
@@ -244,7 +251,6 @@ class GridSpec(_SpectralLayout):
         d1 = (1j * kfull)[:, None, None]
         d2 = (1j * kfull)[:, None]
         d3 = 1j * khalf
-        fft, workers = _fft(), _WORKERS.get()
         total = np.zeros(fh.shape[:-3] + self.shape)
         zero = None
         g1 = np.array(fh, dtype=complex)  # multiplied in place below
@@ -252,15 +258,15 @@ class GridSpec(_SpectralLayout):
         for a1 in range(m + 1):
             if a1:
                 g1 *= d1
-            g2 = fft.ifft(g1, axis=-3, norm="forward", workers=workers)
+            g2 = _pass(np.fft.ifft, g1, axis=-3, norm="forward")
             for a2 in range(m - a1 + 1):
                 if a2:
                     g2 *= d2
-                g3 = fft.ifft(g2, axis=-2, norm="forward", workers=workers)
+                g3 = _pass(np.fft.ifft, g2, axis=-2, norm="forward")
                 for a3 in range(m - a1 - a2 + 1):
                     if a3:
                         g3 *= d3
-                    f = fft.irfft(g3, n=self.n, axis=-1, norm="forward", workers=workers)
+                    f = _pass(np.fft.irfft, g3, n=self.n, axis=-1, norm="forward")
                     f *= f
                     total += f
                     if zero is None:

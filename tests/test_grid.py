@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
 
-from emlab.grid import GridSpec, SpectralBand, multi_indices
+from emlab.grid import GridSpec, SpectralBand, fft_workers, multi_indices
 
 from _helpers import band_mask, dealias, random_field
 
@@ -159,6 +160,60 @@ class TestDerivativeSquareSum:
         g = GridSpec(n=8)
         with pytest.raises(ValueError, match="order"):
             g.derivative_square_sum(np.zeros(g.spectral_shape, complex), -1)
+
+
+def scipy_derivative_square_sum(g, fh, m):
+    """derivative_square_sum's sum factorization on scipy's one-axis passes."""
+    kfull, khalf = g._k1d
+    total, zero = np.zeros(fh.shape[:-3] + g.shape), None
+    g1 = np.array(fh, dtype=complex)
+    for a1 in range(m + 1):
+        if a1:
+            g1 *= (1j * kfull)[:, None, None]
+        g2 = scipy_fft.ifft(g1, axis=-3, norm="forward")
+        for a2 in range(m - a1 + 1):
+            if a2:
+                g2 *= (1j * kfull)[:, None]
+            g3 = scipy_fft.ifft(g2, axis=-2, norm="forward")
+            for a3 in range(m - a1 - a2 + 1):
+                if a3:
+                    g3 *= 1j * khalf
+                f = scipy_fft.irfft(g3, n=g.n, axis=-1, norm="forward") ** 2
+                total += f
+                zero = f if zero is None else zero
+    return total, zero
+
+
+class TestScipyBits:
+    """The transforms give the bits of scipy.fft's, which they replaced."""
+
+    # every even size to 48, and 94 = 2 x 47, whose prime factor pocketfft
+    # takes by Bluestein's algorithm
+    @pytest.mark.parametrize("n", list(range(8, 50, 2)) + [94])
+    def test_transforms_and_derivative_sums_equal_scipy(self, n):
+        g = GridSpec(n=n, box=7.0)
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal((2,) + g.shape)
+        fh = g.transform(f)
+        axes = (-3, -2, -1)
+        assert np.array_equal(fh, scipy_fft.rfftn(f, axes=axes, norm="forward"))
+        assert np.array_equal(g.transform(f[1]), fh[1])
+        ref = scipy_fft.irfftn(fh, s=g.shape, axes=axes, norm="forward")
+        assert np.array_equal(g.inverse(fh), ref)
+        got = g.derivative_square_sum(fh[0], 5)
+        for a, b in zip(got, scipy_derivative_square_sum(g, fh[0], 5)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [16, 18, 22, 32, 48])
+    def test_worker_threads_give_the_serial_bits(self, n):
+        g = GridSpec(n=n, box=7.0)
+        f = np.random.default_rng(n).standard_normal((5,) + g.shape)
+        fh = g.transform(f)
+        serial = (fh, g.inverse(fh), *g.derivative_square_sum(fh[:3], 2))
+        with fft_workers(3):
+            threaded = (g.transform(f), g.inverse(fh), *g.derivative_square_sum(fh[:3], 2))
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
 
 
 class TestDealias:
