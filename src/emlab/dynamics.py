@@ -21,9 +21,10 @@ constraint_residuals and energy.energy_report take that stack.  The
 complete right-hand side is projected onto the two-thirds dealias band (a
 Galerkin truncation), so the modes beyond the band never move: the
 integrator carries only the band coefficients, (10, 2b+1, 2b+1, b+1) with
-b = n // 3, and a BandTail keeps the fixed off-band tail of the initial
-state, adds its share to the inverse transform of every RHS call and
-rebuilds the full stack where one is needed.  Pointwise cancellations ---
+b = n // 3.  A BandTail holds what the flow fixes at its start: the
+off-band tail of the initial state, which it adds to the inverse
+transform of every RHS call and under which full() rebuilds the whole
+stack, and the in-band Gauss defect.  Pointwise cancellations ---
 in particular the stationary balance grad h(n_st) = -E_st, whose
 out-of-band tail the state carries --- are projected as a unit, so exact
 equilibria stay exact.  The acoustic gradient terms are written in
@@ -39,7 +40,7 @@ so cfl_dt bounds the step by the speed of the remainder alone: advection
 and the departure of the sound speed w(sigma) from 1.  The remainder
 still oscillates with the waves it rides on, so one period of the
 fastest flat wave on the band (flat_wave_period) bounds the step for
-accuracy whatever the state and the sampling cadence.  A GaussReset
+accuracy whatever the state and the sampling cadence.  BandTail.settle
 after each step holds the in-band Gauss defect at its initial value.
 These are the parts; the loop that joins them over cadence chunks, the
 one emlab evolve runs, is pipelines.evolve_band.
@@ -58,7 +59,6 @@ __all__ = [
     "MAX_CHUNK_STEPS",
     "BandTail",
     "FlatFlows",
-    "GaussReset",
     "InadmissibleStateError",
     "NonFiniteStateError",
     "StepCollapseError",
@@ -144,22 +144,36 @@ def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class BandTail:
-    """The off-band part of a spectral state, fixed along the flow.
+    """What a band flow fixes at its start: its grid and gamma, the off-band
+    part of its state and its in-band Gauss defect.
 
     rhs_symmetric's tendency vanishes outside the two-thirds band, so an
-    integration carries only the band coefficients, take(state_hat), and
+    integration carries only the band coefficients, take(state_hat), over
     this tail of the state it started from; full() rebuilds the whole rfft
     stack.  The tail's share of the RHS's batched inverse input (see
     _inverse_fields) is computed here, once per run.
+
+    The RHS transports the Gauss defect div E~ + (n(sigma) - n_b)/sqrt(g)
+    exactly on every band mode but the mean, but a long step drifts it by
+    the integrator's error.  settle(), after each step, moves the band's
+    longitudinal E~ so that the defect on k != 0 is its value at t = 0
+    again, for one transform of sigma each way.  The defect is
+    constraint_residuals', from the same _gauss_charge, with n_b = 0: the
+    background is constant along the flow, so its part cancels from the
+    drift.  max_drift is the largest drift removed, in the band L^2 norm.
     """
 
-    def __init__(self, grid: GridSpec, state_hat: np.ndarray) -> None:
-        self.band = grid.two_thirds
+    def __init__(self, grid: GridSpec, gamma: float, state_hat: np.ndarray) -> None:
+        self.grid, self.gamma, self.band = grid, gamma, grid.two_thirds
+        # full() overwrites every in-band entry, so the in-band sigma is
+        # _defect's scratch
         self._state = state_hat.copy()
         # the RHS's inverse input: every call scatters the band's fields into
         # it, and the transform leaves its input as it is, so the off-band
         # entries keep the tail's fields
         self.fields = _inverse_fields(grid, state_hat)
+        self._defect0 = self._defect(self.band.take(state_hat))
+        self.max_drift = 0.0
 
     def take(self, state_hat: np.ndarray) -> np.ndarray:
         """The band coefficients an integration carries, in C order."""
@@ -170,6 +184,21 @@ class BandTail:
         out = self._state.copy()
         out[(Ellipsis,) + self.band.index] = state_band
         return out
+
+    def _defect(self, y_band: np.ndarray) -> np.ndarray:
+        """div E~ + n(sigma)/sqrt(g) on the band (the defect up to n_b's part)."""
+        sigma = self._state[SCALAR]
+        sigma[self.band.index] = y_band[SCALAR]
+        charge = self.band.take(_gauss_charge(self.grid, self.gamma, sigma, 0.0))
+        return self.band.div(y_band[ELEC]) + charge
+
+    def settle(self, y_band: np.ndarray) -> np.ndarray:
+        """y_band, after a step, with its in-band Gauss defect reset, in place."""
+        drift = self._defect0 - self._defect(y_band)
+        drift[self.band.k_sq == 0.0] = 0.0  # no field carries the mean charge
+        y_band[ELEC] += self.band.longitudinal(drift)
+        self.max_drift = max(self.max_drift, math.sqrt(self.band.spectral_l2_sq(drift)))
+        return y_band
 
 
 def _inverse_fields(ops, sh: np.ndarray) -> np.ndarray:
@@ -187,17 +216,15 @@ def _inverse_fields(ops, sh: np.ndarray) -> np.ndarray:
     return out
 
 
-def rhs_symmetric(
-    grid: GridSpec, gamma: float, state_band: np.ndarray, tail: BandTail
-) -> np.ndarray:
+def rhs_symmetric(state_band: np.ndarray, tail: BandTail) -> np.ndarray:
     """Dealiased tendency of the symmetrized system on the tau clock.
 
     Takes the state's two-thirds band coefficients (tail.take of the full
     stack) and returns the tendency there; off the band it is zero, so the
-    tail stays as it is.
+    tail stays as it is.  The grid and gamma are the tail's.
     """
+    grid, gamma, band = tail.grid, tail.gamma, tail.band
     sg = np.sqrt(gamma)
-    band = tail.band
     sb = state_band
 
     # the tail's fields are fixed; the band's are scattered over them
@@ -269,7 +296,7 @@ def constraint_residuals(
     and div B~, are the primitive div E - (n_b - n) and div B divided by
     sqrt(g).  Keys gauss_{e,b}_l2 measure the whole spectrum; the same keys
     with suffix _band measure the defect's part on the dealiased band the
-    flow can represent, the part GaussReset holds.  The excluded tail
+    flow can represent, the part BandTail.settle holds.  The excluded tail
     measures spectral truncation of the pointwise nonlinearity, not failure
     of transport.  The norms come from the coefficients (Parseval), so a
     call transforms one field each way, for the charge.
@@ -528,43 +555,6 @@ def step_rk4(
     del kb
     acc += fl.weigh(_YC, fl.split(rhs(c)))
     return stage(acc)
-
-
-class GaussReset:
-    """Holds the in-band Gauss defect of an integration at its initial value.
-
-    rhs_symmetric transports the defect div E~ + (n(sigma) - n_b)/sqrt(g)
-    exactly on every band mode but the mean, but a long step drifts it by
-    the integrator's error.  Called after each step, this moves the band's
-    longitudinal E~ so that the defect on k != 0 is its value at t = 0
-    again, at the cost of one inverse and one forward transform of sigma.
-    The defect is constraint_residuals', from the same _gauss_charge, but
-    taken with n_b = 0: the background is constant along the flow, so its
-    part cancels from the drift.  max_drift is the largest drift removed,
-    in the band L^2 norm of constraint_residuals' _band keys.
-    """
-
-    def __init__(self, grid: GridSpec, gamma: float, state_hat: np.ndarray) -> None:
-        self._grid = grid
-        self._gamma = gamma
-        self._band = grid.two_thirds
-        # the full sigma: each call scatters the band into it; the tail is fixed
-        self._sigma = state_hat[SCALAR].copy()
-        self._defect0 = self._defect(self._band.take(state_hat))
-        self.max_drift = 0.0
-
-    def _defect(self, y_band: np.ndarray) -> np.ndarray:
-        """div E~ + n(sigma)/sqrt(g) on the band (the defect up to n_b's part)."""
-        self._sigma[self._band.index] = y_band[SCALAR]
-        charge = self._band.take(_gauss_charge(self._grid, self._gamma, self._sigma, 0.0))
-        return self._band.div(y_band[ELEC]) + charge
-
-    def __call__(self, y_band: np.ndarray) -> np.ndarray:
-        drift = self._defect0 - self._defect(y_band)
-        drift[self._band.k_sq == 0.0] = 0.0  # no field carries the mean charge
-        y_band[ELEC] += self._band.longitudinal(drift)
-        self.max_drift = max(self.max_drift, math.sqrt(self._band.spectral_l2_sq(drift)))
-        return y_band
 
 
 class NonFiniteStateError(ValueError):

@@ -29,7 +29,6 @@ from .dynamics import (
     VEL,
     BandTail,
     FlatFlows,
-    GaussReset,
     InadmissibleStateError,
     NonFiniteStateError,
     StepCollapseError,
@@ -249,10 +248,10 @@ def evolve_band(
 
     Yields (tau, rfft stack) at tau = 0 and at each multiple of cadence up
     to t_end, all on the tau clock.  The flow carries the two-thirds band
-    over the fixed tail of y0_hat (BandTail) and rebuilds the full stack
-    once per cadence boundary.  Each chunk takes equal step_rk4 steps over
+    over what a BandTail of y0_hat fixes, and rebuilds the full stack once
+    per cadence boundary.  Each chunk takes equal step_rk4 steps over
     FlatFlows, landing on its end, no longer than dt_cap of the stack at
-    its start nor than one flat-wave period; a GaussReset follows each
+    its start nor than one flat-wave period; the tail's settle follows each
     step.  counters holds "steps", "rhs_calls" and "max_gauss_reset" (the
     largest in-band Gauss drift the reset removed) as the run goes.  A
     step cap that is NaN or not positive raises NonFiniteStateError, one
@@ -266,14 +265,13 @@ def evolve_band(
     n_chunks = int(round(t_end / cadence))
     if abs(n_chunks * cadence - t_end) > 1e-9 * t_end or n_chunks < 1:
         raise ValueError(f"cadence {cadence} does not divide t_end {t_end}")
-    tail = BandTail(grid, y0_hat)
+    tail = BandTail(grid, gamma, y0_hat)
     flows = FlatFlows(grid, gamma)
-    gauss_reset = GaussReset(grid, gamma, y0_hat)
     counters.update(steps=0, rhs_calls=0, max_gauss_reset=0.0)
 
     def rhs(y_band: np.ndarray) -> np.ndarray:
         counters["rhs_calls"] += 1
-        return rhs_symmetric(grid, gamma, y_band, tail)
+        return rhs_symmetric(y_band, tail)
 
     y_band = tail.take(y0_hat)
     del y0_hat  # the tail holds its copy; the caller's stack may go
@@ -291,11 +289,11 @@ def evolve_band(
         try:
             for _ in range(steps):
                 # through the module, so that a patched step_rk4 is the one taken
-                y_band = gauss_reset(dynamics.step_rk4(y_band, rhs, h, flows))
+                y_band = tail.settle(dynamics.step_rk4(y_band, rhs, h, flows))
         except InadmissibleStateError as err:
             raise InadmissibleStateError(err.what, err.base_min, (chunk - 1) * cadence) from None
         counters["steps"] += steps
-        counters["max_gauss_reset"] = gauss_reset.max_drift
+        counters["max_gauss_reset"] = tail.max_drift
         y_hat = tail.full(y_band)
         yield chunk * cadence, y_hat
 

@@ -69,8 +69,8 @@ def from_symmetric(state: np.ndarray, gamma: float) -> np.ndarray:
 
 def tendency(grid: GridSpec, gamma: float, state_hat: np.ndarray) -> np.ndarray:
     """dynamics.rhs_symmetric of a full rfft stack, embedded in the full layout."""
-    tail = dyn.BandTail(grid, state_hat)
-    return tail.band.embed(dyn.rhs_symmetric(grid, gamma, tail.take(state_hat), tail))
+    tail = dyn.BandTail(grid, gamma, state_hat)
+    return tail.band.embed(dyn.rhs_symmetric(tail.take(state_hat), tail))
 
 
 def rk4_step(y: np.ndarray, rhs, h: float) -> np.ndarray:

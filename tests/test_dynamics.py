@@ -218,8 +218,8 @@ class TestTimeStepping:
         prim0 = from_symmetric(sym0, GAMMA)
         h = 1e-2
         y0 = grid.transform(sym0)
-        tail = dyn.BandTail(grid, y0)
-        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+        tail = dyn.BandTail(grid, GAMMA, y0)
+        rhs = lambda y: dyn.rhs_symmetric(y, tail)
         sym1 = grid.inverse(tail.full(
             dyn.step_rk4(tail.take(y0), rhs, h, dyn.FlatFlows(grid, GAMMA))
         ))
@@ -537,9 +537,9 @@ class TestExponentialSteps:
     def test_stationary_state_stays_put(self, equilibrium):
         grid, _, _, prim = equilibrium
         y0 = grid.transform(to_symmetric(prim, GAMMA))
-        tail = dyn.BandTail(grid, y0)
+        tail = dyn.BandTail(grid, GAMMA, y0)
         y_band = tail.take(y0)
-        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+        rhs = lambda y: dyn.rhs_symmetric(y, tail)
         # one step of a whole cadence chunk, as evolve takes it
         out = dyn.step_rk4(y_band, rhs, 0.5 * np.sqrt(GAMMA), dyn.FlatFlows(grid, GAMMA))
         assert np.abs(out - y_band).max() <= 1e-10 * np.abs(y_band).max()
@@ -549,9 +549,8 @@ class TestExponentialSteps:
         y0 = grid.transform(to_symmetric(prim, GAMMA) + dyn.compatible_perturbation(
             grid, GAMMA, state.sigma_st, amp=1e-2, seed=4
         ))
-        tail = dyn.BandTail(grid, y0)
-        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
-        reset = dyn.GaussReset(grid, GAMMA, y0)
+        tail = dyn.BandTail(grid, GAMMA, y0)
+        rhs = lambda y: dyn.rhs_symmetric(y, tail)
         y = dyn.step_rk4(tail.take(y0), rhs, 2.0, dyn.FlatFlows(grid, GAMMA))
 
         def defect(y_band):
@@ -563,9 +562,9 @@ class TestExponentialSteps:
 
         drift = np.abs(defect(y) - defect(tail.take(y0))).max()
         assert drift > 1e-10  # a long step drifts the defect
-        y = reset(y)
+        y = tail.settle(y)
         assert np.abs(defect(y) - defect(tail.take(y0))).max() <= 1e-6 * drift
-        assert reset.max_drift > 0.0
+        assert tail.max_drift > 0.0
 
     def test_one_step_per_chunk_beats_rk4_at_its_cfl_step(self, equilibrium):
         # against classical RK4 at an eighth of its CFL step, one exponential
@@ -590,8 +589,8 @@ class TestExponentialSteps:
             return np.array(rows)
 
         def rk4(fraction):
-            tail = dyn.BandTail(grid, y0)
-            rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+            tail = dyn.BandTail(grid, GAMMA, y0)
+            rhs = lambda y: dyn.rhs_symmetric(y, tail)
             cap = lambda y: fraction * classical_cfl(grid, GAMMA, tail.full(y), 0.4)
             steps = rk4_flow(tail.take(y0), rhs, tau_end, cap, cadence)
             return series((t, tail.full(y)) for t, y in steps)
@@ -644,12 +643,12 @@ class TestSpectralState:
         # state and every tendency made from it are in C order from the start
         grid = equilibrium[0]
         y = grid.transform(rough_state)
-        tail = dyn.BandTail(grid, y)
+        tail = dyn.BandTail(grid, GAMMA, y)
         y_band = tail.take(y)
         assert not tail.band.take(y).flags.c_contiguous
         assert y_band.flags.c_contiguous
         assert np.array_equal(y_band, tail.band.take(y))
-        assert dyn.rhs_symmetric(grid, GAMMA, y_band, tail).flags.c_contiguous
+        assert dyn.rhs_symmetric(y_band, tail).flags.c_contiguous
 
     def test_out_of_band_tail_carried_unchanged(self, equilibrium, rough_state):
         # evolve_band rebuilds the full stack from the band the steps carry
@@ -664,11 +663,24 @@ class TestSpectralState:
         assert np.array_equal(y_end[:, outside], y0[:, outside])
         assert not np.array_equal(y_end[:, ~outside], y0[:, ~outside])
 
+    def test_settle_leaves_the_full_stack_as_it_was(self, equilibrium, rough_state):
+        # settle scatters sigma into the tail's own in-band entries, which
+        # full() overwrites: settling another state leaves full(y) as it was
+        grid = equilibrium[0]
+        y0 = grid.transform(rough_state)
+        tail = dyn.BandTail(grid, GAMMA, y0)
+        y = tail.take(y0)
+        before = tail.full(y)
+        other = tail.take(y0)
+        other[0] *= 0.5
+        tail.settle(other)
+        assert tail.full(y).tobytes() == before.tobytes()
+
     def test_band_tendency_matches_full_layout_oracle(self, equilibrium, rough_state):
         grid = equilibrium[0]
         y = grid.transform(rough_state)
-        tail = dyn.BandTail(grid, y)
-        band = dyn.rhs_symmetric(grid, GAMMA, tail.take(y), tail)
+        tail = dyn.BandTail(grid, GAMMA, y)
+        band = dyn.rhs_symmetric(tail.take(y), tail)
         ref = tail.take(oracle_rhs_symmetric(grid, GAMMA, y))
         assert band.shape == (10, 11, 11, 6)
         assert np.abs(band - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -678,10 +690,10 @@ class TestSpectralState:
         y0 = grid.transform(rough_state)
         # classical steps on both sides, so the explicit RK4 bound
         h = 0.5 * classical_cfl(grid, GAMMA, y0, 0.4)
-        tail = dyn.BandTail(grid, y0)
+        tail = dyn.BandTail(grid, GAMMA, y0)
         y_band, y_ref = tail.take(y0), y0
         for _ in range(3):
-            y_band = rk4_step(y_band, lambda z: dyn.rhs_symmetric(grid, GAMMA, z, tail), h)
+            y_band = rk4_step(y_band, lambda z: dyn.rhs_symmetric(z, tail), h)
             y_ref = rk4_step(y_ref, lambda z: oracle_rhs_symmetric(grid, GAMMA, z), h)
         y_end = tail.full(y_band)
         assert np.abs(y_end - y_ref).max() <= 1e-13 * np.abs(y_ref).max()
@@ -707,10 +719,10 @@ class TestSpectralState:
         # the product batches plus the Gauss correction's one field each way
         grid = equilibrium[0]
         y = grid.transform(rough_state)
-        tail = dyn.BandTail(grid, y)
+        tail = dyn.BandTail(grid, GAMMA, y)
         y_band = tail.take(y)
         counts = self.count_transforms(monkeypatch)
-        dyn.rhs_symmetric(grid, GAMMA, y_band, tail)
+        dyn.rhs_symmetric(y_band, tail)
         assert counts == {"inverse": [11, 1], "transform": [8, 1]}
 
     def test_fields_transformed_per_residual_call(self, equilibrium, rough_state, monkeypatch):
@@ -734,19 +746,18 @@ class TestSpectralState:
         assert res["gauss_e_l2_band"] < res["gauss_e_l2"]
 
     def test_reset_holds_the_defect_the_band_keys_report(self, equilibrium, rough_state):
-        # GaussReset's band defect, with n_b's part added, is the defect whose
+        # the tail's band defect, with n_b's part added, is the defect whose
         # L^2 norm gauss_e_l2_band reports, before and after a long step
         grid, n_b = equilibrium[0], equilibrium[1]
         y0 = grid.transform(rough_state)
-        tail = dyn.BandTail(grid, y0)
+        tail = dyn.BandTail(grid, GAMMA, y0)
         band = tail.band
-        reset = dyn.GaussReset(grid, GAMMA, y0)
-        rhs = lambda y: dyn.rhs_symmetric(grid, GAMMA, y, tail)
+        rhs = lambda y: dyn.rhs_symmetric(y, tail)
         y_step = dyn.step_rk4(tail.take(y0), rhs, 2.0, dyn.FlatFlows(grid, GAMMA))
         n_b_part = band.take(grid.transform(n_b)) / np.sqrt(GAMMA)
         weight = grid.box**3 * band.take(grid.mult)
         for y_band in (tail.take(y0), y_step):
-            defect = reset._defect(y_band) - n_b_part
+            defect = tail._defect(y_band) - n_b_part
             norm = np.sqrt(np.sum(weight * np.abs(defect) ** 2))
             res = dyn.constraint_residuals(grid, GAMMA, tail.full(y_band), n_b)
             assert res["gauss_e_l2_band"] > 1e-6
