@@ -80,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         manifest = run_experiment(cfg)
-    except (ValueError, RuntimeError, OSError) as err:
+    except (ValueError, RuntimeError, OSError, MemoryError) as err:
         print(f"emlab: {cfg.command} run failed: {_one_line(err)}", file=sys.stderr)
         return 1
 

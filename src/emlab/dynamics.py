@@ -161,6 +161,11 @@ class BandTail:
     constraint_residuals', from the same _gauss_charge, with n_b = 0: the
     background is constant along the flow, so its part cancels from the
     drift.  max_drift is the largest drift removed, in the band L^2 norm.
+
+    The band holds its k_z = 0 plane at both xi and -xi, where a real field
+    has conjugates.  The RHS's products drop the plane's anti-Hermitian part,
+    and the step, taking that term explicitly, grows it; so settle() ends by
+    making the plane exactly Hermitian, (y(xi) + conj y(-xi))/2.
     """
 
     def __init__(self, grid: GridSpec, gamma: float, state_hat: np.ndarray) -> None:
@@ -174,6 +179,9 @@ class BandTail:
         self.fields = _inverse_fields(grid, state_hat)
         self._defect0 = self._defect(self.band.take(state_hat))
         self.max_drift = 0.0
+        # position p on a full band axis holds index -p at (-p) mod (2b + 1)
+        side = self.band.k_sq.shape[0]
+        self._mirror = -np.arange(side) % side
 
     def take(self, state_hat: np.ndarray) -> np.ndarray:
         """The band coefficients an integration carries, in C order."""
@@ -193,11 +201,14 @@ class BandTail:
         return self.band.div(y_band[ELEC]) + charge
 
     def settle(self, y_band: np.ndarray) -> np.ndarray:
-        """y_band, after a step, with its in-band Gauss defect reset, in place."""
+        """y_band, after a step, with its in-band Gauss defect reset and its
+        k_z = 0 plane Hermitian, in place."""
         drift = self._defect0 - self._defect(y_band)
         drift[self.band.k_sq == 0.0] = 0.0  # no field carries the mean charge
         y_band[ELEC] += self.band.longitudinal(drift)
         self.max_drift = max(self.max_drift, math.sqrt(self.band.spectral_l2_sq(drift)))
+        plane = y_band[..., 0]
+        plane[...] = 0.5 * (plane + plane[:, self._mirror][:, :, self._mirror].conj())
         return y_band
 
 

@@ -393,6 +393,19 @@ class TestEvolvePipeline:
             ref = fine[name][shared]
             assert np.abs(coarse[name] - ref).max() <= 1e-4 * np.abs(ref).max(), name
 
+    def test_long_box_ten_run_decays(self, tmp_path):
+        # at cadence 1 the band's k_z = 0 plane, held at both xi and -xi,
+        # grew an anti-Hermitian part unless settle held it Hermitian: this
+        # run's energy rose from 0.05 at t = 28 to 3e10 at t = 40
+        cfg = parse_config(overrides={
+            "command": "evolve", "grid_n": "24", "box_l": "10", "t_end": "40",
+            "cadence": "1", "out_dir": str(tmp_path / "ev"),
+        })
+        manifest = run_experiment(cfg)
+        assert manifest.passed, (manifest.checks, manifest.notes)
+        energy = np.genfromtxt(tmp_path / "ev" / "series.csv", delimiter=",", names=True)["energy_full"]
+        assert energy[-1] < energy[0]
+
     def test_noise_run_is_bit_deterministic(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -539,6 +552,21 @@ class TestCli:
         )
         assert code == 1
         assert "lyapunov run failed" in capsys.readouterr().err
+
+    def test_failed_allocation_exits_one_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # a run too large for memory raises MemoryError deep in numpy
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr("emlab.pipelines.decay_trajectory", too_large)
+        code = main(["lindecay", "--out-dir", str(tmp_path / "ld")])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("emlab: "), captured.err
+        assert "Unable to allocate" in lines[0]
+        manifest = strict_json(tmp_path / "ld" / "manifest.json")
+        assert manifest["status"] == "failed" and "MemoryError" in manifest["error"]
 
     def test_non_finite_custom_snapshot_exits_one_naming_field(self, tmp_path, capsys):
         snap = custom_snapshot(tmp_path, set_point("sigma", (3, 4, 5), np.nan))

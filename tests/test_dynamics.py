@@ -676,6 +676,25 @@ class TestSpectralState:
         tail.settle(other)
         assert tail.full(y).tobytes() == before.tobytes()
 
+    def test_settle_holds_the_plane_hermitian(self, equilibrium, rough_state):
+        # a real field's k_z = 0 coefficients at xi and -xi are conjugates;
+        # after settle they are exactly, whatever anti-Hermitian part came in
+        grid = equilibrium[0]
+        y0 = grid.transform(rough_state)
+        tail = dyn.BandTail(grid, GAMMA, y0)
+        y = tail.take(y0)
+        side = y.shape[1]
+        mirror = -np.arange(side) % side
+        kx = tail.band.k[0][:, 0, 0]
+        assert np.array_equal(kx[mirror], -kx)
+        flip = lambda plane: plane[:, mirror][:, :, mirror].conj()
+        rng = np.random.default_rng(3)
+        z = 1e-4 * (rng.standard_normal(y.shape[:3]) + 1j * rng.standard_normal(y.shape[:3]))
+        y[..., 0] += z - flip(z)  # anti-Hermitian: flip gives minus it
+        assert not np.array_equal(y[..., 0], flip(y[..., 0]))
+        plane = tail.settle(y)[..., 0]
+        assert np.array_equal(plane, flip(plane))
+
     def test_band_tendency_matches_full_layout_oracle(self, equilibrium, rough_state):
         grid = equilibrium[0]
         y = grid.transform(rough_state)
