@@ -179,7 +179,7 @@ class BandTail:
         self.fields = _inverse_fields(grid, state_hat)
         self._defect0 = self._defect(self.band.take(state_hat))
         self.max_drift = 0.0
-        # position p on a full band axis holds index -p at (-p) mod (2b + 1)
+        # on a full band axis, the index at position p is minus the one at (-p) mod (2b + 1)
         side = self.band.k_sq.shape[0]
         self._mirror = -np.arange(side) % side
 
