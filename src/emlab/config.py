@@ -20,7 +20,7 @@ import numpy as np
 from .dynamics import MAX_CHUNK_STEPS, flat_wave_period
 from .energy import EnergyWeights
 from .grid import GridSpec
-from .lindecay import GaussianFamily, QuadratureScheme
+from .lindecay import QuadratureScheme
 
 __all__ = ["ExperimentConfig", "parse_config", "canonical_text", "config_hash", "KEY_SECTIONS"]
 
@@ -102,6 +102,11 @@ class ExperimentConfig:
         req(self.profile in PROFILES, "profile", f"must be one of {PROFILES}", self.profile)
         req(self.eps >= 0.0, "eps", "must be >= 0", self.eps)
         req(self.width > 0.0, "width", "must be positive", self.width)
+        req(_powers_finite(self.width, 2), "width", "must have a finite nonzero width**2",
+            self.width)
+        req(self.family_width > 0.0, "family_width", "must be positive", self.family_width)
+        req(_powers_finite(self.family_width, 2, -7), "family_width", "must have a finite "
+            "nonzero family_width**2 (envelope) and family_width**-7 (moment)", self.family_width)
         req(
             self.grid_n >= 8 and self.grid_n % 2 == 0,
             "grid_n", "must be even and >= 8", self.grid_n,
@@ -147,7 +152,6 @@ class ExperimentConfig:
         try:
             self.energy_weights()
             self.quadrature()
-            self.family()
         except ValueError as err:
             raise ValueError(f"invalid config: {err}") from None
         self.fit_window_values()
@@ -176,9 +180,6 @@ class ExperimentConfig:
             theta_nodes=self.theta_nodes,
             phi_nodes=self.phi_nodes,
         )
-
-    def family(self) -> GaussianFamily:
-        return GaussianFamily(width=self.family_width)
 
     def fit_window_values(self) -> tuple[float, float]:
         return _parse_window("fit_window", self.fit_window)
@@ -215,6 +216,14 @@ KEY_SECTIONS: dict[str, tuple[str, ...]] = {
 def _require(ok: bool, key: str, constraint: str, value: object) -> None:
     if not ok:
         raise ValueError(f"invalid config: key {key} {constraint} (got {value!r})")
+
+
+def _powers_finite(x: float, *powers: int) -> bool:
+    """Whether every x**p is a finite nonzero float, as the expressions taking it need."""
+    try:
+        return all(0.0 < abs(x**p) < math.inf for p in powers)
+    except OverflowError:
+        return False
 
 
 def _parse_window(key: str, text: str) -> tuple[float, float]:

@@ -34,6 +34,10 @@ grad B ~ (1+t)^{-5/4}, for initial data whose B profile is bounded and
 nonvanishing at xi = 0 (Ueda & Kawashima, Methods Appl. Anal. 18 (2011);
 Duan, J. Hyperbolic Differ. Equ. 8 (2011)).
 
+The initial data are one such Gaussian family; only its envelope width
+(the config's family_width) is set.  The frequency quadrature's radial
+panels are fixed too, and only its node counts are set.
+
 Whole-space norms are evaluated by quadrature over R^3 frequencies and
 reported in the Fourier-side normalization ( integral |f^|^2 dxi )^{1/2};
 physical-space norms differ by the constant (2 pi)^{-3/2}, which is
@@ -56,7 +60,6 @@ import numpy as np
 __all__ = [
     "DecayFit",
     "DecayTrajectory",
-    "GaussianFamily",
     "QuadratureScheme",
     "block_eig",
     "decay_trajectory",
@@ -124,46 +127,45 @@ def block_eig(r: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.n
 # frequency quadrature
 
 
+# radial panel edges _R_MAX * _PANEL_RATIO^{-(_PANELS-1) .. 0}, plus 0
+_R_MAX = 24.0
+_PANELS = 6
+_PANEL_RATIO = 4.0
+
+
 @dataclass(frozen=True)
 class QuadratureScheme:
     """Product quadrature for R^3 frequency integrals.
 
-    Radial: composite Gauss-Legendre on geometric panels with edges
-    r_max * panel_ratio^{-(panels-1) .. 0} (plus 0), refined toward the
-    origin so heat-kernel integrands e^{-2 |xi|^2 t} stay resolved out to
+    Radial: composite Gauss-Legendre with radial_nodes per panel on six
+    fixed geometric panels, edges 24 * 4^{-5 .. 0} (plus 0), refined toward
+    the origin so heat-kernel integrands e^{-2 |xi|^2 t} stay resolved out to
     t ~ 1000.  Angular: Gauss-Legendre in cos(theta) times a uniform
     periodic rule in phi.  Nodes are laid out radius-major, so the
     directions of one radius form a contiguous run.  Every angular
     integrand of the norms has degree 2 in xi^: transverse rows enter as
     (P_perp a) . (P_perp b) = a . b - (a . xi^)(b . xi^), and xi^ x B reduces
-    to that for both B profiles.  The default 2 x 4 rule is exact to degree
-    3: for x^a y^b z^c, the phi rule (exact to trigonometric degree
-    phi_nodes - 1) returns 0 when a + b is odd, and otherwise the cos(theta)
-    factor has degree <= 3, which 2 Gauss-Legendre nodes integrate exactly.
+    to that.  The default 2 x 4 rule is exact to degree 3: for x^a y^b z^c,
+    the phi rule (exact to trigonometric degree phi_nodes - 1) returns 0
+    when a + b is odd, and otherwise the cos(theta) factor has degree <= 3,
+    which 2 Gauss-Legendre nodes integrate exactly.
     """
 
-    r_max: float = 24.0
-    panels: int = 6
-    panel_ratio: float = 4.0
     radial_nodes: int = 16
     theta_nodes: int = 2
     phi_nodes: int = 4
 
     def __post_init__(self) -> None:
-        if self.r_max <= 0.0:
-            raise ValueError("r_max must be positive")
-        if min(self.panels, self.radial_nodes, self.theta_nodes, self.phi_nodes) < 2:
-            raise ValueError("quadrature needs at least 2 nodes per factor")
+        for name in ("radial_nodes", "theta_nodes"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be >= 2")
         if self.phi_nodes < 3:
             raise ValueError("phi_nodes must be >= 3 to integrate degree 2 in phi exactly")
-        if self.panel_ratio <= 1.0:
-            raise ValueError("panel_ratio must exceed 1")
 
     def radial_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes r_i > 0 and weights carrying the r^2 volume factor."""
         edges = [0.0] + [
-            self.r_max * self.panel_ratio ** (-(self.panels - 1 - j))
-            for j in range(self.panels)
+            _R_MAX * _PANEL_RATIO ** (-(_PANELS - 1 - j)) for j in range(_PANELS)
         ]
         base_x, base_w = np.polynomial.legendre.leggauss(self.radial_nodes)
         nodes, weights = [], []
@@ -201,49 +203,28 @@ class QuadratureScheme:
 # initial-data family
 
 
-@dataclass(frozen=True)
-class GaussianFamily:
-    """Closed-form Fourier profiles for whole-space decay runs.
-
-    All components share the envelope g(xi) = exp(-width^2 |xi|^2 / 2).
-    rho^ = rho_amp |xi|^2 g (mean-zero), u^ = dir_u g, E^ = transverse
-    projection of dir_e times g plus the longitudinal part forced by the
-    Gauss law, and B^ depends on b_profile:
-
-      "transverse":       P_perp(xi) dir_b g  -- bounded, nonvanishing at
-                          xi = 0, the profile behind the (1+t)^{-3/4} rate;
-      "solenoidal-curl":  i xi x dir_b g      -- vanishes linearly at
-                          xi = 0, decays one order faster.
-
-    The default width 2.0 keeps the data low-frequency: fast transverse
-    (light-wave) modes are damped only like e^{-t/(2|xi|^2)}, and their
-    surviving high-|xi| hump decays as e^{-2 width sqrt(t)}, so a narrow
-    envelope would pollute power-law fit windows starting at t ~ 50.
-    """
-
-    width: float = 2.0
-    rho_amp: float = 1.0
-    dir_u: tuple[float, float, float] = (1.0, 0.7, -0.4)
-    dir_e: tuple[float, float, float] = (0.3, -1.0, 0.6)
-    dir_b: tuple[float, float, float] = (0.8, 0.25, -0.55)
-    b_profile: str = "transverse"
-
-    def __post_init__(self) -> None:
-        if self.width <= 0.0:
-            raise ValueError("width must be positive")
-        if self.b_profile not in ("transverse", "solenoidal-curl"):
-            raise ValueError(
-                f"unknown b_profile {self.b_profile!r}; "
-                "expected 'transverse' or 'solenoidal-curl'"
-            )
+# Closed-form Fourier profiles for whole-space decay runs.  Every component
+# shares the envelope g(xi) = exp(-width^2 |xi|^2 / 2): rho^ = _RHO_AMP |xi|^2 g
+# (mean-zero), u^ = _DIR_U g, E^ = P_perp(xi) _DIR_E g plus the longitudinal
+# part forced by the Gauss law, and B^ = P_perp(xi) _DIR_B g, bounded and
+# nonvanishing at xi = 0: the profile behind the (1+t)^{-3/4} rate.
+#
+# The config's width 2.0 keeps the data low-frequency: fast transverse
+# (light-wave) modes are damped only like e^{-t/(2|xi|^2)}, and their
+# surviving high-|xi| hump decays as e^{-2 width sqrt(t)}, so a narrow
+# envelope would pollute power-law fit windows starting at t ~ 50.
+_RHO_AMP = 1.0
+_DIR_U = (1.0, 0.7, -0.4)
+_DIR_E = (0.3, -1.0, 0.6)
+_DIR_B = (0.8, 0.25, -0.55)
 
 
-def initial_modes(family: GaussianFamily, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the family at frequencies (K, 3) -> amplitudes (K, 10)."""
+def initial_modes(width: float, xi: np.ndarray) -> np.ndarray:
+    """Evaluate the family of envelope width `width` at frequencies (K, 3) -> (K, 10)."""
     xi = np.asarray(xi, dtype=float).reshape(-1, 3)
     r2 = (xi**2).sum(axis=1)
     r = np.sqrt(r2)
-    g = np.exp(-0.5 * family.width**2 * r2)
+    g = np.exp(-0.5 * width**2 * r2)
     # unit directions; at xi = 0 longitudinal content is set to zero below
     hat = np.divide(xi, r[:, None], out=np.zeros_like(xi), where=r[:, None] > 0)
 
@@ -252,14 +233,11 @@ def initial_modes(family: GaussianFamily, xi: np.ndarray) -> np.ndarray:
         return (v[None, :] - (hat @ v)[:, None] * hat) * g[:, None]
 
     y = np.zeros((xi.shape[0], 10), dtype=complex)
-    y[:, RHO] = (family.rho_amp * r2 * g)[:, None]
-    y[:, U] = np.asarray(family.dir_u)[None, :] * g[:, None]
+    y[:, RHO] = (_RHO_AMP * r2 * g)[:, None]
+    y[:, U] = np.asarray(_DIR_U)[None, :] * g[:, None]
     # Gauss law i xi . E = -rho fixes the longitudinal electric part
-    y[:, E] = transverse(family.dir_e) + 1j * family.rho_amp * (r * g)[:, None] * hat
-    if family.b_profile == "transverse":
-        y[:, B] = transverse(family.dir_b)
-    else:
-        y[:, B] = 1j * np.cross(xi, np.asarray(family.dir_b)[None, :]) * g[:, None]
+    y[:, E] = transverse(_DIR_E) + 1j * _RHO_AMP * (r * g)[:, None] * hat
+    y[:, B] = transverse(_DIR_B)
     return y
 
 
@@ -293,23 +271,18 @@ def _upper_gamma_q72(x: float) -> float:
     return math.erfc(root) + math.exp(-x) * (2.0 / math.sqrt(math.pi)) * root * poly
 
 
-def quadrature_tail_bound(family: GaussianFamily, scheme: QuadratureScheme) -> float:
-    """Upper estimate of the squared-norm mass beyond r_max at t = 0.
+def quadrature_tail_bound(width: float) -> float:
+    """Upper estimate of the squared-norm mass beyond the last panel edge at t = 0.
 
     The propagator is power-bounded on the stable spectrum, so the t > 0
     tail inherits this estimate up to a moderate transient factor.
     """
-    w2r2 = (family.width * scheme.r_max) ** 2
-    amps = [
-        family.rho_amp**2,
-        float(np.dot(family.dir_u, family.dir_u)),
-        float(np.dot(family.dir_e, family.dir_e)),
-        float(np.dot(family.dir_b, family.dir_b)),
-    ]
+    w2r2 = (width * _R_MAX) ** 2
+    amps = [_RHO_AMP**2, *(float(np.dot(d, d)) for d in (_DIR_U, _DIR_E, _DIR_B))]
     # worst polynomial power across components is |xi|^4 (the rho profile);
-    # its Gaussian moment beyond r_max is the whole moment times Q(7/2, .)
-    tail = _gaussian_moment(4.0, family.width) * _upper_gamma_q72(w2r2)
-    return float(max(amps) * tail * (1.0 + family.rho_amp**2))
+    # its Gaussian moment beyond _R_MAX is the whole moment times Q(7/2, .)
+    tail = _gaussian_moment(4.0, width) * _upper_gamma_q72(w2r2)
+    return float(max(amps) * tail * (1.0 + _RHO_AMP**2))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +293,6 @@ def quadrature_tail_bound(family: GaussianFamily, scheme: QuadratureScheme) -> f
 class DecayTrajectory:
     """Component norms of the propagated family on a time grid."""
 
-    times: np.ndarray
     norms: dict[str, np.ndarray]
     tail_bound: float
 
@@ -335,7 +307,7 @@ _CHANNELS: tuple[tuple[str, str, int], ...] = (
 
 
 def _radial_densities(
-    family: GaussianFamily, gamma: float, times: np.ndarray, scheme: QuadratureScheme
+    width: float, gamma: float, times: np.ndarray, scheme: QuadratureScheme
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Radii r_i and, per component, the weighted angular sums of |.|^2.
 
@@ -357,7 +329,7 @@ def _radial_densities(
     # block coordinates of the initial amplitudes: the longitudinal vector
     # (rho, u . xi^, E . xi^) and the transverse rows (u_perp, E_perp, xi^ x B);
     # every node lies off xi = 0
-    y0 = initial_modes(family, xi)
+    y0 = initial_modes(width, xi)
     hat = xi / np.sqrt((xi**2).sum(axis=-1))[:, None]
     u_l, e_l = (np.einsum("...i,...i->...", hat, y0[..., sl]) for sl in (U, E))
     lon = np.stack([y0[..., 0], u_l, e_l], axis=-1)
@@ -391,23 +363,25 @@ def _radial_densities(
 
 
 def decay_trajectory(
-    family: GaussianFamily,
+    width: float,
     gamma: float,
     times: np.ndarray,
     scheme: QuadratureScheme = QuadratureScheme(),
 ) -> DecayTrajectory:
-    """Propagate the family and record all standard channel norms.
+    """Propagate the family of envelope width `width` and record the channel norms.
 
     Channels: rho, u, e, b at derivative order 0 and grad_b (order 1).
     The family is evaluated once on the quadrature nodes and reduced to
     per-radius Gram matrices, so each time sample costs O(radii).
     """
+    if not width > 0.0:
+        raise ValueError(f"width must be positive, got {width}")
     times = np.asarray(times, dtype=float)
-    r, dens = _radial_densities(family, gamma, times, scheme)
+    r, dens = _radial_densities(width, gamma, times, scheme)
     norms = {
         name: np.sqrt(np.sum(r ** (2 * s) * dens[comp], axis=1)) for name, comp, s in _CHANNELS
     }
-    return DecayTrajectory(times, norms, quadrature_tail_bound(family, scheme))
+    return DecayTrajectory(norms, quadrature_tail_bound(width))
 
 
 # ---------------------------------------------------------------------------

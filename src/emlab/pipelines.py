@@ -438,7 +438,7 @@ def _run_lyapunov(cfg: ExperimentConfig, manifest: RunManifest) -> None:
 
 def _run_lindecay(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     times = cfg.time_grid()
-    traj = decay_trajectory(cfg.family(), cfg.gamma, times, cfg.quadrature())
+    traj = decay_trajectory(cfg.family_width, cfg.gamma, times, cfg.quadrature())
 
     windows = {"main": cfg.fit_window_values(), "rho": cfg.rho_fit_window_values()}
     fits: dict[str, dict[str, object]] = {}

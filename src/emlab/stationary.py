@@ -33,8 +33,10 @@ __all__ = [
     "yukawa_convolve",
 ]
 
-# Picard refuses backgrounds with ||n_b - 1||_{H^2} above this.
+# Picard refuses backgrounds with ||n_b - 1||_{H^2} above this,
 SMALLNESS_GATE = 0.5
+# and gives up after this many sweeps.
+MAX_ITER = 200
 
 
 class DivergenceError(RuntimeError):
@@ -119,7 +121,6 @@ def picard_iterate(
     n_b: np.ndarray,
     gamma: float,
     tol: float = 1e-10,
-    max_iter: int = 200,
 ) -> StationaryState:
     """Solve Q = G * (g(Q) - (n_b - 1)) by Picard iteration from Q = 0.
 
@@ -142,7 +143,7 @@ def picard_iterate(
     residuals: list[float] = []
     factors: list[float] = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         phi_next = yukawa_convolve(grid, g_nonlinearity(phi, gamma) - source, gamma)
         diff = grid.sobolev_norm(phi_next - phi, 2)
         residuals.append(diff)
@@ -159,7 +160,7 @@ def picard_iterate(
             break
     if not converged:
         raise RuntimeError(
-            f"Picard iteration did not reach tol={tol:g} within {max_iter} iterations "
+            f"Picard iteration did not reach tol={tol:g} within {MAX_ITER} iterations "
             f"(last difference {residuals[-1]:.3g})"
         )
 

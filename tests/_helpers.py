@@ -14,7 +14,14 @@ from scipy.linalg import expm
 from emlab import dynamics as dyn
 from emlab.dynamics import ELEC, MAG, SCALAR, VEL
 from emlab.grid import GridSpec
-from emlab.lindecay import GaussianFamily, _gaussian_moment, _transverse_generator
+from emlab.lindecay import (
+    _DIR_B,
+    _DIR_E,
+    _DIR_U,
+    _RHO_AMP,
+    _gaussian_moment,
+    _transverse_generator,
+)
 from emlab.pipelines import evolve_band
 
 
@@ -459,24 +466,17 @@ def spectral_stability_report(
     }
 
 
-def initial_norms_analytic(family: GaussianFamily) -> dict[str, float]:
+def initial_norms_analytic(width: float) -> dict[str, float]:
     """Closed-form t = 0 norms of the family (Gaussian moment integrals)."""
-    w = family.width
-    vu = np.asarray(family.dir_u)
-    ve = np.asarray(family.dir_e)
-    vb = np.asarray(family.dir_b)
-    m = lambda p: _gaussian_moment(p, w)
+    vu, ve, vb = (np.asarray(d) for d in (_DIR_U, _DIR_E, _DIR_B))
+    m = lambda p: _gaussian_moment(p, width)
     out = {
-        "rho": family.rho_amp**2 * m(4),
+        "rho": _RHO_AMP**2 * m(4),
         "u": float(vu @ vu) * m(0),
-        "e": (2.0 / 3.0) * float(ve @ ve) * m(0) + family.rho_amp**2 * m(2),
+        "e": (2.0 / 3.0) * float(ve @ ve) * m(0) + _RHO_AMP**2 * m(2),
+        "b": (2.0 / 3.0) * float(vb @ vb) * m(0),
+        "grad_b": (2.0 / 3.0) * float(vb @ vb) * m(2),
     }
-    if family.b_profile == "transverse":
-        out["b"] = (2.0 / 3.0) * float(vb @ vb) * m(0)
-        out["grad_b"] = (2.0 / 3.0) * float(vb @ vb) * m(2)
-    else:
-        out["b"] = (2.0 / 3.0) * float(vb @ vb) * m(2)
-        out["grad_b"] = (2.0 / 3.0) * float(vb @ vb) * m(4)
     return {k: float(np.sqrt(v)) for k, v in out.items()}
 
 

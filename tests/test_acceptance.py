@@ -24,7 +24,6 @@ from emlab.dynamics import (
 from emlab.energy import EnergyWeights, energy_report, lyapunov_certify
 from emlab.grid import GridSpec
 from emlab.lindecay import (
-    GaussianFamily,
     QuadratureScheme,
     decay_trajectory,
     fit_decay,
@@ -209,9 +208,7 @@ def test_5_linearized_decay_exponents():
     times = np.unique(np.concatenate(
         [[0.0], np.linspace(5.0, 45.0, 17), np.geomspace(50.0, 500.0, 24)]
     ))
-    traj = decay_trajectory(
-        GaussianFamily(), GAMMA, times, QuadratureScheme(radial_nodes=32)
-    )
+    traj = decay_trajectory(2.0, GAMMA, times, QuadratureScheme(radial_nodes=32))
     fits = {
         name: fit_decay(times, traj.norms[name], (50.0, 500.0), target, tol)
         for name, target, tol in (
@@ -241,11 +238,10 @@ def test_6_symbol_structure():
     zero_freq = cost[r, c].max()
 
     rng = np.random.default_rng(0)
-    fam = GaussianFamily()
     worst_con = 0.0
     for _ in range(5):
         xi = rng.standard_normal(3) * rng.uniform(0.1, 5.0)
-        y0 = initial_modes(fam, xi.reshape(1, 3))
+        y0 = initial_modes(2.0, xi.reshape(1, 3))
         cmat = constraint_matrix(xi)
         for t in (0.0, 1.0, 10.0, 100.0, 1000.0):
             yt = linear_flow(xi.reshape(1, 3), y0, GAMMA, t)[0]

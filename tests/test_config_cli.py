@@ -138,6 +138,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=needle):
             parse_config(overrides={key: value})
 
+    def test_every_numeric_refusal_names_its_key(self):
+        # each int and float key set alone to a negative, zero, one, non-finite
+        # or non-numeric value: whatever is refused names the key that was set
+        for key in (f.name for f in fields(ExperimentConfig) if f.type in ("int", "float")):
+            for value in ("-1", "0", "1", "nan", "x"):
+                try:
+                    parse_config(overrides={key: value})
+                except ValueError as err:
+                    assert key in str(err), (key, value, str(err))
+
     def test_lindecay_windows_must_cover_the_time_grid(self):
         with pytest.raises(ValueError, match="rho_fit_window"):
             parse_config(overrides={"command": "lindecay", "t_grid": "50:500:16"})
@@ -771,6 +781,17 @@ def series_missing_columns(tmp_path, monkeypatch):
     return lyapunov_argv(tmp_path), ["series.csv", "dissipation_full", "energy_high"]
 
 
+def off_scale_width(key, value, *argv):
+    """A width whose square, or for the family's moment whose -7th power, leaves
+    the float range: refused before any work, not left to overflow later."""
+    flag = "--" + key.replace("_", "-")
+    return (
+        lambda tmp, mp: ([*argv, flag, value, "--out-dir", str(tmp / "w")],
+                         [f"key {key} ", "finite nonzero"]),
+        2, False,
+    )
+
+
 # failure class -> (setup returning argv and needles of the message, exit status,
 # whether a run started and so must leave a failed manifest)
 FAILURES = {
@@ -850,6 +871,10 @@ FAILURES = {
                          ["phi_nodes", ">= 3"]),
         2, False,
     ),
+    "tiny-family-width": off_scale_width("family_width", "1e-300", "lindecay"),
+    "huge-family-width": off_scale_width("family_width", "1e300", "lindecay"),
+    "tiny-background-width": off_scale_width("width", "1e-300", "stationary", "--grid-n", "16"),
+    "huge-background-width": off_scale_width("width", "1e300", "stationary", "--grid-n", "16"),
     # " #" would open an inline comment in config.resolved.ini, and a rerun
     # from it would write elsewhere
     "string-cut-by-comment": (

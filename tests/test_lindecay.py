@@ -24,7 +24,6 @@ from emlab import dynamics as dyn
 from emlab.dynamics import _phi_functions
 from emlab.grid import GridSpec
 from emlab.lindecay import (
-    GaussianFamily,
     QuadratureScheme,
     block_eig,
     decay_trajectory,
@@ -33,6 +32,11 @@ from emlab.lindecay import (
     quadrature_tail_bound,
 )
 from emlab.lindecay import (
+    _DIR_B,
+    _DIR_E,
+    _DIR_U,
+    _R_MAX,
+    _RHO_AMP,
     _gaussian_moment,
     _longitudinal_generator,
     _moment_gamma,
@@ -55,6 +59,7 @@ from _helpers import (
 )
 
 GAMMA = 5.0 / 3.0
+WIDTH = 2.0  # the config's family_width
 
 # the default angular rule integrates the norms exactly (TestQuadrature);
 # radial refinement is what convergence actually needs
@@ -62,9 +67,9 @@ FAST = QuadratureScheme()
 FAST_FINE = QuadratureScheme(radial_nodes=32)
 
 
-def channel_norms(fam, t, scheme):
+def channel_norms(width, t, scheme):
     """All five whole-space channel norms of the family at one time."""
-    traj = decay_trajectory(fam, GAMMA, [t], scheme)
+    traj = decay_trajectory(width, GAMMA, [t], scheme)
     return {name: norm[0] for name, norm in traj.norms.items()}
 
 
@@ -218,7 +223,7 @@ class TestPropagation:
     def test_constraints_invariant_to_late_times(self):
         grid = GridSpec(16, 10.0)
         xi = band_frequencies(grid)
-        y0 = initial_modes(GaussianFamily(), xi)
+        y0 = initial_modes(WIDTH, xi)
         c = constraint_matrix(xi)
         for t in [1.0, 10.0, 100.0, 1000.0]:
             yt = flat_flow(grid, GAMMA, y0, t)
@@ -250,71 +255,64 @@ class TestQuadrature:
             got = (w * xi[..., 0] ** a * xi[..., 1] ** b * xi[..., 2] ** c).sum(axis=1)
             assert np.abs(got - exact).max() <= 1e-14, ((a, b, c), exact, got[:3])
 
-    @pytest.mark.parametrize("profile", ["transverse", "solenoidal-curl"])
-    def test_default_directions_match_a_fine_rule(self, profile):
+    @pytest.mark.parametrize("width", [WIDTH, 1.3])
+    def test_default_directions_match_a_fine_rule(self, width):
         # test_5's time grid, every channel against 16 x 32 directions
         times = np.unique(np.concatenate(
             [[0.0], np.linspace(5.0, 45.0, 17), np.geomspace(50.0, 500.0, 24)]
         ))
-        fam = GaussianFamily(b_profile=profile)
-        coarse = decay_trajectory(fam, GAMMA, times, QuadratureScheme())
-        fine = decay_trajectory(fam, GAMMA, times, QuadratureScheme(theta_nodes=16, phi_nodes=32))
+        coarse = decay_trajectory(width, GAMMA, times, QuadratureScheme())
+        fine = decay_trajectory(width, GAMMA, times, QuadratureScheme(theta_nodes=16, phi_nodes=32))
         for name, ref in fine.norms.items():
             assert (np.abs(coarse.norms[name] - ref) <= 1e-13 * ref).all(), name
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="r_max"):
-            QuadratureScheme(r_max=-1.0)
-        with pytest.raises(ValueError, match="nodes"):
-            QuadratureScheme(radial_nodes=1)
+        for name in ("radial_nodes", "theta_nodes"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 2"):
+                QuadratureScheme(**{name: 1})
         # 2 phi nodes miss cos^2 phi: the norms would be off by 4-16 %
         with pytest.raises(ValueError, match="phi_nodes must be >= 3"):
             QuadratureScheme(phi_nodes=2)
-        with pytest.raises(ValueError, match="panel_ratio"):
-            QuadratureScheme(panel_ratio=0.5)
 
     def test_initial_norms_match_closed_form(self):
-        for profile in ("transverse", "solenoidal-curl"):
-            fam = GaussianFamily(b_profile=profile)
-            ana = initial_norms_analytic(fam)
-            quad = channel_norms(fam, 0.0, FAST)
+        for width in (WIDTH, 1.3):
+            ana = initial_norms_analytic(width)
+            quad = channel_norms(width, 0.0, FAST)
             for key in ("rho", "u", "e", "b", "grad_b"):
-                assert abs(quad[key] - ana[key]) < 1e-8 * ana[key], (profile, key)
+                assert abs(quad[key] - ana[key]) < 1e-8 * ana[key], (width, key)
 
     def test_radial_doubling_stability_fields(self):
-        fam = GaussianFamily()
         dbl = dataclasses.replace(FAST, radial_nodes=2 * FAST.radial_nodes)
         for t in [1.0, 1000.0]:
-            a, b = channel_norms(fam, t, FAST), channel_norms(fam, t, dbl)
+            a, b = channel_norms(WIDTH, t, FAST), channel_norms(WIDTH, t, dbl)
             for key in ("u", "e", "b", "grad_b"):
                 assert abs(a[key] - b[key]) < 1e-6 * b[key], (key, t)
 
     def test_radial_doubling_stability_rho_early_times(self):
         # the rho integrand oscillates in |xi| with phase growing in t;
         # the refined radial rule certifies t <= 10
-        fam = GaussianFamily()
         dbl = dataclasses.replace(FAST_FINE, radial_nodes=2 * FAST_FINE.radial_nodes)
         for t in [1.0, 5.0, 10.0]:
-            a = channel_norms(fam, t, FAST_FINE)["rho"]
-            b = channel_norms(fam, t, dbl)["rho"]
+            a = channel_norms(WIDTH, t, FAST_FINE)["rho"]
+            b = channel_norms(WIDTH, t, dbl)["rho"]
             assert abs(a - b) < 1e-6 * b, t
 
     def test_gram_reduction_matches_per_node_sum(self):
-        scheme = QuadratureScheme(panels=3, radial_nodes=6, theta_nodes=4, phi_nodes=8)
-        fam = GaussianFamily(b_profile="solenoidal-curl", width=1.3)
+        scheme = QuadratureScheme(radial_nodes=6, theta_nodes=4, phi_nodes=8)
         times = np.array([0.0, 0.3, 5.0, 40.0, 400.0])
-        traj = decay_trajectory(fam, GAMMA, times, scheme)
         _, xi, w = scheme.nodes()
-        y0 = initial_modes(fam, xi)
         r2 = (xi**2).sum(axis=1)
-        for j, t in enumerate(times):
-            dens = np.abs(compatible_flow(xi, y0, GAMMA, t)) ** 2
-            for name, sl, s in [
-                ("rho", slice(0, 1), 0), ("u", slice(1, 4), 0), ("e", slice(4, 7), 0),
-                ("b", slice(7, 10), 0), ("grad_b", slice(7, 10), 1),
-            ]:
-                ref = np.sqrt(np.sum(w * r2**s * dens[:, sl].sum(axis=1)))
-                assert abs(traj.norms[name][j] - ref) <= 1e-12 * ref, (name, t)
+        for width in (WIDTH, 1.3):
+            traj = decay_trajectory(width, GAMMA, times, scheme)
+            y0 = initial_modes(width, xi)
+            for j, t in enumerate(times):
+                dens = np.abs(compatible_flow(xi, y0, GAMMA, t)) ** 2
+                for name, sl, s in [
+                    ("rho", slice(0, 1), 0), ("u", slice(1, 4), 0), ("e", slice(4, 7), 0),
+                    ("b", slice(7, 10), 0), ("grad_b", slice(7, 10), 1),
+                ]:
+                    ref = np.sqrt(np.sum(w * r2**s * dens[:, sl].sum(axis=1)))
+                    assert abs(traj.norms[name][j] - ref) <= 1e-12 * ref, (width, name, t)
 
 
 class TestClosedForms:
@@ -340,33 +338,26 @@ class TestClosedForms:
         with pytest.raises(ValueError, match="even"):
             _moment_gamma(1)
 
-    @pytest.mark.parametrize("r_max", [0.5, 1.0, 3.0, 6.0])
-    def test_tail_bound_matches_scipy_formula(self, r_max):
-        fam = GaussianFamily(rho_amp=1.3)
-        scheme = QuadratureScheme(r_max=r_max)
-        x = (fam.width * r_max) ** 2
-        amp = max(fam.rho_amp**2, *(float(np.dot(d, d)) for d in (fam.dir_u, fam.dir_e, fam.dir_b)))
+    @pytest.mark.parametrize("reach", [0.5, 1.0, 3.0, 6.0])
+    def test_tail_bound_matches_scipy_formula(self, reach):
+        # reach = width * r_max: x = reach^2 keeps gammaincc clear of underflow
+        width = reach / _R_MAX
+        x = (width * _R_MAX) ** 2
+        amp = max(_RHO_AMP**2, *(float(np.dot(d, d)) for d in (_DIR_U, _DIR_E, _DIR_B)))
         ref = (
             amp * 2.0 * np.pi * scipy_gamma(3.5) * gammaincc(3.5, x)
-            / fam.width**7 * (1.0 + fam.rho_amp**2)
+            / width**7 * (1.0 + _RHO_AMP**2)
         )
-        bound = quadrature_tail_bound(fam, scheme)
+        bound = quadrature_tail_bound(width)
         assert ref > 0.0
         assert abs(bound - ref) <= 1e-13 * ref
 
 
 class TestFamily:
     def test_validation(self):
-        with pytest.raises(ValueError, match="width"):
-            GaussianFamily(width=0.0)
-        with pytest.raises(ValueError, match="b_profile"):
-            GaussianFamily(b_profile="curlfree")
-
-    def test_incompatible_descriptor_refused(self):
-        # a B^ profile with i xi . B^ != 0 is no longer a choice: the family
-        # refuses it before initial_modes or initial_norms_analytic can see it
-        with pytest.raises(ValueError, match="b_profile"):
-            GaussianFamily(b_profile="unprojected")
+        for width in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="width must be positive"):
+                decay_trajectory(width, GAMMA, [0.0])
 
     def test_built_modes_satisfy_constraints(self):
         # random frequencies, and the nodes decay_trajectory evaluates: the
@@ -375,8 +366,8 @@ class TestFamily:
         rng = np.random.default_rng(7)
         nodes = [QuadratureScheme(radial_nodes=k).nodes()[1] for k in (16, 32)]
         xi = np.concatenate([rng.standard_normal((200, 3)) * 3, *nodes])
-        for profile in ("transverse", "solenoidal-curl"):
-            y = initial_modes(GaussianFamily(b_profile=profile), xi)
+        for width in (WIDTH, 1.3):
+            y = initial_modes(width, xi)
             gauss_e = np.einsum("ki,ki->k", 1j * xi, y[:, 4:7]) + y[:, 0]
             gauss_b = np.einsum("ki,ki->k", 1j * xi, y[:, 7:10])
             assert np.abs(gauss_e).max() < 1e-12
@@ -432,12 +423,14 @@ class TestFitDecay:
         assert fit_decay(t, np.exp(-t), (0.0, 10.0)).passed is None
 
 
+TIMES = np.unique(
+    np.concatenate([[0.0, 20.0], np.linspace(5.0, 45.0, 17), np.geomspace(50.0, 500.0, 24)])
+)
+
+
 @pytest.fixture(scope="module")
 def trajectory():
-    times = np.unique(
-        np.concatenate([[0.0, 20.0], np.linspace(5.0, 45.0, 17), np.geomspace(50.0, 500.0, 24)])
-    )
-    return decay_trajectory(GaussianFamily(), GAMMA, times, FAST_FINE)
+    return decay_trajectory(WIDTH, GAMMA, TIMES, FAST_FINE)
 
 
 class TestDecayExponents:
@@ -447,14 +440,14 @@ class TestDecayExponents:
     )
     def test_power_law_channels(self, trajectory, channel, target, tol):
         fit = fit_decay(
-            trajectory.times, trajectory.norms[channel], (50.0, 500.0), target, tol
+            TIMES, trajectory.norms[channel], (50.0, 500.0), target, tol
         )
         assert fit.passed, (channel, fit.exponent)
         assert fit.residual < 0.05
 
     def test_rho_exponential_rate(self, trajectory):
         fit = fit_decay(
-            trajectory.times,
+            TIMES,
             trajectory.norms["rho"],
             (5.0, 45.0),
             target=-0.5,
@@ -467,7 +460,7 @@ class TestDecayExponents:
         # the norms drop the conserved Gauss defect, which roundoff would
         # otherwise hold at a floor of about 4e-17 from t ~ 75 on
         fit = fit_decay(
-            trajectory.times,
+            TIMES,
             trajectory.norms["rho"],
             (50.0, 500.0),
             target=-0.5,
@@ -477,14 +470,14 @@ class TestDecayExponents:
         assert fit.passed, fit.exponent
 
     def test_rho_prefactor_bound_at_t20(self, trajectory):
-        i20 = int(np.argmin(np.abs(trajectory.times - 20.0)))
-        assert trajectory.times[i20] == 20.0
+        i20 = int(np.argmin(np.abs(TIMES - 20.0)))
+        assert TIMES[i20] == 20.0
         r0 = trajectory.norms["rho"][0]
         assert trajectory.norms["rho"][i20] <= 1.1 * np.exp(-10.0) * r0
 
     def test_low_frequency_b_envelope_is_monotone(self):
         traj = decay_trajectory(
-            GaussianFamily(width=3.0), GAMMA, np.linspace(0.0, 50.0, 26), FAST
+            3.0, GAMMA, np.linspace(0.0, 50.0, 26), FAST
         )
         assert (np.diff(traj.norms["b"]) < 0.0).all()
 
