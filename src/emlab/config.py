@@ -13,14 +13,14 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .dynamics import MAX_CHUNK_STEPS, flat_wave_period
 from .energy import EnergyWeights
 from .grid import GridSpec
-from .lindecay import QuadratureScheme
+from .lindecay import QuadratureScheme, quadrature_tail_bound
 
 __all__ = ["ExperimentConfig", "parse_config", "canonical_text", "config_hash", "KEY_SECTIONS"]
 
@@ -102,11 +102,9 @@ class ExperimentConfig:
         req(self.profile in PROFILES, "profile", f"must be one of {PROFILES}", self.profile)
         req(self.eps >= 0.0, "eps", "must be >= 0", self.eps)
         req(self.width > 0.0, "width", "must be positive", self.width)
-        req(_powers_finite(self.width, 2), "width", "must have a finite nonzero width**2",
-            self.width)
+        req(0.0 < _value(lambda: self.width**2) < math.inf, "width",
+            "must have a finite nonzero width**2", self.width)
         req(self.family_width > 0.0, "family_width", "must be positive", self.family_width)
-        req(_powers_finite(self.family_width, 2, -7), "family_width", "must have a finite "
-            "nonzero family_width**2 (envelope) and family_width**-7 (moment)", self.family_width)
         req(
             self.grid_n >= 8 and self.grid_n % 2 == 0,
             "grid_n", "must be even and >= 8", self.grid_n,
@@ -151,9 +149,18 @@ class ExperimentConfig:
         # constructing the dependent objects runs their own named checks
         try:
             self.energy_weights()
-            self.quadrature()
+            r0 = self.quadrature().smallest_radius()
         except ValueError as err:
             raise ValueError(f"invalid config: {err}") from None
+        # The family's squared envelope exp(-(w r)^2) is largest at the smallest
+        # radial node; where it underflows there, every norm is 0 and no fit can be
+        # made.  The report's tail bound must be finite.  (Float products give inf
+        # or 0 quietly; float powers raise.)
+        w = self.family_width
+        req(math.exp(-(w * r0) * (w * r0)) > 0.0, "family_width", "must leave the envelope "
+            f"exp(-(family_width * r)**2) nonzero at the smallest radial node r = {r0:.6g}", w)
+        req(math.isfinite(_value(lambda: quadrature_tail_bound(w))), "family_width",
+            "must keep quadrature_tail_bound(family_width) finite", w)
         self.fit_window_values()
         self.rho_fit_window_values()
         grid_t = self.time_grid()
@@ -218,12 +225,13 @@ def _require(ok: bool, key: str, constraint: str, value: object) -> None:
         raise ValueError(f"invalid config: key {key} {constraint} (got {value!r})")
 
 
-def _powers_finite(x: float, *powers: int) -> bool:
-    """Whether every x**p is a finite nonzero float, as the expressions taking it need."""
+def _value(expr: Callable[[], float]) -> float:
+    """expr(), or NaN, which every bound refuses, where Python's float arithmetic
+    raises: a power out of range, or a division by a power that underflowed."""
     try:
-        return all(0.0 < abs(x**p) < math.inf for p in powers)
-    except OverflowError:
-        return False
+        return expr()
+    except (OverflowError, ZeroDivisionError):
+        return math.nan
 
 
 def _parse_window(key: str, text: str) -> tuple[float, float]:

@@ -17,7 +17,10 @@ is projected onto the band anyway; embed(take(fh)) is the projection itself.
 
 The transforms are numpy's one-axis pocketfft passes, taken in the order and
 scaled at the point where scipy's rfftn/irfftn(norm="forward") did it, so
-they give those transforms' bits; no subcommand loads scipy.
+they give those transforms' bits; no subcommand loads scipy.  A batch is
+transformed one 3-D field at a time, with the complex passes in place: on a
+whole batch numpy's pass over the first grid axis walks memory in a
+cache-missing order, several times slower than the same pass per field.
 """
 from __future__ import annotations
 
@@ -37,9 +40,10 @@ _POOL = contextvars.ContextVar("fft_pool", default=None)  # the pool fft_workers
 
 @contextlib.contextmanager
 def fft_workers(threads: int) -> Iterator[None]:
-    """Context in which each pass of a batched grid transform is split over its
-    fields on `threads` worker threads; pocketfft releases the GIL and a field's
-    bits do not depend on its batch.  One thread makes plain calls, no pool."""
+    """Context in which the fields of a batched grid transform are tasks on
+    `threads` worker threads, each field's passes run whole and in place;
+    pocketfft releases the GIL and a field's bits do not depend on its batch.
+    One thread makes plain calls, no pool."""
     with contextlib.ExitStack() as stack:
         if threads > 1:
             from concurrent.futures import ThreadPoolExecutor
@@ -49,17 +53,17 @@ def fft_workers(threads: int) -> Iterator[None]:
         yield
 
 
-def _pass(fn, a: np.ndarray, out: np.ndarray | None = None, **kw) -> np.ndarray:
-    """fn(a, out=out, **kw): one numpy FFT pass along one of the last three axes,
-    each field of a batch (the leading axis) a task of the fft_workers pool."""
+def _per_field(fn, *arrays: np.ndarray) -> None:
+    """fn(*fields) for every (n, n, .) field of arrays that share their leading
+    axes, each call a task of the fft_workers pool when one is set."""
+    index = list(np.ndindex(arrays[0].shape[:-3]))
+    task = lambda i: fn(*(a[i] for a in arrays))
     pool = _POOL.get()
-    if pool is None or a.ndim < 4:
-        return fn(a, out=out, **kw)
-    if out is None:  # shaped and typed as the pass shapes an empty batch
-        empty = fn(a[:0], **kw)
-        out = np.empty(a.shape[:1] + empty.shape[1:], empty.dtype)
-    list(pool.map(lambda x, o: fn(x, out=o, **kw), a, out))  # reads each result: errors raise
-    return out
+    if pool is None or len(index) < 2:
+        for i in index:
+            task(i)
+    else:
+        list(pool.map(task, index))  # reads each result: errors raise
 
 
 @functools.lru_cache(maxsize=None)
@@ -222,17 +226,30 @@ class GridSpec(_SpectralLayout):
 
     def transform(self, f: np.ndarray) -> np.ndarray:
         """Real field(s) -> spectral coefficients over the last three axes."""
-        g = _pass(np.fft.rfft, f, axis=-1)
-        g_re = g.view(np.float64)  # scipy's one norm="forward" factor, after the real pass
-        g_re *= 1.0 / self.n**3
-        _pass(np.fft.fft, g, g, axis=-3)
-        return _pass(np.fft.fft, g, g, axis=-2)
+        out = np.empty(f.shape[:-3] + self.spectral_shape, dtype=complex)
+
+        def field(x: np.ndarray, g: np.ndarray) -> None:
+            np.fft.rfft(x, axis=-1, out=g)
+            g_re = g.view(np.float64)  # scipy's one norm="forward" factor, after the real pass
+            g_re *= 1.0 / self.n**3
+            np.fft.fft(g, axis=-3, out=g)
+            np.fft.fft(g, axis=-2, out=g)
+
+        _per_field(field, f, out)
+        return out
 
     def inverse(self, fh: np.ndarray) -> np.ndarray:
         """Spectral coefficients -> real field(s) over the last three axes."""
-        g = _pass(np.fft.ifft, fh, axis=-3, norm="forward")
-        _pass(np.fft.ifft, g, g, axis=-2, norm="forward")
-        return _pass(np.fft.irfft, g, n=self.n, axis=-1, norm="forward")
+        out = np.empty(fh.shape[:-3] + self.shape)
+
+        def field(c: np.ndarray, x: np.ndarray) -> None:
+            g = np.array(c, dtype=complex)  # the passes below overwrite it, not fh
+            np.fft.ifft(g, axis=-3, norm="forward", out=g)
+            np.fft.ifft(g, axis=-2, norm="forward", out=g)
+            np.fft.irfft(g, n=self.n, axis=-1, norm="forward", out=x)
+
+        _per_field(field, fh, out)
+        return out
 
     def derivative_square_sum(self, fh: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Pointwise sum_{|alpha| <= m} (d^alpha f)^2 per field, and f^2.
@@ -252,28 +269,31 @@ class GridSpec(_SpectralLayout):
         d2 = (1j * kfull)[:, None]
         d3 = 1j * khalf
         total = np.zeros(fh.shape[:-3] + self.shape)
-        zero = None
-        g1 = np.array(fh, dtype=complex)  # multiplied in place below
-        # each pass's result is released before the next pass allocates its own
-        for a1 in range(m + 1):
-            if a1:
-                g1 *= d1
-            g2 = _pass(np.fft.ifft, g1, axis=-3, norm="forward")
-            for a2 in range(m - a1 + 1):
-                if a2:
-                    g2 *= d2
-                g3 = _pass(np.fft.ifft, g2, axis=-2, norm="forward")
-                for a3 in range(m - a1 - a2 + 1):
-                    if a3:
-                        g3 *= d3
-                    f = _pass(np.fft.irfft, g3, n=self.n, axis=-1, norm="forward")
-                    f *= f
-                    total += f
-                    if zero is None:
-                        zero = f
-                    del f
-                del g3
-            del g2
+        zero = np.empty_like(total)
+
+        def field(c: np.ndarray, total: np.ndarray, zero: np.ndarray) -> None:
+            g1 = np.array(c, dtype=complex)  # multiplied in place below
+            g2, g3 = np.empty_like(g1), np.empty_like(g1)
+            for a1 in range(m + 1):
+                if a1:
+                    g1 *= d1
+                np.fft.ifft(g1, axis=-3, norm="forward", out=g2)
+                for a2 in range(m - a1 + 1):
+                    if a2:
+                        g2 *= d2
+                    np.fft.ifft(g2, axis=-2, norm="forward", out=g3)
+                    for a3 in range(m - a1 - a2 + 1):
+                        if a3:
+                            g3 *= d3
+                        # alpha = 0 lands in zero; f is freed before the next
+                        # in-place multiply, which takes a 128 KiB buffer of its own
+                        f = np.fft.irfft(g3, n=self.n, axis=-1, norm="forward",
+                                         out=None if a1 + a2 + a3 else zero)
+                        f *= f
+                        total += f
+                        del f
+
+        _per_field(field, fh, total, zero)
         return total, zero
 
     # ---- differential operators (spectral in, spectral out) -------------

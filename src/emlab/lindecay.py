@@ -131,6 +131,7 @@ def block_eig(r: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray, np.n
 _R_MAX = 24.0
 _PANELS = 6
 _PANEL_RATIO = 4.0
+_EDGES = (0.0, *(_R_MAX * _PANEL_RATIO ** (-(_PANELS - 1 - j)) for j in range(_PANELS)))
 
 
 @dataclass(frozen=True)
@@ -164,17 +165,39 @@ class QuadratureScheme:
 
     def radial_rule(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes r_i > 0 and weights carrying the r^2 volume factor."""
-        edges = [0.0] + [
-            _R_MAX * _PANEL_RATIO ** (-(_PANELS - 1 - j)) for j in range(_PANELS)
-        ]
         base_x, base_w = np.polynomial.legendre.leggauss(self.radial_nodes)
         nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
+        for a, b in zip(_EDGES[:-1], _EDGES[1:]):
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             r = mid + half * base_x
             nodes.append(r)
             weights.append(half * base_w * r**2)
         return np.concatenate(nodes), np.concatenate(weights)
+
+    def smallest_radius(self) -> float:
+        """radial_rule's smallest node, without the radial_nodes^2 eigenproblem
+        that leggauss solves.  It is e_1 t, for the first panel edge e_1 and
+        t = (1 - x) / 2 at the largest root x of the Legendre polynomial P_n.
+        P_n = 2F1(-n, n + 1; 1; t), whose terms fall like (n^2 t)^k / k!^2, and
+        n^2 t is about 1.45 at that root; so each Newton step from Tricomi's
+        estimate sums about 20 terms, whatever n is."""
+        n = self.radial_nodes
+        # x ~ (1 - delta) cos(theta); 1 - cos(theta) taken without cancellation
+        theta, delta = 3.0 * math.pi / (4 * n + 2), (n - 1) / (8.0 * n**3)
+        t = math.sin(0.5 * theta) ** 2 + 0.5 * delta * math.cos(theta)
+        for _ in range(20):
+            p, t_dp, term = 1.0, 0.0, 1.0  # P_n(t), t P_n'(t), the k-th term
+            for k in range(1, n + 1):
+                term *= (k - 1 - n) * (n + k) / (k * k) * t
+                p += term
+                t_dp += k * term
+                if abs(term) < 1e-17:
+                    break
+            step = p * t / t_dp
+            t -= step
+            if abs(step) <= 1e-16 * t:
+                break
+        return _EDGES[1] * t
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Radii (R,), frequency nodes (K, 3) and positive weights (K,) with dxi measure."""

@@ -781,13 +781,13 @@ def series_missing_columns(tmp_path, monkeypatch):
     return lyapunov_argv(tmp_path), ["series.csv", "dissipation_full", "energy_high"]
 
 
-def off_scale_width(key, value, *argv):
-    """A width whose square, or for the family's moment whose -7th power, leaves
-    the float range: refused before any work, not left to overflow later."""
+def off_scale_width(key, value, needle, *argv):
+    """A width whose square, or whose family's envelope or tail bound, leaves the
+    float range: refused before any work, not left to overflow later."""
     flag = "--" + key.replace("_", "-")
     return (
         lambda tmp, mp: ([*argv, flag, value, "--out-dir", str(tmp / "w")],
-                         [f"key {key} ", "finite nonzero"]),
+                         [f"key {key} ", needle]),
         2, False,
     )
 
@@ -871,10 +871,18 @@ FAILURES = {
                          ["phi_nodes", ">= 3"]),
         2, False,
     ),
-    "tiny-family-width": off_scale_width("family_width", "1e-300", "lindecay"),
-    "huge-family-width": off_scale_width("family_width", "1e300", "lindecay"),
-    "tiny-background-width": off_scale_width("width", "1e-300", "stationary", "--grid-n", "16"),
-    "huge-background-width": off_scale_width("width", "1e300", "stationary", "--grid-n", "16"),
+    "tiny-family-width": off_scale_width("family_width", "1e-300", "tail_bound", "lindecay"),
+    "huge-family-width": off_scale_width("family_width", "1e300", "nonzero", "lindecay"),
+    # a tail bound of inf would be written as a report that is not JSON
+    "inf-tail-bound-family-width": off_scale_width(
+        "family_width", "1e-44", "quadrature_tail_bound(family_width) finite", "lindecay"),
+    # an envelope of 0 at every node would make every norm 0 and no fit possible
+    "underflowing-envelope-family-width": off_scale_width(
+        "family_width", "1e6", "nonzero at the smallest radial node", "lindecay"),
+    "tiny-background-width": off_scale_width(
+        "width", "1e-300", "finite nonzero", "stationary", "--grid-n", "16"),
+    "huge-background-width": off_scale_width(
+        "width", "1e300", "finite nonzero", "stationary", "--grid-n", "16"),
     # " #" would open an inline comment in config.resolved.ini, and a rerun
     # from it would write elsewhere
     "string-cut-by-comment": (

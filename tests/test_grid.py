@@ -207,13 +207,62 @@ class TestScipyBits:
     @pytest.mark.parametrize("n", [16, 18, 22, 32, 48])
     def test_worker_threads_give_the_serial_bits(self, n):
         g = GridSpec(n=n, box=7.0)
-        f = np.random.default_rng(n).standard_normal((5,) + g.shape)
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal((5,) + g.shape)
         fh = g.transform(f)
         serial = (fh, g.inverse(fh), *g.derivative_square_sum(fh[:3], 2))
         with fft_workers(3):
             threaded = (g.transform(f), g.inverse(fh), *g.derivative_square_sum(fh[:3], 2))
         for a, b in zip(serial, threaded):
             assert np.array_equal(a, b)
+        # the RHS's 11-field inverse, and two leading axes, which are flattened into
+        # one list of fields: each field of a batch gets its single-field bits
+        for lead in [(2, 3)] + [(11,)] * (n == 48):
+            f = rng.standard_normal(lead + g.shape)
+            fh = g.transform(f)
+            batch = (fh, g.inverse(fh), *g.derivative_square_sum(fh, 1))
+            with fft_workers(2):
+                threaded = (g.transform(f), g.inverse(fh), *g.derivative_square_sum(fh, 1))
+            for i in np.ndindex(lead):
+                single = (g.transform(f[i]), g.inverse(fh[i]), *g.derivative_square_sum(fh[i], 1))
+                for a, b, c in zip(batch, threaded, single):
+                    assert np.array_equal(a[i], c) and np.array_equal(b[i], c)
+
+
+class TestFieldPasses:
+    """Every numpy FFT call of a grid transform sees one 3-D field, and the
+    in-place passes never write to the caller's array."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_fft_call_takes_one_field(self, threads, monkeypatch):
+        seen = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def wrapped(a, *args, _fn=getattr(np.fft, name), _name=name, **kw):
+                seen.append((_name, np.ndim(a)))
+                return _fn(a, *args, **kw)
+            monkeypatch.setattr(np.fft, name, wrapped)
+        g = GridSpec(n=12, box=5.0)
+        f = np.random.default_rng(3).standard_normal((2, 3) + g.shape)
+        with fft_workers(threads):
+            fh = g.transform(f)
+            g.transform(f[0, 0])
+            g.inverse(fh)
+            g.inverse(fh[1, 2])
+            g.derivative_square_sum(fh[0], 2)
+        assert {name for name, _ in seen} == {"fft", "ifft", "rfft", "irfft"}
+        assert {ndim for _, ndim in seen} == {3}, sorted(set(seen))
+
+    def test_inverse_leaves_its_input_unchanged(self):
+        g = GridSpec(n=12, box=5.0)
+        fh = g.transform(np.random.default_rng(4).standard_normal((4,) + g.shape))
+        ref = g.inverse(fh)
+        # a band covering every mode takes the whole layout, in take's memory order
+        taken = SpectralBand(g, g.n // 2).take(fh)
+        assert taken.shape == fh.shape and not taken.flags.c_contiguous
+        for arg, want in ((fh, ref), (taken, ref), (fh[::2], ref[::2]), (fh[1], ref[1])):
+            before = arg.copy()
+            assert np.array_equal(g.inverse(arg), want)
+            assert np.array_equal(arg, before)
 
 
 class TestDealias:

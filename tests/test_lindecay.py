@@ -266,6 +266,22 @@ class TestQuadrature:
         for name, ref in fine.norms.items():
             assert (np.abs(coarse.norms[name] - ref) <= 1e-13 * ref).all(), name
 
+    @pytest.mark.parametrize("radial_nodes", [2, 3, 8, 16, 32, 64, 200, 1000])
+    def test_smallest_radius_is_the_rules_smallest_node(self, radial_nodes):
+        scheme = QuadratureScheme(radial_nodes=radial_nodes)
+        r, _ = scheme.radial_rule()
+        # radial_rule places a node to a few ulps of its panel, [0, 24 / 4^5]
+        assert abs(scheme.smallest_radius() - r.min()) <= 4 * np.finfo(float).eps * 24.0 / 4**5
+
+    def test_smallest_radius_needs_no_rule_of_that_size(self):
+        # far past any rule leggauss could build, the Mehler-Heine limit: n theta
+        # tends to j, the first zero of J_0, so t -> j^2 / (4 n^2) (Szego,
+        # Orthogonal Polynomials, Theorem 8.1.1)
+        j = 2.404825557695773
+        n = 10**12
+        got = QuadratureScheme(radial_nodes=n).smallest_radius()
+        assert abs(got / (24.0 / 4**5 * j**2 / (4.0 * n**2)) - 1.0) < 1e-9
+
     def test_validation(self):
         for name in ("radial_nodes", "theta_nodes"):
             with pytest.raises(ValueError, match=f"{name} must be >= 2"):
