@@ -266,8 +266,9 @@ def rhs_symmetric(state_band: np.ndarray, tail: BandTail) -> np.ndarray:
     del phys, sigma, v, grad_sigma, div_v, curl_v_b, w
 
     # The complete tendency is projected onto the two-thirds band (a
-    # Galerkin truncation), so it is assembled on that sub-lattice alone.
-    ph = band.take(grid.transform(prods))
+    # Galerkin truncation), so it is assembled on that sub-lattice alone,
+    # from the products' band entries.
+    ph = grid.transform(prods, band)
     del prods
     out = np.empty_like(sb)
     out[SCALAR] = -ph[0] - fields_band[7]
@@ -283,7 +284,7 @@ def rhs_symmetric(state_band: np.ndarray, tail: BandTail) -> np.ndarray:
     # semi-discrete motion on every representable mode.  (The mean mode
     # has no current to adjust, so total charge keeps whatever truncation
     # drift the density products produce.)
-    s_hat = band.take(grid.transform(n_prime * grid.inverse(band.embed(out[SCALAR]))))
+    s_hat = grid.transform(n_prime * grid.inverse(band.embed(out[SCALAR])), band)
     # the correction's divergence is minus the defect div E~ + s/sqrt(g)
     out[ELEC] += band.longitudinal(s_hat / -sg - band.div(out[ELEC]))
     return out

@@ -224,22 +224,52 @@ class GridSpec(_SpectralLayout):
 
     # ---- transforms ----------------------------------------------------
 
-    def transform(self, f: np.ndarray) -> np.ndarray:
-        """Real field(s) -> spectral coefficients over the last three axes."""
-        out = np.empty(f.shape[:-3] + self.spectral_shape, dtype=complex)
+    def _require(self, arr: np.ndarray, trailing: tuple[int, ...], what: str) -> None:
+        """Raise ValueError, naming n, unless arr's last three axes are trailing."""
+        if np.shape(arr)[-3:] != trailing:
+            raise ValueError(
+                f"{what} needs trailing shape {trailing} on the n = {self.n} grid, "
+                f"got an array of shape {np.shape(arr)}"
+            )
 
-        def field(x: np.ndarray, g: np.ndarray) -> None:
-            np.fft.rfft(x, axis=-1, out=g)
-            g_re = g.view(np.float64)  # scipy's one norm="forward" factor, after the real pass
-            g_re *= 1.0 / self.n**3
-            np.fft.fft(g, axis=-3, out=g)
-            np.fft.fft(g, axis=-2, out=g)
+    def _forward(self, x: np.ndarray, g: np.ndarray) -> None:
+        """One real field's coefficients, written into g."""
+        np.fft.rfft(x, axis=-1, out=g)
+        g_re = g.view(np.float64)  # scipy's one norm="forward" factor, after the real pass
+        g_re *= 1.0 / self.n**3
+        np.fft.fft(g, axis=-3, out=g)
+        np.fft.fft(g, axis=-2, out=g)
+
+    def transform(self, f: np.ndarray, band: SpectralBand | None = None) -> np.ndarray:
+        """Real field(s) -> spectral coefficients over the last three axes.
+
+        With band, a SpectralBand of this grid, only the band's entries are
+        returned, band.take's values: each field goes through one work array
+        of the full layout, so no full-layout batch is held.
+        """
+        self._require(f, self.shape, "transform")
+        if band is None:
+            out = np.empty(f.shape[:-3] + self.spectral_shape, dtype=complex)
+            _per_field(self._forward, f, out)
+            return out
+        if (band.spectral_shape, band.box) != (self.spectral_shape, self.box):
+            raise ValueError(
+                f"transform needs a band of the n = {self.n}, box = {self.box} grid, "
+                f"got one of a grid with spectral shape {band.spectral_shape}, box = {band.box}"
+            )
+        out = np.empty(f.shape[:-3] + band.k_sq.shape, dtype=complex)
+
+        def field(x: np.ndarray, b: np.ndarray) -> None:
+            g = np.empty(self.spectral_shape, dtype=complex)
+            self._forward(x, g)
+            b[...] = g[band.index]
 
         _per_field(field, f, out)
         return out
 
     def inverse(self, fh: np.ndarray) -> np.ndarray:
         """Spectral coefficients -> real field(s) over the last three axes."""
+        self._require(fh, self.spectral_shape, "inverse")
         out = np.empty(fh.shape[:-3] + self.shape)
 
         def field(c: np.ndarray, x: np.ndarray) -> None:
@@ -264,34 +294,32 @@ class GridSpec(_SpectralLayout):
         """
         if m < 0:
             raise ValueError(f"derivative order must be >= 0, got {m}")
-        kfull, khalf = self._k1d
-        d1 = (1j * kfull)[:, None, None]
-        d2 = (1j * kfull)[:, None]
-        d3 = 1j * khalf
+        self._require(fh, self.spectral_shape, "derivative_square_sum")
+        # the full-shape rows of the cached i k: a broadcast in-place
+        # multiply would allocate an iterator buffer of its own, live with f
+        ik1, ik2, ik3 = self.ik
         total = np.zeros(fh.shape[:-3] + self.shape)
         zero = np.empty_like(total)
 
         def field(c: np.ndarray, total: np.ndarray, zero: np.ndarray) -> None:
             g1 = np.array(c, dtype=complex)  # multiplied in place below
             g2, g3 = np.empty_like(g1), np.empty_like(g1)
+            f = np.empty(self.shape)  # every alpha but 0; alpha = 0 lands in zero
             for a1 in range(m + 1):
                 if a1:
-                    g1 *= d1
+                    g1 *= ik1
                 np.fft.ifft(g1, axis=-3, norm="forward", out=g2)
                 for a2 in range(m - a1 + 1):
                     if a2:
-                        g2 *= d2
+                        g2 *= ik2
                     np.fft.ifft(g2, axis=-2, norm="forward", out=g3)
                     for a3 in range(m - a1 - a2 + 1):
                         if a3:
-                            g3 *= d3
-                        # alpha = 0 lands in zero; f is freed before the next
-                        # in-place multiply, which takes a 128 KiB buffer of its own
-                        f = np.fft.irfft(g3, n=self.n, axis=-1, norm="forward",
-                                         out=None if a1 + a2 + a3 else zero)
-                        f *= f
-                        total += f
-                        del f
+                            g3 *= ik3
+                        x = f if a1 + a2 + a3 else zero
+                        np.fft.irfft(g3, n=self.n, axis=-1, norm="forward", out=x)
+                        x *= x
+                        total += x
 
         _per_field(field, fh, total, zero)
         return total, zero

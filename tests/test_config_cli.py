@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from emlab import dynamics, pipelines
 from emlab.cli import build_parser, main
 from emlab.config import (
     KEY_SECTIONS, ExperimentConfig, canonical_text, config_hash, parse_config,
@@ -439,6 +441,30 @@ class TestEvolvePipeline:
         assert data["t"][-1] == pytest.approx(1.0)
         manifest = json.loads((tmp_path / "ev" / "manifest.json").read_text())
         assert manifest["status"] == "ok" and manifest["error"] is None
+
+    def test_no_sampled_stack_lives_through_a_chunk(self, tmp_path, monkeypatch):
+        # once its sample is taken, a stack the flow yielded is garbage: the
+        # run keeps the last one alone, for state_final.emxf, so none is held
+        # while a chunk steps
+        flow, step = pipelines.evolve_band, dynamics.step_rk4
+        yielded, alive = [], []
+
+        def watched_flow(*args):
+            for tau, y_hat in flow(*args):
+                yielded.append(weakref.ref(y_hat))
+                yield tau, y_hat
+                del y_hat
+
+        def watched_step(*args):
+            alive.append(sum(ref() is not None for ref in yielded))
+            return step(*args)
+
+        monkeypatch.setattr(pipelines, "evolve_band", watched_flow)
+        monkeypatch.setattr(dynamics, "step_rk4", watched_step)
+        cfg = small_cfg(tmp_path, "ev", command="evolve", t_end=1, cadence=0.5)
+        assert run_experiment(cfg).passed
+        assert len(yielded) == 3 and len(alive) >= 2
+        assert max(alive) == 0
 
     def test_custom_init_resumes_from_snapshot(self, tmp_path):
         first = small_cfg(tmp_path, "leg", command="evolve", t_end=1, cadence=0.5)

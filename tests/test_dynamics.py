@@ -365,6 +365,27 @@ class TestTimeStepping:
         assert tau == 0.0 and np.array_equal(y, expected)
         assert alive() is None
 
+    def test_flow_drops_each_yielded_stack(self, monkeypatch):
+        # the stack is the consumer's: once it drops it, the flow's steps
+        # over the next chunk do not keep it alive
+        grid = GridSpec(n=8, box=5.0)
+        y0 = grid.transform(
+            dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-3, seed=7)
+        )
+        step, alive = dyn.step_rk4, []
+
+        def watched(*args):
+            alive.append(sample() is not None)
+            return step(*args)
+
+        monkeypatch.setattr(dyn, "step_rk4", watched)
+        steps = evolve_band(grid, GAMMA, y0, 0.5, 0.25, lambda y: 0.1, {})
+        _, y = next(steps)
+        sample = weakref.ref(y)
+        del y
+        next(steps)
+        assert alive == [False] * 3
+
     def test_step_is_exact_on_uniform_damping(self):
         # a longitudinal B~ is constant under L, so y' = L y - y is y' = -y
         # mode by mode, stepped with the weights of z = 0: classical RK4's;
@@ -726,9 +747,9 @@ class TestSpectralState:
         for name in counts:
             method = getattr(GridSpec, name)
 
-            def counted(self, arr, _method=method, _log=counts[name]):
+            def counted(self, arr, *args, _method=method, _log=counts[name]):
                 _log.append(int(np.prod(arr.shape[:-3])))
-                return _method(self, arr)
+                return _method(self, arr, *args)
 
             monkeypatch.setattr(GridSpec, name, counted)
         return counts

@@ -1,6 +1,7 @@
 """Spectral grid core: transforms, operators, norms, dealiasing."""
 import gc
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -58,6 +59,31 @@ class TestTransforms:
         a = g.l2_norm(f) ** 2
         b = g.spectral_l2_sq(g.transform(f))
         assert abs(a - b) / a < 1e-12
+
+    # a grid field where coefficients belong, or the reverse, or a half axis
+    # off by one, used to pass silently or end in numpy's unnamed shape error
+    @pytest.mark.parametrize("name,shape,want", [
+        ("transform", (16, 16, 9), (16, 16, 16)),
+        ("transform", (2, 16, 16, 8), (16, 16, 16)),
+        ("transform", (16, 16), (16, 16, 16)),
+        ("inverse", (16, 16, 16), (16, 16, 9)),
+        ("inverse", (16, 16, 8), (16, 16, 9)),
+        ("inverse", (3, 16, 8, 9), (16, 16, 9)),
+        ("derivative_square_sum", (16, 16, 16), (16, 16, 9)),
+        ("derivative_square_sum", (2, 16, 16, 10), (16, 16, 9)),
+    ])
+    def test_wrong_trailing_shape_is_named(self, name, shape, want):
+        g = GridSpec(n=16, box=10.0)
+        args = (2,) if name == "derivative_square_sum" else ()
+        with pytest.raises(ValueError, match=rf"{name} needs trailing shape {re.escape(str(want))} "
+                                             rf"on the n = 16 grid, got .*{re.escape(str(shape))}"):
+            getattr(g, name)(np.ones(shape), *args)
+
+    @pytest.mark.parametrize("other", [GridSpec(n=18, box=10.0), GridSpec(n=16, box=12.0)])
+    def test_band_of_another_grid_is_refused(self, other):
+        g = GridSpec(n=16, box=10.0)
+        with pytest.raises(ValueError, match="band of the n = 16, box = 10.0 grid"):
+            g.transform(np.ones(g.shape), other.two_thirds)
 
 
 class TestOperators:
@@ -251,6 +277,16 @@ class TestFieldPasses:
             g.derivative_square_sum(fh[0], 2)
         assert {name for name, _ in seen} == {"fft", "ifft", "rfft", "irfft"}
         assert {ndim for _, ndim in seen} == {3}, sorted(set(seen))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_band_transform_is_the_band_of_the_transform(self, threads):
+        g = GridSpec(n=24, box=7.0)
+        band = g.two_thirds
+        f = np.random.default_rng(5).standard_normal((2, 3) + g.shape)
+        with fft_workers(threads):
+            got = g.transform(f, band)
+        assert got.shape == (2, 3) + band.k_sq.shape
+        assert np.array_equal(got, band.take(g.transform(f)))
 
     def test_inverse_leaves_its_input_unchanged(self):
         g = GridSpec(n=12, box=5.0)
