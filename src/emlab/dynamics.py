@@ -22,15 +22,16 @@ complete right-hand side is projected onto the two-thirds dealias band (a
 Galerkin truncation), so the modes beyond the band never move: the
 integrator carries only the band coefficients, (10, 2b+1, 2b+1, b+1) with
 b = n // 3.  A BandTail holds what the flow fixes at its start: the
-off-band tail of the initial state, which it adds to the inverse
-transform of every RHS call and under which full() rebuilds the whole
-stack, and the in-band Gauss defect.  Pointwise cancellations ---
-in particular the stationary balance grad h(n_st) = -E_st, whose
-out-of-band tail the state carries --- are projected as a unit, so exact
-equilibria stay exact.  The acoustic gradient terms are written in
-gradient form, grad h(n) with the enthalpy h(n) = g/(g-1) (n^{g-1} - 1),
-and w grad sigma = grad W(sigma) with W(sigma) = (w^2 - 1)/(g - 1), which
-is what makes that balance hold to roundoff on the grid.
+off-band entries of the initial state and of the fields the RHS derives
+from it, once each, under which every RHS call streams its products and
+full() rebuilds the whole stack, and the in-band Gauss defect.
+Pointwise cancellations --- in particular the stationary balance
+grad h(n_st) = -E_st, whose out-of-band tail the state carries --- are
+projected as a unit, so exact equilibria stay exact.  The acoustic
+gradient terms are written in gradient form, grad h(n) with the enthalpy
+h(n) = g/(g-1) (n^{g-1} - 1), and w grad sigma = grad W(sigma) with
+W(sigma) = (w^2 - 1)/(g - 1), which is what makes that balance hold to
+roundoff on the grid.
 
 Time stepping.  About the flat state the system is linear, and its waves,
 light and sound, are what limit an explicit step.  FlatFlows solves that
@@ -150,8 +151,11 @@ class BandTail:
     rhs_symmetric's tendency vanishes outside the two-thirds band, so an
     integration carries only the band coefficients, take(state_hat), over
     this tail of the state it started from; full() rebuilds the whole rfft
-    stack.  The tail's share of the RHS's batched inverse input (see
-    _inverse_fields) is computed here, once per run.
+    stack.  The tail holds each off-band entry once, in the band's three
+    off_index blocks, for 17 rows: the state's ten and the seven fields the
+    RHS derives from it (_derived).  fill(row, values) lays a row out over
+    band values in one full-layout work array, the input of every inverse
+    transform the RHS and the Gauss reset make.
 
     The RHS transports the Gauss defect div E~ + (n(sigma) - n_b)/sqrt(g)
     exactly on every band mode but the mean, but a long step drifts it by
@@ -170,13 +174,13 @@ class BandTail:
 
     def __init__(self, grid: GridSpec, gamma: float, state_hat: np.ndarray) -> None:
         self.grid, self.gamma, self.band = grid, gamma, grid.two_thirds
-        # full() overwrites every in-band entry, so the in-band sigma is
-        # _defect's scratch
-        self._state = state_hat.copy()
-        # the RHS's inverse input: every call scatters the band's fields into
-        # it, and the transform leaves its input as it is, so the off-band
-        # entries keep the tail's fields
-        self.fields = _inverse_fields(grid, state_hat)
+        self._tail = [(i, np.empty((17,) + state_hat[0][i].shape, dtype=complex))
+                      for i in self.band.off_index]
+        for row in range(17):
+            field = state_hat[row] if row < 10 else _derived(grid, state_hat, row)
+            for i, block in self._tail:
+                block[row] = field[i]
+        self._work = np.empty(grid.spectral_shape, dtype=complex)
         self._defect0 = self._defect(self.band.take(state_hat))
         self.max_drift = 0.0
         # on a full band axis, the index at position p is minus the one at (-p) mod (2b + 1)
@@ -189,14 +193,24 @@ class BandTail:
 
     def full(self, state_band: np.ndarray) -> np.ndarray:
         """The (10, n, n, n//2+1) stack: band coefficients over the fixed tail."""
-        out = self._state.copy()
+        out = np.empty((10,) + self.grid.spectral_shape, dtype=complex)
+        for i, block in self._tail:
+            out[(Ellipsis,) + i] = block[:10]
         out[(Ellipsis,) + self.band.index] = state_band
         return out
 
+    def fill(self, row: int, band_values: np.ndarray) -> np.ndarray:
+        """The work array, holding the tail's row off the band and band_values
+        on it; the next fill overwrites it."""
+        g = self._work
+        for i, block in self._tail:
+            g[i] = block[row]
+        g[self.band.index] = band_values
+        return g
+
     def _defect(self, y_band: np.ndarray) -> np.ndarray:
         """div E~ + n(sigma)/sqrt(g) on the band (the defect up to n_b's part)."""
-        sigma = self._state[SCALAR]
-        sigma[self.band.index] = y_band[SCALAR]
+        sigma = self.fill(SCALAR, y_band[SCALAR])
         charge = self.band.take(_gauss_charge(self.grid, self.gamma, sigma, 0.0))
         return self.band.div(y_band[ELEC]) + charge
 
@@ -212,19 +226,18 @@ class BandTail:
         return y_band
 
 
-def _inverse_fields(ops, sh: np.ndarray) -> np.ndarray:
-    """The 11 fields the products need in physical space, spectrally.
-
-    sigma, v, grad sigma, div v and curl v - B~ (B~ enters the products only
-    through v x (curl v - B~)), on the layout of ops: a GridSpec or a
-    SpectralBand.  E~ enters only linearly and never leaves spectral space.
-    """
-    out = np.empty((11,) + sh.shape[1:], dtype=complex)
-    out[0:4] = sh[0:4]
-    out[4:7] = ops.grad(sh[SCALAR])
-    out[7] = ops.div(sh[VEL])
-    out[8:11] = ops.curl(sh[VEL]) - sh[MAG]
-    return out
+def _derived(ops, sh: np.ndarray, row: int) -> np.ndarray:
+    """Row 10-16 of a BandTail on the layout of ops (a GridSpec or a SpectralBand):
+    grad sigma, div v, then curl v - B~, through which alone B~ enters the
+    products.  E~ enters only linearly and never leaves spectral space."""
+    ik, v = ops.ik, sh[VEL]
+    if row < 13:
+        return ik[row - 10] * sh[SCALAR]
+    if row == 13:
+        return ops.div(v)
+    i = row - 14
+    j, k = (i + 1) % 3, (i + 2) % 3
+    return ik[j] * v[k] - ik[k] * v[j] - sh[MAG][i]
 
 
 def rhs_symmetric(state_band: np.ndarray, tail: BandTail) -> np.ndarray:
@@ -233,48 +246,59 @@ def rhs_symmetric(state_band: np.ndarray, tail: BandTail) -> np.ndarray:
     Takes the state's two-thirds band coefficients (tail.take of the full
     stack) and returns the tendency there; off the band it is zero, so the
     tail stays as it is.  The grid and gamma are the tail's.
+
+    The products are streamed: v and sigma (then w(sigma)) stay on the grid,
+    the other fields go there one at a time through tail.fill, and each
+    product goes into the band before the next is made.  A call transforms
+    11 + 1 fields inverse and 8 + 1 forward, one per GridSpec call.
     """
     grid, gamma, band = tail.grid, tail.gamma, tail.band
     sg = np.sqrt(gamma)
     sb = state_band
+    # a row of the tail on the grid, under the band's values of that field
+    physical = lambda row, values: grid.inverse(tail.fill(row, values))
+    derived = lambda row: physical(row, _derived(band, sb, row))
+    dot = lambda terms: _summed(np.empty(grid.shape), terms)  # of three components
+    sigma = physical(SCALAR, sb[SCALAR])
+    v = [physical(1 + c, sb[1 + c]) for c in range(3)]
+    div_v = _derived(band, sb, 13)
+    ph = np.empty((8,) + sb.shape[1:], dtype=complex)  # the products' band entries
 
-    # the tail's fields are fixed; the band's are scattered over them
-    fields_band = _inverse_fields(band, sb)
-    tail.fields[(Ellipsis,) + band.index] = fields_band
-    phys = grid.inverse(tail.fields)
-    sigma, v, grad_sigma, div_v, curl_v_b = (
-        phys[SCALAR], phys[VEL], phys[4:7], phys[7], phys[8:11]
-    )
-
-    # pointwise products, then one batched forward transform
-    prods = np.empty((8,) + grid.shape)
     # a state whose products overflow is NaN in all but name: they are taken quietly,
-    # and its tendency is NaN, for the non-finite check at the next cadence point
+    # and its tendency is NaN, for the non-finite check at the next cadence point;
+    # a non-finite product has a non-finite mean, which the band holds
     with np.errstate(over="ignore", invalid="ignore"):
         # v . grad sigma + (w(sigma) - 1) div v; the linear div v stays spectral
-        prods[0] = (v * grad_sigma).sum(axis=0) + 0.5 * (gamma - 1.0) * sigma * div_v
+        p = dot(v[c] * derived(10 + c) for c in range(3))
+        ph[0] = grid.transform(p + 0.5 * (gamma - 1.0) * sigma * physical(13, div_v), band)
         w = w_of_sigma(sigma, gamma)  # W squares it: any sign does
-        prods[1] = 0.5 * (v * v).sum(axis=0) + _potential_of_w(w, gamma)
-        _cross(v, curl_v_b, prods[2:5])                   # v x (curl v - B~)
-    if not np.isfinite(prods[:5]).all():
+        del sigma, p
+        ph[1] = grid.transform(0.5 * dot(c * c for c in v) + _potential_of_w(w, gamma), band)
+        curl_v_b = [derived(row) for row in (14, 15, 16)]
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):  # v x (curl v - B~)
+            p = v[j] * curl_v_b[k]
+            p -= v[k] * curl_v_b[j]
+            ph[2 + i] = grid.transform(p, band)
+        del p, curl_v_b
+    if not np.isfinite(ph[:5]).all():
         return np.full_like(sb, np.nan)
     w = require_admissible(w, _STATE)  # every power of the law below is of this one w
-    prods[5:8] = _n_of_w(w, gamma) * v                    # current n(sigma) v
-    # n'(sigma), for the current correction below; the physical stack is
-    # then dead, and freed before the forward transform
+    n_w = _n_of_w(w, gamma)
+    for c in range(3):
+        ph[5 + c] = grid.transform(n_w * v[c], band)  # current n(sigma) v
+    # n'(sigma), for the current correction below; the rest is dead
     n_prime = _n_prime_of_w(w, gamma)
-    del phys, sigma, v, grad_sigma, div_v, curl_v_b, w
+    del v, w, n_w
 
     # The complete tendency is projected onto the two-thirds band (a
     # Galerkin truncation), so it is assembled on that sub-lattice alone,
     # from the products' band entries.
-    ph = grid.transform(prods, band)
-    del prods
     out = np.empty_like(sb)
-    out[SCALAR] = -ph[0] - fields_band[7]
+    out[SCALAR] = -ph[0] - div_v
     out[VEL] = -band.grad(ph[1]) + ph[2:5] - (sb[ELEC] + sb[VEL]) / sg
     out[ELEC] = band.curl(sb[MAG]) / sg + ph[5:8] / sg
     out[MAG] = -band.curl(sb[ELEC]) / sg
+    del ph
 
     # The density advances through nonconservative products while the
     # current above is a separate dealiased product, so beyond quadratic
@@ -415,10 +439,11 @@ class FlatFlows:
 
     def weigh(self, row: int, f_hat: np.ndarray) -> np.ndarray:
         """Weight row times eigen-coordinates f_hat."""
-        g = self._weights[row].take(self._radius, axis=-1)
-        out = np.empty_like(f_hat)
-        out[0:3] = g[0:3] * f_hat[0:3]
-        out[3:12] = (g[3:6, None] * f_hat[3:12].reshape(3, 3, -1)).reshape(9, -1)
+        g = lambda rows: self._weights[row, rows].take(self._radius, axis=-1)
+        out = np.empty(f_hat.shape, dtype=complex)
+        np.multiply(g(slice(0, 3)), f_hat[0:3], out=out[0:3])
+        np.multiply(g(slice(3, 6))[:, None], f_hat[3:12].reshape(3, 3, -1),
+                    out=out[3:12].reshape(3, 3, -1))
         out[12] = self._weights_b[row] * f_hat[12]
         return out
 
@@ -435,11 +460,9 @@ class FlatFlows:
         _cross(hat, vectors[2], rows[2])
         # w_i = sum_j V^{-1}_ij x_j over (sigma, v_l, E~_l), then over the rows
         w = np.empty((13, y.shape[1]), dtype=complex)
-        g = self._inv[0].take(self._radius, axis=-1)
-        w[0:3] = g[0] * y[SCALAR] + g[1] * along[0] + g[2] * along[1]
-        g = self._inv[1].take(self._radius, axis=-1)
-        trans = g[0][:, None] * rows[0] + g[1][:, None] * rows[1] + g[2][:, None] * rows[2]
-        w[3:12] = trans.reshape(9, -1)
+        inv = lambda block, j: self._inv[block, j].take(self._radius, axis=-1)  # column j
+        _summed(w[0:3], (inv(0, j) * x for j, x in enumerate((y[SCALAR], along[0], along[1]))))
+        _summed(w[3:12].reshape(3, 3, -1), (inv(1, j)[:, None] * rows[j] for j in range(3)))
         w[12] = along[2]
         return w
 
@@ -447,23 +470,34 @@ class FlatFlows:
         """Eigen-coordinates (13, modes) -> band coefficients."""
         hat = self._hat
         # x_i = sum_j V_ij w_j, longitudinally and per transverse component
-        g = self._vecs[0].take(self._radius, axis=-1)
-        lon = g[0] * w[0] + g[1] * w[1] + g[2] * w[2]
+        vec = lambda block, j: self._vecs[block, j].take(self._radius, axis=-1)  # column j
+        lon = _summed(np.empty((3, w.shape[1]), dtype=complex),
+                      (vec(0, j) * w[j] for j in range(3)))
         y = np.empty((10, w.shape[1]), dtype=complex)
         y[SCALAR] = lon[0]
         y[VEL] = hat * lon[1]
         y[ELEC] = hat * lon[2]
         y[MAG] = hat * w[12]
-        g = self._vecs[1].take(self._radius, axis=-1)
         trans = w[3:12].reshape(3, 3, -1)
         # v_perp and E~_perp add to y; xi^ x B~ collects in row
         row = np.zeros_like(lon)
         for i, dest in ((0, y[VEL]), (1, y[ELEC]), (2, row)):
             for j in range(3):
-                dest += g[j, i] * trans[j]
+                dest += self._vecs[1, j, i].take(self._radius) * trans[j]
         # xi^ x (xi^ x B~) = -B~_perp
         y[MAG] -= _cross(hat, row, np.empty_like(row))
         return y.reshape(self.shape)
+
+
+def _summed(out: np.ndarray, terms) -> np.ndarray:
+    """out = t_0 + t_1 + ... over the iterable terms, added left to right as
+    each is made, so that one term is live at a time."""
+    terms = iter(terms)
+    out[...] = next(terms)
+    for term in terms:
+        out += term
+        del term  # not live while the next one is made
+    return out
 
 
 # The rows of the stage weights: a = y + A F(y), b = y + B0 F(y) + BA F(a),
@@ -552,15 +586,15 @@ def step_rk4(
         return out
 
     k0 = fl.split(rhs(y))
-    a = stage(fl.weigh(_A, k0))
-    ka = fl.split(rhs(a))
-    del a
+    ka = fl.split(rhs(stage(fl.weigh(_A, k0))))
     b = stage(fl.weigh(_B0, k0) + fl.weigh(_BA, ka))
     c = fl.weigh(_C0, k0) + fl.weigh(_CA, ka)
     acc = fl.weigh(_Y0, k0) + fl.weigh(_YA, ka)
     del k0, ka
-    kb = fl.split(rhs(b))
-    del b
+    fb = rhs(b)
+    del b  # not live through the split
+    kb = fl.split(fb)
+    del fb
     c += fl.weigh(_CB, kb)
     c = stage(c)
     acc += fl.weigh(_YB, kb)

@@ -369,14 +369,18 @@ class SpectralBand(_SpectralLayout):
     full layout with zeros elsewhere, and the derivative operators act on
     restricted arrays directly, so work whose result is projected onto the
     band anyway (a dealiased tendency) touches only these modes.  Values on
-    the band are the ones the full-layout operators give there.
+    the band are the ones the full-layout operators give there.  off_index
+    holds the rest of the layout as three disjoint blocks: the modes beyond
+    the band on the first axis, then on the second, then on the third.
     """
 
     def __init__(self, grid: GridSpec, band: int) -> None:
         index = np.abs(np.rint(np.fft.fftfreq(grid.n, d=1.0 / grid.n)).astype(int))
-        full = np.flatnonzero(index <= band)
-        half = np.flatnonzero(np.arange(grid.n // 2 + 1) <= band)
-        self.index = np.ix_(full, full, half)
+        full, far = np.flatnonzero(index <= band), np.flatnonzero(index > band)
+        half = np.arange(grid.n // 2 + 1)
+        self.index = np.ix_(full, full, half[half <= band])
+        self.off_index = ((far, slice(None), slice(None)), np.ix_(full, far) + (slice(None),),
+                          np.ix_(full, full, half[half > band]))
         self.spectral_shape = grid.spectral_shape
         self.k = grid.k[(slice(None),) + self.index]
         self.k_sq = grid.k_sq[self.index]

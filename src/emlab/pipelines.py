@@ -258,18 +258,20 @@ def evolve_band(
     """The symmetrized flow from the rfft stack y0_hat, as emlab evolve runs it.
 
     Yields (tau, rfft stack) at tau = 0 and at each multiple of cadence up
-    to t_end, all on the tau clock; a yielded stack is the caller's alone,
-    the flow drops it once dt_cap has read it.  The flow carries the
-    two-thirds band over what a BandTail of y0_hat fixes, and rebuilds the
+    to t_end, all on the tau clock; dt_cap reads a stack before it is
+    yielded, so the caller may write into it, and the flow drops it when
+    resumed.  The flow carries the two-thirds band over what a BandTail of
+    y0_hat fixes, lets the tail go before the last stack, and rebuilds the
     full stack once per cadence boundary.  Each chunk takes equal step_rk4
     steps over FlatFlows, landing on its end, no longer than dt_cap of the
     stack at its start nor than one flat-wave period; the tail's settle
     follows each step.  counters holds "steps", "rhs_calls" and "max_gauss_reset" (the
-    largest in-band Gauss drift the reset removed) as the run goes.  A
-    step cap that is NaN or not positive raises NonFiniteStateError, one
-    that would need more than MAX_CHUNK_STEPS steps in a chunk raises
-    StepCollapseError before any of them is taken, and a state that leaves
-    w(sigma) > 0 raises InadmissibleStateError; all three carry tau.
+    largest in-band Gauss drift the reset removed) as the run goes.  On
+    resuming after a stack whose step cap is NaN or not positive the flow
+    raises NonFiniteStateError, and StepCollapseError where the chunk would
+    need more than MAX_CHUNK_STEPS steps, before any of them is taken; a
+    state that leaves w(sigma) > 0 raises InadmissibleStateError.  All
+    three carry tau.
     """
     n_chunks = _chunk_count(t_end, cadence)
     tail = BandTail(grid, gamma, y0_hat)
@@ -281,11 +283,11 @@ def evolve_band(
         return rhs_symmetric(y_band, tail)
 
     y_band = tail.take(y0_hat)
-    del y0_hat  # the tail holds its copy; the caller's stack may go
+    del y0_hat  # the tail holds its entries; the caller's stack may go
     y_hat = tail.full(y_band)
-    yield 0.0, y_hat
     for chunk in range(1, n_chunks + 1):
-        cap = dt_cap(y_hat)
+        cap = dt_cap(y_hat)  # before the yield: the caller may write into the stack
+        yield (chunk - 1) * cadence, y_hat
         del y_hat  # held through the chunk, it would raise the flow's peak
         if not cap > 0.0:
             raise NonFiniteStateError((chunk - 1) * cadence, cap)
@@ -303,7 +305,8 @@ def evolve_band(
         counters["steps"] += steps
         counters["max_gauss_reset"] = tail.max_drift
         y_hat = tail.full(y_band)
-        yield chunk * cadence, y_hat
+    del tail, flows, y_band  # the flow is over: only its last stack is left
+    yield n_chunks * cadence, y_hat
 
 
 def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
@@ -356,12 +359,15 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
     try:
         # no stack outlives its sample; enumerate() would keep the last one
         # alive through the next chunk, in its cached result tuple
-        for tau, y_hat in trajectory:
-            pert_hat = y_hat.copy()
+        for tau, pert_hat in trajectory:
+            # the flow has read the stack's step cap: the state becomes the
+            # perturbation in place, once its residuals are taken
+            res = constraint_residuals(grid, cfg.gamma, pert_hat, n_b=n_b)
+            if len(rows) + 1 == samples:
+                y_final = pert_hat.copy()  # the last state, for state_final.emxf
             pert_hat[SCALAR] -= base_rows[0]
             pert_hat[ELEC] -= base_rows[1:]
             rep = energy_report(grid, pert_hat, sigma_st, cfg.gamma, weights)
-            res = constraint_residuals(grid, cfg.gamma, y_hat, n_b=n_b)
             norm_v = norm(pert_hat[VEL])
             rows.append((
                 tau / root_g,
@@ -375,9 +381,7 @@ def _run_evolve(cfg: ExperimentConfig, manifest: RunManifest) -> None:
             max_v_norm = max(max_v_norm, norm_v)
             max_gauss = max(max_gauss, res["gauss_e_l2_band"], res["gauss_b_l2_band"])
             max_gauss_full = max(max_gauss_full, res["gauss_e_l2"], res["gauss_b_l2"])
-            if len(rows) == samples:
-                y_final = y_hat  # the last sample's, for state_final.emxf
-            del pert_hat, y_hat  # dead before the flow resumes for the next chunk
+            del pert_hat  # dead before the flow resumes for the next chunk
     except (NonFiniteStateError, StepCollapseError, InadmissibleStateError) as err:
         # the samples up to the failure explain the run from its out-dir
         emit_series(series_path, SERIES_COLUMNS, rows)

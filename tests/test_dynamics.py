@@ -1,4 +1,5 @@
 """Nonlinear evolution: symmetrization, tendencies, sources, time stepping."""
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emlab import dynamics as dyn
+from emlab import pipelines
 from emlab.energy import energy_report
 from emlab.grid import GridSpec
 from emlab.pipelines import evolve_band
@@ -81,7 +83,7 @@ class TestPointwiseMaps:
 
     def test_cross_matches_numpy(self):
         rng = np.random.default_rng(3)
-        # real x real into rows of a larger stack, as rhs_symmetric's products
+        # real x real into rows of a larger stack
         v, curl = rng.standard_normal((2, 3, 4, 4, 4))
         prods = np.zeros((8, 4, 4, 4))
         # real xi^ x complex rows, as FlatFlows' transverse rows
@@ -337,6 +339,27 @@ class TestTimeStepping:
         assert info.value.h == flows.max_step
         assert counters["rhs_calls"] == 0
 
+    def test_global_error_is_fourth_order(self, equilibrium):
+        # the shipped loop on a nonlinear run over a background: amp 1e-2 to
+        # tau = 4, one step per chunk (the CFL bound and the flat-wave period
+        # both exceed these cadences), against cadence 1/64; the final
+        # stack's error falls about 16x per halving of h
+        grid, _, state, prim = equilibrium
+        y0 = grid.transform(to_symmetric(prim, GAMMA) + dyn.compatible_perturbation(
+            grid, GAMMA, state.sigma_st, amp=1e-2, seed=1
+        ))
+        cap = lambda y: dyn.cfl_dt(grid, GAMMA, y, 0.4)
+
+        def final(cadence):
+            *_, (tau, y) = evolve_band(grid, GAMMA, y0, 4.0, cadence, cap, {})
+            assert tau == 4.0
+            return y
+
+        ref = final(1.0 / 64.0)
+        errs = [np.abs(final(cadence) - ref).max() for cadence in (0.5, 0.25, 0.125, 0.0625)]
+        ratios = [a / b for a, b in zip(errs, errs[1:])]
+        assert all(12.0 <= r <= 20.0 for r in ratios), (errs, ratios)
+
     def test_integrate_yields_cadence_points(self):
         # each chunk takes equal steps no longer than the cap, landing on its end
         grid = GridSpec(n=8, box=5.0)
@@ -385,6 +408,38 @@ class TestTimeStepping:
         del y
         next(steps)
         assert alive == [False] * 3
+
+    def test_caller_may_write_into_each_yielded_stack(self):
+        # dt_cap reads a stack before it is yielded: a consumer that spoils
+        # each one in place, as evolve's samples make the perturbation there,
+        # leaves the flow as it was
+        grid = GridSpec(n=8, box=5.0)
+        y0 = grid.transform(
+            dyn.compatible_perturbation(grid, GAMMA, np.zeros(grid.shape), amp=1e-3, seed=7)
+        )
+        cap = lambda y: dyn.cfl_dt(grid, GAMMA, y, 0.4)
+        clean = [y.copy() for _, y in evolve_band(grid, GAMMA, y0, 1.0, 0.25, cap, {})]
+        spoiled = []
+        for _, y in evolve_band(grid, GAMMA, y0, 1.0, 0.25, cap, {}):
+            spoiled.append(y.copy())
+            y[...] = np.nan
+        assert len(spoiled) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(clean, spoiled))
+
+    def test_flow_lets_its_tail_go_before_the_last_stack(self, monkeypatch):
+        # the last sample copies its stack for state_final.emxf; the flow's
+        # tail is gone by then
+        tails = []
+
+        class Watched(dyn.BandTail):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tails.append(weakref.ref(self))
+
+        monkeypatch.setattr(pipelines, "BandTail", Watched)
+        grid = GridSpec(n=8, box=5.0)
+        steps = evolve_band(grid, GAMMA, flat_state(grid), 0.5, 0.25, lambda y: 0.1, {})
+        assert [tails[0]() is not None for _ in steps] == [True, True, False]
 
     def test_step_is_exact_on_uniform_damping(self):
         # a longitudinal B~ is constant under L, so y' = L y - y is y' = -y
@@ -740,6 +795,29 @@ class TestSpectralState:
         # the steps moved the band by far more than the bound
         assert np.abs(y_end - y0).max() > 1e-6 * np.abs(y_ref).max()
 
+    @pytest.mark.parametrize("v_x, b_z", [(1e200, 0.0), (1e100, 1e250)])
+    def test_overflowing_products_give_a_nan_tendency(self, v_x, b_z):
+        # |v|^2 overflows in the first pair, v x B~ alone in the second: the
+        # tendency is all NaN, for the non-finite check, and numpy is quiet
+        grid = GridSpec(n=8, box=5.0)
+        tail = dyn.BandTail(grid, GAMMA, flat_state(grid))
+        y = tail.take(flat_state(grid))
+        y[1, 0, 0, 0], y[9, 0, 0, 0] = v_x, b_z
+        with np.errstate(all="raise"):
+            out = dyn.rhs_symmetric(y, tail)
+        assert out.shape == y.shape and np.isnan(out).all()
+
+    def test_inadmissible_state_takes_no_power(self):
+        # w(sigma) = (gamma - 1)/2 sigma + 1 = -7/3 < 0 with finite products:
+        # refused before any power of w, which would raise FloatingPointError here
+        grid = GridSpec(n=8, box=5.0)
+        tail = dyn.BandTail(grid, GAMMA, flat_state(grid))
+        y = tail.take(flat_state(grid))
+        y[0, 0, 0, 0] = -10.0
+        with np.errstate(invalid="raise"), pytest.raises(dyn.InadmissibleStateError) as info:
+            dyn.rhs_symmetric(y, tail)
+        assert info.value.base_min == pytest.approx(0.5 * (GAMMA - 1.0) * -10.0 + 1.0)
+
     @staticmethod
     def count_transforms(monkeypatch):
         """Log the fields of every GridSpec transform, per direction."""
@@ -756,14 +834,39 @@ class TestSpectralState:
 
     def test_fields_transformed_per_call(self, equilibrium, rough_state, monkeypatch):
         # 11 + 1 fields inverse-transformed and 8 + 1 forward per RHS call:
-        # the product batches plus the Gauss correction's one field each way
+        # the products' fields and the Gauss correction's one field each way,
+        # streamed one field per transform
         grid = equilibrium[0]
         y = grid.transform(rough_state)
         tail = dyn.BandTail(grid, GAMMA, y)
         y_band = tail.take(y)
         counts = self.count_transforms(monkeypatch)
         dyn.rhs_symmetric(y_band, tail)
-        assert counts == {"inverse": [11, 1], "transform": [8, 1]}
+        assert counts == {"inverse": [1] * 12, "transform": [1] * 9}
+
+    def test_one_call_streams_its_products(self):
+        # The traced peak of one call, bounded by array sizes: v, w, the three
+        # components of curl v - B~, a product and one temporary (9 real
+        # fields); the forward transform's work array and numpy's copy of it
+        # for the in-place passes (2 full-layout complex fields); the
+        # products' band entries, div v and the transform's band result (10
+        # band fields); plus 64 KiB for interpreter objects.  Holding the
+        # 11-field physical stack and the 8 products at once needs twice as much.
+        grid = GridSpec(n=32, box=40.0)
+        sigma_st = 0.05 * np.exp(-grid.radius**2 / 4.0)
+        y = grid.transform(dyn.compatible_perturbation(grid, GAMMA, sigma_st, 1e-3, seed=3))
+        tail = dyn.BandTail(grid, GAMMA, y)
+        y_band = tail.take(y)
+        dyn.rhs_symmetric(y_band, tail)  # fills the band's cached multipliers
+        tracemalloc.start()
+        try:
+            dyn.rhs_symmetric(y_band, tail)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        real = 8 * grid.n**3
+        spectral = 16 * grid.n * grid.n * (grid.n // 2 + 1)
+        assert peak <= 9 * real + 2 * spectral + 10 * y_band[0].nbytes + 2**16
 
     def test_fields_transformed_per_residual_call(self, equilibrium, rough_state, monkeypatch):
         # the norms come from the coefficients: only the charge needs sigma
